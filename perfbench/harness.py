@@ -11,7 +11,8 @@ Roles of the in-process workloads (``ball-campaign``, ``whole-graph``,
 ``import``
     Import the workload's modules, then exit (one import sample).
 ``measure``
-    Import, set up, then run passes until ``--seconds`` have elapsed.
+    Import, set up, then run passes until ``--seconds`` have elapsed, each
+    pass preceded by a host-speed probe (:mod:`calibration`).
 ``trace``
     Import, then set up and run ``--passes`` passes under the span tracer,
     each traced pass followed by the same pass untraced.
@@ -44,6 +45,7 @@ from time import perf_counter
 
 import tracer as tracing
 import workloads
+from calibration import calibrate
 
 PINS = json.loads((Path(__file__).resolve().parent / "spec.json").read_text())["pins"]
 
@@ -65,8 +67,8 @@ def experiment_ids():
     return list_experiments()
 
 
-def _pass_record(result):
-    return {"seconds": result.seconds, "work": result.work, "attempted": result.attempted,
+def _pass_record(result, cal=None):
+    return {"seconds": result.seconds, "cal": cal, "work": result.work, "attempted": result.attempted,
             "failures": result.failures, "digest": result.digest, "ledger": result.ledger}
 
 
@@ -91,12 +93,13 @@ def run_in_process(args, pins) -> dict:
     passes = []
     index = 0
     while not passes or perf_counter() < deadline:
+        cal = calibrate()
         result = workload.run_pass(index)
         check_ledger(result, pins, index)
         if workload.invariants() != frozen:
             result.failures.append(f"pass {index}: a program compiled or a table was built")
             frozen = workload.invariants()
-        passes.append(_pass_record(result))
+        passes.append(_pass_record(result, cal))
         index += 1
     out["passes"] = passes
     out["peak_rss_mib"] = peak_rss_mib()
@@ -183,6 +186,7 @@ def run_registry(args) -> dict:
         out["gaps"] = gaps + [f"missing target {name}" for name in tracer.missing]
         out["experiment_ids"] = experiment_ids()
     out["peak_rss_mib"] = peak_rss_mib()
+    out["cal"] = calibrate()
     return out
 
 

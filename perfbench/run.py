@@ -13,9 +13,15 @@ end-to-end metrics of ``BENCHMARK.json``, ``--trace 1`` its per-layer metrics.
 Untraced runs start ``SETUP_SAMPLES`` measuring children, each of which sets
 up and then runs passes for its share of ``--seconds``, each preceded by
 ``IMPORTS_PER_SAMPLE`` import-only children (registry-store:
-set-up children, then cold/warm CLI cycles until ``--seconds`` have elapsed);
-traced runs start one traced child (or one traced and one untraced cycle)
-plus an ``-X importtime`` child.  The
+set-up children, then cycles of one cold and ``WARM_PER_CYCLE`` warm CLI
+processes until ``--seconds`` have elapsed); traced runs start one traced
+child (or one traced and one untraced cycle) plus an ``-X importtime`` child.
+The host switches between speeds up to 1.9x apart, within seconds and over
+minutes.  Timed passes and CLI commands are scaled to seconds of a reference
+host by host-speed probes taken next to them (:mod:`calibration`) and report
+the run's mean; a fresh-interpreter import or set-up is too short and too
+unlike the probe for that, so it reports the fastest sample, as ``timeit``
+does.  The
 workloads, the meaning of each metric per workload, the layer predictions and
 the pinned outputs are in ``perfbench/spec.json``.
 """
@@ -33,10 +39,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from statistics import median
+from statistics import mean, median
 from time import perf_counter
 
 import tracer
+from calibration import scale
 from workloads import REGISTRY_MODULES, REGISTRY_SHARDS, WORKLOADS
 
 HERE = Path(__file__).resolve().parent
@@ -44,7 +51,12 @@ ROOT = HERE.parent
 SETUP_SAMPLES = 3
 #: Import-only children started before each measuring child: a fresh-interpreter
 #: import is short and noisy, so it needs more samples than set-up does.
-IMPORTS_PER_SAMPLE = 3
+IMPORTS_PER_SAMPLE = 6
+#: Set-up children of a registry-store run: each is short, so it takes more.
+REGISTRY_SETUP_SAMPLES = 6
+#: Warm processes after each cold one in a registry-store cycle: a warm command
+#: takes tens of milliseconds, so it needs more samples than the cold one.
+WARM_PER_CYCLE = 3
 TRACED_PASSES = 2
 #: Wall-clock budget of one run; children are killed past it.
 BUDGET_S = 170.0
@@ -177,16 +189,17 @@ def in_process_run(args, spec, children):
     checked += 1
     if len(first) != 1:
         extra.append("measuring processes with the same seed produced different outputs")
-    pass_s = median(p["seconds"] for p in passes)
+    factor = scale([p["cal"] for p in passes])
+    pass_s = factor * mean(p["seconds"] for p in passes)
     metrics = {
-        "setup_s": median(s["setup_s"] for s in samples),
-        "import_s": median(s["import_s"] for s in samples + imports),
+        "setup_s": min(s["setup_s"] for s in samples),
+        "import_s": min(s["import_s"] for s in samples + imports),
         "peak_rss_mib": median(s["peak_rss_mib"] for s in samples),
         "pass_s": pass_s,
         "work_per_s": median(p["work"] for p in passes) / pass_s,
     }
     return (metrics, attempted + checked, failed + len(extra), messages + extra,
-            {"passes": len(passes)})
+            {"passes": len(passes), "host_scale": round(factor, 4)})
 
 
 def in_process_trace(args, spec, children, common):
@@ -206,35 +219,40 @@ def in_process_trace(args, spec, children, common):
 
 
 # ------------------------------------------------------------ registry-store
-def registry_cycle(children, index, trace):
-    """One cold and one warm CLI process over a fresh store."""
+def _read(path):
+    return path.read_bytes() if path.is_file() else b""
+
+
+def registry_cycle(children, index, trace, warm_count=1):
+    """One cold CLI process over a fresh store, then *warm_count* warm ones."""
     base = children.work / f"cycle-{index}"
     base.mkdir()
-    store, paths = base / "store", {role: base / f"{role}.json" for role in ("cold", "warm")}
+    store = base / "store"
     common = ("--workload", "registry-store", "--seed", 0, "--store", store, "--trace", int(trace))
     spans = ROOT / "perfbench-out" / "traces"
-    cold, cold_wall = children.harness(*common, "--role", "cold", "--json", paths["cold"],
-                                       "--spans", spans / f"registry-store-cold-{index}.jsonl")
-    warm, _ = children.harness(*common, "--role", "warm", "--json", paths["warm"],
-                               "--md", base / "report.md",
-                               "--spans", spans / f"registry-store-warm-{index}.jsonl")
-    cold_bytes = paths["cold"].read_bytes() if paths["cold"].is_file() else b""
-    warm_bytes = paths["warm"].read_bytes() if paths["warm"].is_file() else b""
-    artifacts = sorted(path.name for path in store.glob("*.json"))
+    cold, _ = children.harness(*common, "--role", "cold", "--json", base / "cold.json",
+                               "--spans", spans / f"registry-store-cold-{index}.jsonl")
+    warms = []
+    for k in range(warm_count):
+        json_path, md_path = base / f"warm-{k}.json", base / f"report-{k}.md"
+        warm, _ = children.harness(*common, "--role", "warm", "--json", json_path, "--md", md_path,
+                                   "--spans", spans / f"registry-store-warm-{index}-{k}.jsonl")
+        warm["json_bytes"] = _read(json_path)
+        warm["report_bytes"] = len(_read(md_path))
+        warms.append(warm)
     return {
-        "cold": cold, "warm": warm, "cold_wall": cold_wall, "artifacts": artifacts,
-        "cold_bytes": cold_bytes, "warm_bytes": warm_bytes,
-        "report_bytes": (base / "report.md").stat().st_size if (base / "report.md").is_file() else 0,
+        "cold": cold, "warms": warms,
+        "artifacts": sorted(path.name for path in store.glob("*.json")),
+        "cold_bytes": _read(base / "cold.json"),
     }
 
 
 def registry_failures(cycle, spec):
-    """Checks of one cycle: three operations (cold run, warm run, report)."""
+    """Checks of one cycle: the cold run, then each warm run and its report."""
     pins = spec["pins"]["registry-store"]
     shards = REGISTRY_SHARDS
     cold_run, = cycle["cold"]["commands"]
-    warm_run, report = cycle["warm"]["commands"]
-    cold, warm, rendered = [], [], []
+    cold = []
     if cold_run["exit"] != 0 or cold_run["summary"] != [shards, shards, 0]:
         cold.append(f"cold run: exit {cold_run['exit']}, summary {cold_run['summary']}")
     if pins.get("artifacts") and cycle["artifacts"] != pins["artifacts"]:
@@ -243,49 +261,59 @@ def registry_failures(cycle, spec):
     pinned = spec["pins"]["digests"].get("registry-store")
     if pinned and digest != pinned:
         cold.append(f"cold run: payload digest {digest[:16]} differs from the pin")
-    if warm_run["exit"] != 0 or warm_run["summary"] != [shards, 0, shards]:
-        warm.append(f"warm run: not {shards} of {shards} cached ({warm_run['summary']})")
-    if cycle["warm_bytes"] != cycle["cold_bytes"]:
-        warm.append("warm run: payload bytes differ from the cold run")
-    if report["exit"] != 0 or not cycle["report_bytes"]:
-        rendered.append(f"report: exit {report['exit']}, {cycle['report_bytes']} bytes")
-    problems = cold + warm + rendered
-    return 3, sum(1 for group in (cold, warm, rendered) if group), problems
+    groups = [cold]
+    for warm in cycle["warms"]:
+        warm_run, report = warm["commands"]
+        run_problems, rendered = [], []
+        if warm_run["exit"] != 0 or warm_run["summary"] != [shards, 0, shards]:
+            run_problems.append(f"warm run: not {shards} of {shards} cached ({warm_run['summary']})")
+        if warm["json_bytes"] != cycle["cold_bytes"]:
+            run_problems.append("warm run: payload bytes differ from the cold run")
+        if report["exit"] != 0 or not warm["report_bytes"]:
+            rendered.append(f"report: exit {report['exit']}, {warm['report_bytes']} bytes")
+        groups += [run_problems, rendered]
+    problems = [message for group in groups for message in group]
+    return len(groups), sum(1 for group in groups if group), problems
 
 
-def resume_seconds(cycle):
-    return sum(command["seconds"] for command in cycle["warm"]["commands"])
+def resume_seconds(warm):
+    return sum(command["seconds"] for command in warm["commands"])
 
 
 def command_seconds(cycle):
-    return cycle["cold"]["commands"][0]["seconds"] + resume_seconds(cycle)
+    return cycle["cold"]["commands"][0]["seconds"] + sum(map(resume_seconds, cycle["warms"]))
 
 
 def registry_run(args, spec, children):
     if args.trace:
         return registry_trace(args, spec, children)
     common = ("--workload", "registry-store", "--seed", args.seed)
-    samples = [children.harness(*common, "--role", "setup")[0] for _ in range(SETUP_SAMPLES)]
+    samples = [children.harness(*common, "--role", "setup")[0]
+               for _ in range(REGISTRY_SETUP_SAMPLES)]
     cycles = []
     deadline = perf_counter() + args.seconds
     while not cycles or perf_counter() < deadline:
-        cycles.append(registry_cycle(children, len(cycles), trace=False))
+        cycles.append(registry_cycle(children, len(cycles), trace=False, warm_count=WARM_PER_CYCLE))
     attempted = failed = 0
     messages = []
     for cycle in cycles:
         a, f, m = registry_failures(cycle, spec)
         attempted, failed, messages = attempted + a, failed + f, messages + m
-    imports = [s["import_s"] for s in samples]
-    imports += [c[role]["import_s"] for c in cycles for role in ("cold", "warm")]
+    processes = [process for c in cycles for process in (c["cold"], *c["warms"])]
+    factor = scale([p["cal"] for p in processes])
+    run_all_s = factor * mean(c["cold"]["import_s"] + c["cold"]["commands"][0]["seconds"]
+                              for c in cycles)
+    resume_s = factor * mean(resume_seconds(w) for c in cycles for w in c["warms"])
     metrics = {
-        "setup_s": median(s["setup_s"] for s in samples),
-        "import_s": median(imports),
-        "peak_rss_mib": median(max(c["cold"]["peak_rss_mib"], c["warm"]["peak_rss_mib"])
+        "setup_s": min(s["setup_s"] for s in samples),
+        "import_s": min(p["import_s"] for p in samples + processes),
+        "peak_rss_mib": median(max(p["peak_rss_mib"] for p in (c["cold"], *c["warms"]))
                                for c in cycles),
-        "pass_s": median(c["cold_wall"] for c in cycles),
-        "work_per_s": REGISTRY_SHARDS / median(resume_seconds(c) for c in cycles),
+        "pass_s": run_all_s,
+        "work_per_s": REGISTRY_SHARDS / resume_s,
     }
-    return metrics, attempted, failed, messages, {"cycles": len(cycles)}
+    return (metrics, attempted, failed, messages,
+            {"cycles": len(cycles), "host_scale": round(factor, 4)})
 
 
 def registry_trace(args, spec, children):
@@ -297,20 +325,21 @@ def registry_trace(args, spec, children):
         a, f, m = registry_failures(cycle, spec)
         attempted, failed, messages = attempted + a, failed + f, messages + m
     attempted += 1
-    if (traced["cold_bytes"], traced["warm_bytes"]) != (plain["cold_bytes"], plain["warm_bytes"]):
+    (traced_warm,), (plain_warm,) = traced["warms"], plain["warms"]
+    if (traced["cold_bytes"], traced_warm["json_bytes"]) != (plain["cold_bytes"], plain_warm["json_bytes"]):
         failed += 1
         messages.append("traced payload bytes differ from untraced payload bytes")
     raw = {}
-    for role in ("cold", "warm"):
-        for key, value in traced[role]["raw"].items():
+    for process in (traced["cold"], traced_warm):
+        for key, value in process["raw"].items():
             raw[key] = raw.get(key, 0.0) + value
     wall = command_seconds(traced)
     metrics = tracer.finalize(raw, 1, wall, traced["cold"]["experiment_ids"])
-    metrics["cli.import_s"] = median([traced["cold"]["import_s"], traced["warm"]["import_s"],
-                                      plain["cold"]["import_s"], plain["warm"]["import_s"]])
+    metrics["cli.import_s"] = median([traced["cold"]["import_s"], traced_warm["import_s"],
+                                      plain["cold"]["import_s"], plain_warm["import_s"]])
     metrics["cli.import.networkx_s"] = children.networkx_import_s(REGISTRY_MODULES)
     metrics["trace.overhead_ratio"] = wall / command_seconds(plain) - 1
-    gaps = traced["cold"]["gaps"] + traced["warm"]["gaps"]
+    gaps = traced["cold"]["gaps"] + traced_warm["gaps"]
     checked, problems = coverage("registry-store", raw, spec, gaps)
     return (metrics, attempted + checked, failed + len(problems), messages + problems,
             {"spans": "perfbench-out/traces/registry-store-*-0.jsonl"})
