@@ -11,7 +11,11 @@ Ablation pairs quantify the PR-10 design decisions:
   is needed;
 * a standing **S_13 depth-3 ball** row — the campaign building block at
   acceptance scale (1 531 of 6.2 G nodes, no table anywhere), plus one
-  sampled fault-campaign trial point at S_7.
+  sampled fault-campaign trial point at S_7;
+* micro rows for the campaign's own shape: the **S_13 depth-4 ball**, whose
+  truncation probe stops at the first escaping frontier row, and
+  ``rank_batch`` / ``unrank_batch`` on one 14 k-row S_13 block (the size of
+  a depth-4 frontier).
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
 S_13 on the implicit backend — the acceptance-scale campaign.
@@ -28,7 +32,11 @@ from repro.topology.routing import (
     bounded_bfs_ball,
     index_bfs_distances,
 )
-from repro.permutations.ranking import star_position_generators
+from repro.permutations.ranking import (
+    rank_batch,
+    star_position_generators,
+    unrank_batch,
+)
 from repro.topology.star import StarGraph
 
 BALL_DEPTH = 4
@@ -80,6 +88,32 @@ def test_bounded_ball_s13_implicit_depth3(benchmark):
     source = ImplicitNeighborSource(star_position_generators(13), 13)
     ball = benchmark(bounded_bfs_ball, source, 12345, max_depth=3)
     assert ball.size == 1531 and ball.truncated
+
+
+def test_bounded_ball_s13_implicit_depth4(benchmark):
+    """The campaign's depth: 14 511 nodes, then a probe that stops early."""
+    source = ImplicitNeighborSource(star_position_generators(13), 13)
+    ball = benchmark(bounded_bfs_ball, source, 12345, max_depth=BALL_DEPTH)
+    assert ball.size == 14511 and ball.truncated
+
+
+@pytest.fixture(scope="module")
+def s13_block():
+    """One depth-4-frontier-sized block of seeded S_13 ranks and their rows."""
+    ranks = np.random.default_rng(2613).integers(
+        0, 6227020800, size=14000, dtype=np.int64
+    )
+    return ranks, unrank_batch(ranks, 13)
+
+
+def test_unrank_batch_s13_block(benchmark, s13_block):
+    ranks, perms = s13_block
+    assert np.array_equal(benchmark(unrank_batch, ranks, 13), perms)
+
+
+def test_rank_batch_s13_block(benchmark, s13_block):
+    ranks, perms = s13_block
+    assert np.array_equal(benchmark(rank_batch, perms), ranks)
 
 
 def test_sampled_fault_point_s7(benchmark, star7):

@@ -15,8 +15,8 @@ bit-identical parity oracle:
 * :func:`mesh_star_edges_kernel` -- the per-edge canonical-path tallies of
   the batched embedding measurement in :mod:`repro.embedding.metrics`;
 * :func:`rank_batch_kernel` -- the per-row Lehmer encode of
-  :func:`repro.permutations.ranking.rank_batch` (same comparison-count
-  arithmetic as the vectorised NumPy sums, row at a time);
+  :func:`repro.permutations.ranking.rank_batch` (the same Lehmer digits as
+  the NumPy seen-bitmask oracle, counted row at a time);
 * :func:`implicit_neighbors_kernel` -- the fused
   ``unrank -> apply generator -> rank`` loop of
   :func:`repro.permutations.ranking.implicit_neighbor_block`, the compiled
@@ -177,7 +177,7 @@ def rank_batch_kernel(perms, fact):
 
     ``fact`` is the int64 factorial table ``(0!, ..., n!)``.  Per row the
     classic O(n^2) Lehmer encode: digit ``i`` counts the smaller symbols to
-    its right -- the same integers as the vectorised comparison sums of the
+    its right -- the same integers as the seen-bitmask popcounts of the
     NumPy oracle (``repro.permutations.ranking._rank_rows_numpy``).
     """
     m, n = perms.shape

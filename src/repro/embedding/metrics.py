@@ -337,6 +337,7 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
         all_permutations_array,
         unrank_batch,
     )
+    from repro.topology.routing import _sorted_unique
 
     n = embedding.n
     star = embedding.star
@@ -353,7 +354,7 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
         ranks.size == num_nodes
         and bool((ranks >= 0).all())
         and bool((ranks < num_nodes).all())
-        and _np.unique(ranks).size == ranks.size
+        and _sorted_unique(ranks).size == ranks.size
     )
     if not injective:
         # Out-of-range ranks would fault the gathers below; report the broken

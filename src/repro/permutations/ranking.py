@@ -393,19 +393,24 @@ def all_permutations_array(n: int):
 def _rank_rows_numpy(array):
     """The vectorised Lehmer encode of a validated-shape ``(m, n)`` array.
 
-    One comparison-sum per Lehmer digit position, accumulated against the
-    factorial base -- the NumPy parity oracle of the compiled
-    :func:`repro._numba_kernels.rank_batch_kernel` (identical integers, the
-    kernel is the same arithmetic as a scalar loop).
+    One right-to-left scan with a ``uint32`` "seen" bitmask per row: at
+    position ``i`` the Lehmer digit -- how many symbols to the right are
+    smaller than ``array[:, i]`` -- is the population count of the seen
+    symbols below it, ``np.bitwise_count(seen & (bit - 1))`` with
+    ``bit = 1 << array[:, i]``.  That is ``O(n)`` whole-column operations
+    (``n <= 20`` symbols fit the 32-bit mask) accumulated against the
+    factorial base, and the NumPy parity oracle of the compiled
+    :func:`repro._numba_kernels.rank_batch_kernel` (identical integers).
     """
     m, n = array.shape
     fact = factorials(n)
+    one = _np.uint32(1)
     ranks = _np.zeros(m, dtype=_np.int64)
-    for i in range(n - 1):
-        smaller = (array[:, i + 1 :] < array[:, i : i + 1]).sum(
-            axis=1, dtype=_np.int64
-        )
-        ranks += smaller * fact[n - 1 - i]
+    seen = _np.zeros(m, dtype=_np.uint32)
+    for i in range(n - 1, -1, -1):
+        bit = one << array[:, i].astype(_np.uint32)
+        ranks += _np.bitwise_count(seen & (bit - one)) * _np.int64(fact[n - 1 - i])
+        seen |= bit
     return ranks
 
 
@@ -442,7 +447,7 @@ def rank_batch(perms):
     :class:`~repro.exceptions.TableDegreeError`
     (:func:`require_int64_rank_degree`) instead of silently changing
     representation.  Dispatches to the compiled per-row Lehmer encode under
-    ``REPRO_BACKEND=numba``; the NumPy comparison-sum path is the
+    ``REPRO_BACKEND=numba``; the NumPy seen-bitmask path is the
     bit-identical parity oracle.  Falls back to a per-row
     :func:`permutation_rank` list without NumPy.
     """
@@ -471,13 +476,16 @@ def unrank_batch(ranks, n: int):
     lets the chunked kernels gather endpoint permutations at degrees beyond
     the dense tier.  The inverse of :func:`ranks_of` on valid inputs.
 
-    The per-step state is ``O(m * n)``: Lehmer digits come from repeated
-    ``divmod`` by factorials and the available-symbol pools shrink by an
-    index-shift gather per step, so a block of a million degree-12 ranks
-    costs tens of megabytes, never ``n!``.  Any iterable of ranks (list,
-    generator, array) is normalised with one ``np.asarray`` pass up front,
-    so there is exactly one vectorised path; degrees whose factorial
-    overflows int64 (``n > 20``) raise the canonical
+    The state is one ``(n, m)`` ``int8`` digit array, so a block of a
+    million degree-12 ranks costs tens of megabytes, never ``n!``.  The
+    factorial-base digits come from ``divmod`` by the cached factorials;
+    the digits are then bump-decoded right to left in place: the last digit
+    is the last symbol, and prepending digit ``head`` to the decoded suffix
+    shifts every suffix symbol ``>= head`` up by one
+    (``tail += tail >= head``).  Any iterable of ranks (list, generator,
+    array) is normalised with one ``np.asarray`` pass up front, so there is
+    exactly one vectorised path; degrees whose factorial overflows int64
+    (``n > 20``) raise the canonical
     :class:`~repro.exceptions.TableDegreeError`
     (:func:`require_int64_rank_degree`).  Falls back to a per-rank
     :func:`permutation_unrank` list (of tuples) without NumPy.
@@ -496,20 +504,14 @@ def unrank_batch(ranks, n: int):
         int(ranks.min()) >= 0 and int(ranks.max()) < total
     ):
         raise InvalidParameterError(f"ranks must be in [0, {total})")
-    m = ranks.shape[0]
-    out = _np.empty((m, n), dtype=_np.int8)
-    available = _np.tile(_np.arange(n, dtype=_np.int8), (m, 1))
-    remainder = ranks.copy()
+    digits = _np.empty((n, ranks.shape[0]), dtype=_np.int8)
+    remainder = ranks
     for i in range(n):
-        digit, remainder = _np.divmod(remainder, fact[n - 1 - i])
-        chosen = _np.take_along_axis(available, digit[:, None], axis=1)
-        out[:, i] = chosen[:, 0]
-        if i < n - 1:
-            # Drop the chosen symbol: left-shift everything after its index.
-            keep = _np.arange(available.shape[1] - 1, dtype=_np.int64)
-            take = keep + (keep >= digit[:, None])
-            available = _np.take_along_axis(available, take, axis=1)
-    return out
+        digits[i], remainder = _np.divmod(remainder, fact[n - 1 - i])
+    for i in range(n - 2, -1, -1):
+        tail = digits[i + 1 :]
+        tail += tail >= digits[i]
+    return _np.ascontiguousarray(digits.T)
 
 
 def implicit_neighbor_block(
@@ -528,14 +530,16 @@ def implicit_neighbor_block(
     only by the int64 rank degree (``n <= 20``).
 
     The block is processed in ``chunk_nodes`` sub-chunks (default
-    ``REPRO_CHUNK_NODES``) so the transient ``O(chunk * n)`` unranking state
-    stays bounded; chunk size never changes the results.  Under
-    ``REPRO_BACKEND=numba`` each sub-chunk runs one fused compiled
-    unrank/apply/rank loop; the NumPy path is the bit-identical parity
-    oracle.  *generators* are validated exactly like the table builders'
-    (:func:`move_tables_for`), so implicit blocks and tables can never
-    disagree about a legal generator set.  Falls back to per-rank tuple
-    application (a list of lists) without NumPy.
+    ``REPRO_CHUNK_NODES``) so the transient ``O(chunk * k * n)`` state
+    stays bounded; chunk size never changes the results.  On NumPy each
+    sub-chunk is one :func:`unrank_batch`, one gather of all ``k``
+    generator images (``perms[:, generators]``) and one fused Lehmer encode
+    of the ``chunk * k`` moved rows.  Under ``REPRO_BACKEND=numba`` each
+    sub-chunk runs one fused compiled unrank/apply/rank loop; the NumPy path
+    is the bit-identical parity oracle.  *generators* are validated exactly
+    like the table builders' (:func:`move_tables_for`), so implicit blocks
+    and tables can never disagree about a legal generator set.  Falls back
+    to per-rank tuple application (a list of lists) without NumPy.
     """
     require_int64_rank_degree(n)
     generators = tuple(tuple(generator) for generator in generators)
@@ -564,21 +568,21 @@ def implicit_neighbor_block(
     m = ranks.shape[0]
     out = _np.empty((m, len(generators)), dtype=_np.int64)
     chunk = resolve_chunk_nodes(chunk_nodes)
+    columns = _np.asarray(generators, dtype=_np.int64).reshape(len(generators), n)
     kernel = None
     if use_numba():
         from repro._numba_kernels import implicit_neighbors_kernel as kernel
 
-        generator_array = _np.asarray(generators, dtype=_np.int64)
         fact = _np.asarray(factorials(n), dtype=_np.int64)
-    columns = [list(generator) for generator in generators]
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
         if kernel is not None:
-            out[start:stop] = kernel(ranks[start:stop], generator_array, fact)
+            out[start:stop] = kernel(ranks[start:stop], columns, fact)
         else:
             perms = unrank_batch(ranks[start:stop], n)
-            for g, column in enumerate(columns):
-                out[start:stop, g] = _rank_rows_numpy(perms[:, column])
+            out[start:stop] = _rank_rows_numpy(
+                perms[:, columns].reshape(-1, n)
+            ).reshape(stop - start, len(generators))
     return out
 
 
@@ -624,12 +628,16 @@ def star_position_generators(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(generators)
 
 
+@lru_cache(maxsize=256)
 def _check_generators(generators: Tuple[Tuple[int, ...], ...], n: int) -> None:
     """Generators must be distinct non-identity involution position permutations.
 
     Non-identity guarantees every node moves (the table is fixed-point free);
     the involution property makes each table self-inverse, i.e. a perfect
     matching -- the invariant the SIMD one-gather generator route relies on.
+    Memoised per ``(generators, n)`` because every implicit neighbour block
+    re-checks the same set; a rejected set raises on every call (exceptions
+    are never cached).
     """
     identity = tuple(range(n))
     seen = set()

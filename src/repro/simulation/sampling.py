@@ -124,8 +124,8 @@ def _kendall_tau_rows(source_rows, target_rows):
     """Row-wise Kendall-tau (inversion) distances of two permutation batches.
 
     Relabels each source row by the symbol positions of its target row, then
-    counts inversions with the same comparison-sum pattern as the vectorised
-    Lehmer encode -- the batched twin of
+    counts inversions with one comparison sum per position (the sum of the
+    Lehmer digits) -- the batched twin of
     :func:`repro.topology.cayley.bubble_sort_distance`.
     """
     positions = _np.argsort(target_rows, axis=1)

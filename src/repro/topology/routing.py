@@ -766,6 +766,21 @@ class BoundedBall:
         return out
 
 
+def _sorted_unique(values):
+    """``np.unique(values)`` for a 1-D int64 array: sort, then keep run heads.
+
+    One ``np.sort`` plus an adjacent-difference mask -- the same sorted
+    distinct values, without ``np.unique``'s hash-based path.
+    """
+    values = _np.sort(values)
+    if values.size > 1:
+        keep = _np.empty(values.size, dtype=bool)
+        keep[0] = True
+        _np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
 def _in_sorted(values, sorted_array):
     """Boolean mask: which *values* occur in *sorted_array* (both int64)."""
     if sorted_array.size == 0:
@@ -791,6 +806,16 @@ def bounded_bfs_ball(
     this sweep touches **only the ball it reaches** -- visited bookkeeping is
     a sorted int64 array that grows with the ball, never with ``n!`` -- so it
     runs on the table-free implicit source at any int64-rank degree.
+
+    Each level expands the frontier in ``chunk_nodes`` blocks, dedupes the
+    candidates with one sort plus an adjacent-difference mask and drops the
+    visited and excluded ones by ``searchsorted``.  When the depth cap is
+    reached with a live frontier, ``truncated`` needs only one escaping
+    neighbour: the probe expands the last frontier in prefix blocks of 1, 8,
+    64, ... rows (each at most one chunk) and stops at the first block with
+    an unvisited, non-excluded neighbour.  The bit is the one a full
+    expansion would give; only the work depends on where the first escape
+    sits.
 
     Parameters
     ----------
@@ -855,19 +880,24 @@ def bounded_bfs_ball(
         frontier = visited
         truncated = False
         level = 0
-        while frontier.size and level < max_depth:
-            level += 1
+
+        def unseen(rows):
+            # Sorted distinct neighbours of *rows* neither visited nor excluded.
             blocks = []
-            for start in range(0, frontier.size, chunk):
+            for start in range(0, rows.size, chunk):
                 candidates = neighbor_source.neighbor_block(
-                    frontier[start : start + chunk]
+                    rows[start : start + chunk]
                 ).reshape(-1)
                 blocks.append(candidates[candidates >= 0])
-            candidates = _np.unique(_np.concatenate(blocks))
+            candidates = _sorted_unique(_np.concatenate(blocks))
             keep = ~_in_sorted(candidates, visited)
             if excluded.size:
                 keep &= ~_in_sorted(candidates, excluded)
-            frontier = candidates[keep]
+            return candidates[keep]
+
+        while frontier.size and level < max_depth:
+            level += 1
+            frontier = unseen(frontier)
             if frontier.size:
                 level_arrays.append(frontier)
                 level_sizes.append(int(frontier.size))
@@ -876,19 +906,16 @@ def bounded_bfs_ball(
                 level -= 1
                 break
         if level == max_depth and frontier.size:
-            # The cap stopped the sweep, not the graph: expand the last
-            # frontier one probe level to learn whether anything lies beyond.
-            unknown = []
-            for start in range(0, frontier.size, chunk):
-                candidates = neighbor_source.neighbor_block(
-                    frontier[start : start + chunk]
-                ).reshape(-1)
-                unknown.append(candidates[candidates >= 0])
-            candidates = _np.unique(_np.concatenate(unknown))
-            keep = ~_in_sorted(candidates, visited)
-            if excluded.size:
-                keep &= ~_in_sorted(candidates, excluded)
-            truncated = bool(candidates[keep].size)
+            # The cap stopped the sweep, not the graph: probe one level past
+            # it to learn whether anything lies beyond.  One escaping node
+            # settles the bit, so the last frontier is expanded in growing
+            # prefix blocks (1, 8, 64, ... rows, each at most one chunk) and
+            # the probe stops at the first block that escapes.
+            start, width = 0, 1
+            while start < frontier.size and not truncated:
+                stop = min(start + width, frontier.size)
+                truncated = bool(unseen(frontier[start:stop]).size)
+                start, width = stop, min(8 * width, chunk)
         nodes = _np.concatenate(level_arrays)
         distances = _np.repeat(
             _np.arange(len(level_sizes), dtype=_np.int64), level_sizes

@@ -36,7 +36,13 @@ from repro.simulation.sampling import (
 )
 from repro.simulation.stats import derive_trial_seed
 from repro.topology.cayley import PancakeGraph
-from repro.topology.routing import bounded_bfs_ball, index_bfs_distances
+from repro.topology.routing import (
+    NeighborSource,
+    _bounded_bfs_ball_python,
+    _sorted_unique,
+    bounded_bfs_ball,
+    index_bfs_distances,
+)
 from repro.topology.star import StarGraph
 
 HEAVY = bool(os.environ.get("REPRO_HEAVY_TESTS"))
@@ -46,6 +52,26 @@ def _full_sweep(topology, origin=0):
     return np.asarray(
         index_bfs_distances(topology.neighbor_index_table(), topology.num_nodes, origin)
     )
+
+
+class _CountingSource(NeighborSource):
+    """Wraps a source and counts the frontier rows it is asked to expand."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_nodes = inner.num_nodes
+        self.rows = 0
+
+    def neighbor_block(self, indices):
+        self.rows += len(indices)
+        return self.inner.neighbor_block(indices)
+
+
+def _assert_same_ball(ball, oracle):
+    assert np.array_equal(np.asarray(ball.nodes), np.asarray(oracle.nodes))
+    assert np.array_equal(np.asarray(ball.distances), np.asarray(oracle.distances))
+    assert ball.truncated == oracle.truncated
+    assert ball.levels == oracle.levels
 
 
 class TestBoundedBall:
@@ -129,6 +155,60 @@ class TestBoundedBall:
                 max_depth=2,
                 excluded=np.asarray([0], dtype=np.int64),
             )
+
+    def test_sorted_unique_matches_np_unique(self):
+        rng = np.random.default_rng(11)
+        for values in ([], [5], [3, 3], rng.integers(-50, 50, size=400)):
+            values = np.asarray(values, dtype=np.int64)
+            out = _sorted_unique(values)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, np.unique(values))
+
+    @pytest.mark.parametrize("escape", [True, False])
+    def test_probe_against_adversarial_exclusions(self, escape):
+        # Exclude every level-(d+1) node except (escape=True) one whose only
+        # level-d neighbour is the highest-index level-d node -- the last row
+        # the probe reaches -- or (escape=False) all of them, so the last
+        # frontier stays live but nothing lies beyond it.
+        star, depth = StarGraph(6), 3
+        full = _full_sweep(star)
+        table = np.asarray(star.neighbor_index_table())
+        beyond = np.flatnonzero(full == depth + 1)
+        last = int(np.flatnonzero(full == depth)[-1])
+        escapes = [
+            int(x)
+            for x in table[last]
+            if full[x] == depth + 1 and (full[table[x]] == depth).sum() == 1
+        ]
+        assert escapes
+        excluded = np.setdiff1d(beyond, escapes[:1] if escape else [])
+        oracle = _bounded_bfs_ball_python(
+            star.neighbor_source(), 0, depth, excluded
+        )
+        assert oracle.truncated is escape
+        assert oracle.levels == depth
+        for chunk in (1, 2, 7, None):
+            ball = bounded_bfs_ball(
+                star.neighbor_source(),
+                0,
+                max_depth=depth,
+                excluded=excluded,
+                chunk_nodes=chunk,
+            )
+            _assert_same_ball(ball, oracle)
+
+    def test_probe_stops_at_the_first_escaping_row(self):
+        star, depth = StarGraph(7), 3
+        full = _full_sweep(star)
+        first = int(np.flatnonzero(full == depth)[0])
+        table = np.asarray(star.neighbor_index_table())
+        assert (full[table[first]] == depth + 1).any()
+        source = _CountingSource(star.neighbor_source())
+        ball = bounded_bfs_ball(source, 0, max_depth=depth)
+        assert ball.truncated
+        last_level = int((np.asarray(ball.distances) == depth).sum())
+        # Every row of levels 0..d-1 is expanded once; the probe adds one.
+        assert source.rows == ball.size - last_level + 1
 
     def test_implicit_backend_matches_table_backend(self):
         star = StarGraph(7)

@@ -74,6 +74,30 @@ class TestRankBatch:
         assert back.dtype == np.int64
         assert np.array_equal(back, ranks)
 
+    @pytest.mark.parametrize("n", range(1, MAX_INT64_RANK_DEGREE + 1))
+    def test_batch_pair_matches_scalar_helpers(self, n):
+        # Every int64-rank degree, against the exact-Python scalar pair:
+        # the extreme ranks, random ranks and independently drawn rows.
+        rng = _rng(300 + n)
+        total = math.factorial(n)
+        ranks = np.concatenate(
+            [[0, total - 1, total // 2], rng.integers(0, total, 61, dtype=np.int64)]
+        )
+        perms = unrank_batch(ranks, n)
+        assert perms.dtype == np.int8 and perms.shape == (ranks.size, n)
+        assert [tuple(map(int, row)) for row in perms] == [
+            permutation_unrank(int(rank), n) for rank in ranks
+        ]
+        rows = np.stack([rng.permutation(n) for _ in range(64)])
+        assert list(map(int, rank_batch(rows))) == [
+            permutation_rank(tuple(map(int, row))) for row in rows
+        ]
+        assert np.array_equal(rank_batch(perms), ranks)
+        empty = unrank_batch(np.empty(0, dtype=np.int64), n)
+        assert empty.dtype == np.int8 and empty.shape == (0, n)
+        back = rank_batch(empty)
+        assert back.dtype == np.int64 and back.shape == (0,)
+
     def test_matches_scalar_rank_exhaustively(self):
         perms = permutations_slice(0, math.factorial(5), 5)
         assert np.array_equal(rank_batch(perms), np.arange(math.factorial(5)))
@@ -169,7 +193,7 @@ def _family_instances(n):
 class TestImplicitBlockParity:
     """``implicit_neighbor_block`` vs the materialised tables, all families."""
 
-    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_full_graph_parity_all_families(self, n):
         ranks = np.arange(math.factorial(n), dtype=np.int64)
         for name, _, generators in _family_instances(n):
@@ -200,10 +224,12 @@ class TestImplicitBlockParity:
 
     def test_generator_validation_matches_the_table_builders(self):
         # The same guards as move_tables_for: no identity, involutions only.
-        with pytest.raises(InvalidParameterError):
-            implicit_neighbor_block([0], ((0, 1, 2),), 3)
-        with pytest.raises(InvalidParameterError):
-            implicit_neighbor_block([0], ((1, 2, 0),), 3)
+        # The check is memoised, but a rejection raises on every call.
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                implicit_neighbor_block([0], ((0, 1, 2),), 3)
+            with pytest.raises(InvalidParameterError):
+                implicit_neighbor_block([0], ((1, 2, 0),), 3)
 
     def test_rejects_out_of_range_ranks(self):
         generators = star_position_generators(4)
