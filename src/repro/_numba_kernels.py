@@ -81,7 +81,8 @@ def cycle_distances_kernel(mapping):
 
     Evaluates the Akers--Krishnamurthy closed form ``sum(l - 1)`` over
     non-trivial cycles through position 0 and ``sum(l + 1)`` over the others,
-    exactly like the scalar reference ``_cycle_distance_of_mapping``.
+    with the same outputs as the vectorised NumPy oracle
+    ``repro.topology.routing._cycle_structure_distances``.
     """
     m, n = mapping.shape
     out = np.empty(m, dtype=np.int64)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ArtifactError
-from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.artifacts import ArtifactStore, claim_verdict
 from repro.experiments.report import ExperimentResult, result_from_payload
 
 __all__ = [
@@ -123,13 +123,13 @@ def claim_summary(store) -> Dict[str, bool]:
     Returns
     -------
     dict
-        ``experiment_id -> claim_holds`` (missing summary key counts as
-        ``True``, matching the CLI's exit-code convention).  When a store
-        holds several profiles of one experiment, the claim must hold in all
-        of them.
+        ``experiment_id -> claim_holds`` (a missing summary key counts as a
+        failed claim, :func:`~repro.experiments.artifacts.claim_verdict`).
+        When a store holds several profiles of one experiment, the claim
+        must hold in all of them.
     """
     verdicts: Dict[str, bool] = {}
     for (stored_id, _profile), result in load_results(store).items():
-        holds = bool(result.summary.get("claim_holds", True))
+        holds = claim_verdict(result.summary)
         verdicts[stored_id] = verdicts.get(stored_id, True) and holds
     return verdicts

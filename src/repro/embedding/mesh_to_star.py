@@ -303,8 +303,7 @@ class MeshToStarEmbedding(Embedding):
         Built once per instance (CONVERT-D-S over every mesh node, then one
         batched :func:`repro.permutations.ranking.ranks_of` call) and cached;
         this is the substrate of the vectorised embedding measurement in
-        :mod:`repro.embedding.metrics`.  NumPy ``int64`` array when NumPy is
-        available, else a list.
+        :mod:`repro.embedding.metrics`.  A read-only NumPy ``int64`` array.
         """
         cached = getattr(self, "_cached_rank_vertex_map", None)
         if cached is None:
@@ -313,8 +312,7 @@ class MeshToStarEmbedding(Embedding):
             n = self._n
             rows = [_convert_d_s_unchecked(coords, n) for coords in self.guest.nodes()]
             cached = ranks_of(rows)
-            if hasattr(cached, "setflags"):
-                cached.setflags(write=False)
+            cached.setflags(write=False)
             setattr(self, "_cached_rank_vertex_map", cached)
         return cached
 

@@ -36,16 +36,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro import telemetry
 from repro.embedding.base import Embedding
 from repro.exceptions import EmbeddingError
 from repro.topology.base import Node
 from repro.utils.itertools_ext import pairwise
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
 
 __all__ = [
     "EmbeddingMetrics",
@@ -301,8 +298,8 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
     """The batched edge kernel for the canonical embedding, or None.
 
     Returns None (caller falls back to the tuple walk) unless *embedding* is
-    a :class:`~repro.embedding.mesh_to_star.MeshToStarEmbedding` with NumPy
-    available and an adjacency source in reach: any degree at or below the
+    a :class:`~repro.embedding.mesh_to_star.MeshToStarEmbedding` with an
+    adjacency source in reach: any degree at or below the
     table bound (the streamed memmap tier included -- the kernel chunks its
     gathers, see :func:`_build_mesh_to_star_edge_data`), or any int64-rank
     degree when the table-free implicit source applies
@@ -317,7 +314,7 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
         within_table_degree,
     )
 
-    if _np is None or type(embedding) is not MeshToStarEmbedding:
+    if type(embedding) is not MeshToStarEmbedding:
         return None
     if not within_table_degree(embedding.n) and (
         neighbor_mode() == "table" or not within_int64_rank_degree(embedding.n)

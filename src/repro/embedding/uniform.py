@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidParameterError
 from repro.topology.mesh import Mesh, paper_mesh
 from repro.utils.mixed_radix import MixedRadix
@@ -229,16 +231,10 @@ class UniformMeshSimulation:
         Index-native (PR 3): image ranks are one arithmetic sweep over the
         uniform node indices, loads one ``bincount`` and the per-edge
         Manhattan stretch a digitwise reduction over the decoded target
-        coordinates -- no coordinate tuples are built.  Falls back to the
-        per-node enumeration (:meth:`measure_reference`) without NumPy;
-        results are identical (see the parity test in
+        coordinates -- no coordinate tuples are built.  The per-node
+        enumeration (:meth:`measure_reference`) is its parity oracle (see
         ``tests/embedding/test_uniform.py``).
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - NumPy absent
-            return self.measure_reference()
-
         uniform_total = self._uniform.num_nodes
         target_total = self._target.num_nodes
         indices = np.arange(uniform_total, dtype=np.int64)

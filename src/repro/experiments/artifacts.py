@@ -66,6 +66,7 @@ __all__ = [
     "validate_payload",
     "validate_record",
     "environment_stamp",
+    "claim_verdict",
 ]
 
 #: Version of the on-disk record layout (bumped on incompatible changes).
@@ -154,6 +155,16 @@ def artifact_key(experiment_id: str, profile: str, params: Mapping[str, object])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
+def claim_verdict(summary: Mapping[str, object]) -> bool:
+    """Whether a payload summary reports its paper claim as holding.
+
+    The one reader of ``summary["claim_holds"]`` for the runner, the reports
+    and the stored-result analysis: a missing key means the claim FAILS --
+    nothing defaults to "pass".
+    """
+    return bool(summary.get("claim_holds", False))
+
+
 def environment_stamp() -> Dict[str, object]:
     """Provenance stamp recorded with every artifact.
 
@@ -161,20 +172,16 @@ def environment_stamp() -> Dict[str, object]:
     -------
     dict
         Interpreter version/implementation, platform, machine and the NumPy
-        version in use (``None`` when running on the pure-Python fallbacks).
+        version in use.
     """
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

@@ -23,18 +23,16 @@ import random
 from itertools import combinations
 from typing import Dict, List
 
+import numpy as _np
+
 from repro.embedding.paths import transposition_path
 from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
 from repro.permutations.permutation import swap_symbols
+from repro.permutations.ranking import all_permutations_array
 from repro.topology.nx_adapter import bfs_distances
 from repro.topology.routing import star_distances_between
 from repro.topology.star import StarGraph
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
@@ -56,18 +54,11 @@ ARTIFACT_SCHEMA = ArtifactSchema(
 
 def _pair_distances(star: StarGraph, a: int, b: int):
     """Distances ``d(pi, pi_(a,b))`` for every node of ``S_n``, rank-indexed."""
-    n = star.n
-    if _np is not None:
-        from repro.permutations.ranking import all_permutations_array
-
-        perms = all_permutations_array(n)
-        targets = perms.copy()
-        targets[perms == a] = b
-        targets[perms == b] = a
-        return star_distances_between(perms, targets), perms
-    nodes = list(star.nodes())
-    targets = [swap_symbols(node, a, b) for node in nodes]
-    return star_distances_between(nodes, targets), nodes
+    perms = all_permutations_array(star.n)
+    targets = perms.copy()
+    targets[perms == a] = b
+    targets[perms == b] = a
+    return star_distances_between(perms, targets), perms
 
 
 def run(
@@ -111,20 +102,14 @@ def run(
             identity_rank = star.node_index(star.identity)
             for a, b in combinations(range(n), 2):
                 distances, population = _pair_distances(star, a, b)
-                if _np is not None:
-                    counts = _np.bincount(_np.asarray(distances))
-                    for distance, count in enumerate(counts):
-                        if count:
-                            histogram[distance] = histogram.get(distance, 0) + int(count)
-                    fronts = _np.asarray(population)[:, 0]
-                    expected_one = (fronts == a) | (fronts == b)
-                    if not bool(((_np.asarray(distances) == 1) == expected_one).all()):
-                        front_rule_holds = False
-                else:
-                    for node, distance in zip(population, distances):
-                        histogram[distance] = histogram.get(distance, 0) + 1
-                        if (distance == 1) != (node[0] in (a, b)):
-                            front_rule_holds = False
+                counts = _np.bincount(distances)
+                for distance, count in enumerate(counts):
+                    if count:
+                        histogram[distance] = histogram.get(distance, 0) + int(count)
+                fronts = population[:, 0]
+                expected_one = (fronts == a) | (fronts == b)
+                if not bool(((distances == 1) == expected_one).all()):
+                    front_rule_holds = False
                 if oracle is not None:
                     target = swap_symbols(star.identity, a, b)
                     if oracle[target] != int(distances[identity_rank]):

@@ -37,11 +37,6 @@ from repro.simulation.sampling import (
 )
 from repro.simulation.stats import Z_95, rank_intervals, simultaneous_intervals
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
 #: Presentation order of the ranked families at one matched size.
@@ -78,11 +73,7 @@ def _exact_pancake_mean(size: int) -> float:
     distances = index_bfs_distances(
         graph.neighbor_source(), graph.num_nodes, 0
     )
-    if _np is not None:
-        total = int(_np.asarray(distances).sum())
-    else:  # pragma: no cover - the image bakes numpy in
-        total = sum(int(d) for d in distances)
-    return total / (graph.num_nodes - 1)
+    return int(distances.sum()) / (graph.num_nodes - 1)
 
 
 def run(

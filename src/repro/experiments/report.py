@@ -90,7 +90,9 @@ class ExperimentResult:
 
         Experiments set ``summary["claim_holds"]``; tests call this helper.
         """
-        if not self.summary.get("claim_holds", False):
+        from repro.experiments.artifacts import claim_verdict
+
+        if not claim_verdict(self.summary):
             raise AssertionError(
                 f"experiment {self.experiment_id} reports the paper claim does not hold: "
                 f"{self.summary!r}"
@@ -244,6 +246,8 @@ def render_markdown_report(
         claim, rows, wall-clock), the environment stamp, then one section per
         experiment with its full table, summary and notes.
     """
+    from repro.experiments.artifacts import claim_verdict
+
     lines = [f"# {title}", ""]
     overview_rows = []
     total_elapsed = 0.0
@@ -254,7 +258,7 @@ def render_markdown_report(
             (
                 payload["experiment_id"],
                 payload["profile"],
-                "holds" if payload["summary"].get("claim_holds", True) else "FAILS",
+                "holds" if claim_verdict(payload["summary"]) else "FAILS",
                 len(payload["rows"]),
                 f"{elapsed:.3f}",
             )
@@ -354,6 +358,8 @@ def render_html_report(
     stylesheet and references no external assets, so it can be opened from
     disk or dropped into any static host.
     """
+    from repro.experiments.artifacts import claim_verdict
+
     esc = _html.escape
     parts = [
         "<!DOCTYPE html>",
@@ -375,7 +381,7 @@ def render_html_report(
         (
             payload["experiment_id"],
             payload["profile"],
-            "holds" if payload["summary"].get("claim_holds", True) else "FAILS",
+            "holds" if claim_verdict(payload["summary"]) else "FAILS",
             len(payload["rows"]),
             f"{float(record.get('elapsed_seconds', 0.0)):.3f}",
         )

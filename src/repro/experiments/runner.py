@@ -85,6 +85,7 @@ from repro.experiments.artifacts import (
     artifact_key,
     build_payload,
     build_record,
+    claim_verdict,
     environment_stamp,
     validate_payload,
 )
@@ -333,10 +334,9 @@ class RunReport:
         return [record["payload"] for record in self.records]
 
     def claims_hold(self) -> bool:
-        """Whether every payload reports ``claim_holds`` (missing counts as true)."""
+        """Whether every payload reports ``claim_holds`` (missing counts as false)."""
         return all(
-            record["payload"]["summary"].get("claim_holds", True)
-            for record in self.records
+            claim_verdict(record["payload"]["summary"]) for record in self.records
         )
 
     @property

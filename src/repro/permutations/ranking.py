@@ -55,10 +55,7 @@ from repro.exceptions import (
 )
 from repro.permutations.permutation import is_permutation
 
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
+import numpy as _np
 
 __all__ = [
     "factorials",
@@ -277,14 +274,13 @@ def within_table_degree(n: int, *, dense: bool = False) -> bool:
     on-disk cache (:mod:`repro.tables`) above :data:`MAX_DENSE_DEGREE`.
     ``dense=True`` asks about the in-RAM tier only (callers that must
     materialise whole ``n!`` arrays at once, e.g.
-    :func:`all_permutations_array`).  Without NumPy there is no memmap tier,
-    so the dense bound applies throughout.
+    :func:`all_permutations_array`).
 
     Consumers with a tuple-based fallback (the SIMD machines' generic route
     path, the batched embedding kernels) gate the fast path on this predicate;
     consumers that *require* the tables call :func:`require_table_degree`.
     """
-    if dense or _np is None:
+    if dense:
         return n <= MAX_DENSE_DEGREE
     return n <= MAX_TABLE_DEGREE
 
@@ -322,7 +318,6 @@ def require_table_degree(n: int, *, dense: bool = False) -> None:
             f"degrees {MAX_DENSE_DEGREE + 1}..{MAX_TABLE_DEGREE} stream from the "
             f"on-disk move-table cache (REPRO_TABLE_CACHE dir, built once via "
             f"`repro-star tables build {n}` or on first use)"
-            + ("" if _np is not None else " and require NumPy")
         )
 
 
@@ -364,16 +359,13 @@ def require_int64_rank_degree(n: int) -> None:
 def all_permutations_array(n: int):
     """All permutations of ``0..n-1`` as an ``(n!, n)`` array in rank order.
 
-    Row ``r`` is the permutation of rank ``r``.  Requires NumPy; raises
-    :class:`InvalidParameterError` when NumPy is unavailable (callers fall
-    back to :func:`all_permutations`).  The returned array is read-only.
+    Row ``r`` is the permutation of rank ``r``.  The returned array is
+    read-only.
     Bounded by the **dense** tier (:data:`MAX_DENSE_DEGREE`) -- the whole
     ``(n!, n)`` array lives in RAM; chunked consumers use
     :func:`permutations_slice` instead, which reaches the memmap ceiling.
     """
     _check_table_degree(n, dense=True)
-    if _np is None:
-        raise InvalidParameterError("all_permutations_array requires NumPy")
     if n == 1:
         out = _np.zeros((1, 1), dtype=_np.int8)
     else:
@@ -419,20 +411,18 @@ def ranks_of(rows) -> "list":
 
     Accepts a NumPy array or a sequence of permutation tuples; every row must
     be a valid permutation (not re-validated -- this is a fast-core helper).
-    Returns a NumPy ``int64`` array when NumPy is available, else a list.
-    Beyond the int64 ceiling (``n > 20``) the NumPy branch silently defers to
-    exact Python integers and returns a list; :func:`rank_batch` is the
-    strict array-in/array-out counterpart that raises instead.
+    Returns a NumPy ``int64`` array.  Beyond the int64 ceiling (``n > 20``)
+    it silently defers to exact Python integers and returns a list;
+    :func:`rank_batch` is the strict array-in/array-out counterpart that
+    raises instead.
     """
-    if _np is not None:
-        array = _np.asarray(rows)
-        if array.ndim != 2:
-            raise InvalidParameterError("ranks_of expects a 2-D batch of permutations")
-        if array.shape[1] > MAX_INT64_RANK_DEGREE:
-            # n! no longer fits in int64; compute exactly in Python instead.
-            return [_rank_unchecked(tuple(map(int, row))) for row in array]
-        return rank_batch(array)
-    return [_rank_unchecked(tuple(row)) for row in rows]
+    array = _np.asarray(rows)
+    if array.ndim != 2:
+        raise InvalidParameterError("ranks_of expects a 2-D batch of permutations")
+    if array.shape[1] > MAX_INT64_RANK_DEGREE:
+        # n! no longer fits in int64; compute exactly in Python instead.
+        return [_rank_unchecked(tuple(map(int, row))) for row in array]
+    return rank_batch(array)
 
 
 def rank_batch(perms):
@@ -448,11 +438,8 @@ def rank_batch(perms):
     (:func:`require_int64_rank_degree`) instead of silently changing
     representation.  Dispatches to the compiled per-row Lehmer encode under
     ``REPRO_BACKEND=numba``; the NumPy seen-bitmask path is the
-    bit-identical parity oracle.  Falls back to a per-row
-    :func:`permutation_rank` list without NumPy.
+    bit-identical parity oracle.
     """
-    if _np is None:
-        return [_rank_unchecked(tuple(row)) for row in perms]
     array = _np.asarray(perms)
     if array.ndim != 2:
         raise InvalidParameterError("rank_batch expects a 2-D batch of permutations")
@@ -487,12 +474,9 @@ def unrank_batch(ranks, n: int):
     exactly one vectorised path; degrees whose factorial overflows int64
     (``n > 20``) raise the canonical
     :class:`~repro.exceptions.TableDegreeError`
-    (:func:`require_int64_rank_degree`).  Falls back to a per-rank
-    :func:`permutation_unrank` list (of tuples) without NumPy.
+    (:func:`require_int64_rank_degree`).
     """
     require_int64_rank_degree(n)
-    if _np is None:
-        return [permutation_unrank(int(rank), n) for rank in ranks]
     if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
         ranks = list(ranks)  # materialise one-shot iterables for asarray
     ranks = _np.asarray(ranks, dtype=_np.int64)
@@ -538,21 +522,11 @@ def implicit_neighbor_block(
     sub-chunk runs one fused compiled unrank/apply/rank loop; the NumPy path
     is the bit-identical parity oracle.  *generators* are validated exactly
     like the table builders' (:func:`move_tables_for`), so implicit blocks
-    and tables can never disagree about a legal generator set.  Falls back
-    to per-rank tuple application (a list of lists) without NumPy.
+    and tables can never disagree about a legal generator set.
     """
     require_int64_rank_degree(n)
     generators = tuple(tuple(generator) for generator in generators)
     _check_generators(generators, n)
-    if _np is None:
-        rows = []
-        for rank in ranks:
-            perm = permutation_unrank(int(rank), n)
-            rows.append(
-                [_rank_unchecked([perm[p] for p in g]) for g in generators]
-            )
-        return rows
-
     from repro.backend import resolve_chunk_nodes, use_numba
 
     if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
@@ -603,8 +577,6 @@ def permutations_slice(start: int, stop: int, n: int):
         raise InvalidParameterError(
             f"slice [{start}, {stop}) out of range for degree {n} (n! = {total})"
         )
-    if _np is None:
-        return [permutation_unrank(rank, n) for rank in range(start, stop)]
     return unrank_batch(_np.arange(start, stop, dtype=_np.int64), n)
 
 
@@ -670,8 +642,7 @@ def move_tables_for(generators: Tuple[Tuple[int, ...], ...], n: int) -> Tuple:
     involution of ``0..n!-1`` -- a perfect matching of the nodes, which is
     what lets a whole-register generator route run as one gather.
 
-    NumPy ``int64`` arrays when NumPy is available, ``array.array('q')``
-    otherwise.  Cached per ``(generator set, degree)`` and shared by every
+    Read-only NumPy ``int64`` arrays.  Cached per ``(generator set, degree)`` and shared by every
     consumer (:func:`move_tables` is the cached star-graph special case).
     The cache is LRU-bounded: one entry can reach hundreds of megabytes at
     the top degrees, so sweeps over many distinct generator sets must not
@@ -685,26 +656,16 @@ def move_tables_for(generators: Tuple[Tuple[int, ...], ...], n: int) -> Tuple:
     """
     require_table_degree(n)
     _check_generators(generators, n)
-    if _np is not None:
-        if n > MAX_DENSE_DEGREE:
-            from repro.tables import memmap_move_tables
+    if n > MAX_DENSE_DEGREE:
+        from repro.tables import memmap_move_tables
 
-            return memmap_move_tables(generators, n)
-        perms = all_permutations_array(n)
-        tables = []
-        for generator in generators:
-            table = ranks_of(perms[:, list(generator)])
-            table.setflags(write=False)
-            tables.append(table)
-        return tuple(tables)
-
-    from array import array as _array
-
-    total = factorials(n)[n]
-    tables = [_array("q", bytes(8 * total)) for _ in range(len(generators))]
-    for rank, perm in enumerate(_itertools_permutations(range(n))):
-        for g, generator in enumerate(generators):
-            tables[g][rank] = _rank_unchecked([perm[p] for p in generator])
+        return memmap_move_tables(generators, n)
+    perms = all_permutations_array(n)
+    tables = []
+    for generator in generators:
+        table = ranks_of(perms[:, list(generator)])
+        table.setflags(write=False)
+        tables.append(table)
     return tuple(tables)
 
 

@@ -51,16 +51,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.exceptions import ProgramError
 from repro.simd.kernels import Kernel, execute_kernel
 from repro.simd.masks import MASK_ALL, mask_flags, mask_indices
 from repro.simd.mesh_machine import MeshMachine
 from repro.simd.plans import unit_route_plan, unit_route_plan_subset
-
-try:  # pragma: no cover - exercised through both import outcomes in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "Fill",
@@ -433,8 +430,6 @@ class _NumericCompiler:
             self.written.append(register)
 
     def compile(self):
-        if _np is None:
-            return None
         for step in self.steps:
             if isinstance(step, Fill):
                 self._compile_fill(step)
@@ -1009,7 +1004,7 @@ def _compile_mesh(machine: MeshMachine, steps: Sequence[Step]) -> RouteProgram:
             compiled.append(("shift", step, pairs, fill_indices, messages))
         else:
             raise ProgramError(f"unknown program step {step!r}")
-    numeric = _NumericCompiler(mesh, steps).compile() if _np is not None else None
+    numeric = _NumericCompiler(mesh, steps).compile()
     return RouteProgram(
         geometry=("mesh", mesh.sides),
         steps=tuple(steps),

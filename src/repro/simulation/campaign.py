@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as _np
+
 from repro import telemetry
 from repro.exceptions import InvalidParameterError
 from repro.simulation.rerouting import masked_bfs_distances
@@ -41,11 +43,6 @@ from repro.topology.base import Topology
 from repro.topology.hypercube import Hypercube
 from repro.topology.properties import connectivity_after_faults_reference
 from repro.topology.routing import bfs_distances_from, connected_under_alive_mask
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = [
     "CAMPAIGN_FAMILIES",
@@ -120,14 +117,9 @@ def sample_fault_indices(rng: random.Random, num_nodes: int, count: int) -> List
 
 
 def _alive_mask(num_nodes: int, fault_indices: Sequence[int]):
-    if _np is not None:
-        alive = _np.ones(num_nodes, dtype=bool)
-        if fault_indices:
-            alive[_np.asarray(fault_indices, dtype=_np.int64)] = False
-        return alive
-    alive = [True] * num_nodes
-    for index in fault_indices:
-        alive[index] = False
+    alive = _np.ones(num_nodes, dtype=bool)
+    if fault_indices:
+        alive[_np.asarray(fault_indices, dtype=_np.int64)] = False
     return alive
 
 

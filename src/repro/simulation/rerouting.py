@@ -12,24 +12,22 @@ or per-fault graph copies are built.
 
 :func:`masked_bfs_distances` is the campaign workhorse (one sweep serves all
 targets of a source); :func:`masked_route` materialises one actual detour
-path with parent tracking, used by the property tests to check that the
-reported distances are *realisable* routes, edge by edge.
+path by walking the same sweep's distances back from the target, used by the
+property tests to check that the reported distances are *realisable* routes,
+edge by edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional, TYPE_CHECKING
 
+import numpy as _np
+
 from repro.exceptions import InvalidParameterError
+from repro.topology.routing import index_bfs_distances
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.base import Topology
-
-try:  # NumPy is the fast path; every function keeps a pure-Python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = ["masked_bfs_distances", "masked_route"]
 
@@ -66,43 +64,25 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chun
     -------
     distances
         Indexed by ``node_index``: hop count of the shortest surviving
-        detour, ``-1`` for dead or disconnected nodes.  NumPy ``int64``
-        array when NumPy is available, else a list of ints.
+        detour, ``-1`` for dead or disconnected nodes, as a NumPy ``int64``
+        array.
 
-    The NumPy path is the shared chunked frontier sweep
+    This is the shared chunked frontier sweep
     :func:`repro.topology.routing.index_bfs_distances` (memmap-friendly,
     ``REPRO_BACKEND=numba``-dispatched) restricted to the alive mask, fed by
     ``topology.neighbor_source()`` -- a materialised table or the table-free
     implicit source, per ``REPRO_NEIGHBORS``.
     """
     num_nodes = topology.num_nodes
-    if _np is not None:
-        from repro.topology.routing import index_bfs_distances
-
-        alive_mask = _np.asarray(alive, dtype=bool)
-        _check_alive_origin(alive_mask, origin_index, num_nodes)
-        return index_bfs_distances(
-            topology.neighbor_source(),
-            num_nodes,
-            origin_index,
-            alive_mask=alive_mask,
-            chunk_nodes=chunk_nodes,
-        )
-
-    table = topology.neighbor_index_table()
-    alive_list = [bool(flag) for flag in alive]
-    _check_alive_origin(alive_list, origin_index, num_nodes)
-    distances = [-1] * num_nodes
-    distances[origin_index] = 0
-    queue = deque([origin_index])
-    while queue:
-        current = queue.popleft()
-        next_level = distances[current] + 1
-        for neighbor in table[current]:
-            if neighbor >= 0 and alive_list[neighbor] and distances[neighbor] < 0:
-                distances[neighbor] = next_level
-                queue.append(neighbor)
-    return distances
+    alive_mask = _np.asarray(alive, dtype=bool)
+    _check_alive_origin(alive_mask, origin_index, num_nodes)
+    return index_bfs_distances(
+        topology.neighbor_source(),
+        num_nodes,
+        origin_index,
+        alive_mask=alive_mask,
+        chunk_nodes=chunk_nodes,
+    )
 
 
 def masked_route(
@@ -110,43 +90,33 @@ def masked_route(
 ) -> Optional[List[int]]:
     """One shortest surviving detour as an explicit node-index path.
 
-    Runs a parent-tracking BFS restricted to the alive mask and returns the
-    path ``[source_index, ..., target_index]`` (so ``len(path) - 1`` hops,
-    matching :func:`masked_bfs_distances`), or ``None`` when the target is
-    dead or unreachable.  Every consecutive pair is an edge of *topology*
-    and every visited node is alive -- the property tests verify both.
+    Runs one masked sweep (:func:`masked_bfs_distances`'s engine) from
+    *source_index*, then walks back from *target_index*, each step to an
+    alive neighbour one hop closer, and returns the path
+    ``[source_index, ..., target_index]`` (so ``len(path) - 1`` hops), or
+    ``None`` when the target is dead or unreachable.  Every consecutive pair
+    is an edge of *topology* and every visited node is alive -- the property
+    tests verify both.
     """
-    table = topology.neighbor_index_table()
+    neighbor_source = topology.neighbor_source()
     num_nodes = topology.num_nodes
-    alive_list = (
-        _np.asarray(alive, dtype=bool) if _np is not None else [bool(f) for f in alive]
-    )
-    _check_alive_origin(alive_list, source_index, num_nodes)
+    alive_mask = _np.asarray(alive, dtype=bool)
+    _check_alive_origin(alive_mask, source_index, num_nodes)
     if not 0 <= target_index < num_nodes:
         raise InvalidParameterError(
             f"target index {target_index!r} outside [0, {num_nodes})"
         )
-    if not bool(alive_list[target_index]):
+    if not alive_mask[target_index]:
         return None
-    if target_index == source_index:
-        return [source_index]
-    parents = [-1] * num_nodes
-    parents[source_index] = source_index
-    queue = deque([source_index])
-    while queue:
-        current = queue.popleft()
-        for neighbor in table[current]:
-            neighbor = int(neighbor)
-            if neighbor < 0 or not bool(alive_list[neighbor]):
-                continue
-            if parents[neighbor] >= 0:
-                continue
-            parents[neighbor] = current
-            if neighbor == target_index:
-                path = [neighbor]
-                while path[-1] != source_index:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            queue.append(neighbor)
-    return None
+    distances = index_bfs_distances(
+        neighbor_source, num_nodes, source_index, alive_mask=alive_mask
+    )
+    if distances[target_index] < 0:
+        return None
+    path = [int(target_index)]
+    for level in range(int(distances[target_index]) - 1, -1, -1):
+        row = neighbor_source.neighbor_block([path[-1]])[0]
+        row = row[row >= 0]
+        path.append(int(row[distances[row] == level][0]))
+    path.reverse()
+    return path

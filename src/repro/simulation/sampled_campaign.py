@@ -53,16 +53,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as _np
+
 from repro import telemetry
 from repro.exceptions import InvalidParameterError
 from repro.simulation.stats import derive_trial_seed, mean_interval, wilson_interval
 from repro.topology.base import Topology
 from repro.utils.validation import check_positive_int
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = [
     "SAMPLED_CAMPAIGN_FAMILIES",
@@ -184,8 +181,6 @@ def sampled_fault_campaign(
         Sweep chunk size (default ``REPRO_CHUNK_NODES``); never changes the
         result.
     """
-    if _np is None:  # pragma: no cover - the image bakes numpy in
-        raise InvalidParameterError("sampled fault campaigns require NumPy")
     check_positive_int(trials, "trials", minimum=1)
     check_positive_int(pairs_per_trial, "pairs_per_trial", minimum=1)
     check_positive_int(depth, "depth", minimum=1)

@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import numpy as _np
+
 from repro import telemetry
 from repro.exceptions import InvalidParameterError
 from repro.simulation.stats import (
@@ -48,11 +50,6 @@ from repro.simulation.stats import (
     wilson_interval,
 )
 from repro.utils.validation import check_positive_int
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
 
 __all__ = [
     "SAMPLING_FAMILIES",
@@ -172,16 +169,12 @@ def sampled_pair_distances(
     shift trick -- draw in ``[0, num_nodes - 1)`` and step over the source --
     so pairs are uniform over *ordered distinct* pairs); only the distance
     evaluation is chunked, so ``chunk_nodes`` (default ``REPRO_CHUNK_NODES``)
-    never changes the returned array.  Requires NumPy.
+    never changes the returned array.
 
     Returns the int64 distance array of length *samples*.
     """
     _check_family(family)
     check_positive_int(samples, "samples", minimum=1)
-    if _np is None:  # pragma: no cover - the image bakes NumPy in
-        raise InvalidParameterError(
-            "sampled distance estimation requires NumPy"
-        )
     num_nodes = family_num_nodes(family, size)
     if num_nodes < 2:
         raise InvalidParameterError(
@@ -329,11 +322,7 @@ def exact_average_distance(family: str, size: int) -> float:
     from repro.topology.routing import star_distances_from
 
     distances = star_distances_from(tuple(range(size)))
-    if _np is not None:
-        total = int(_np.asarray(distances).sum())
-    else:  # pragma: no cover - the image bakes NumPy in
-        total = sum(distances)
-    return total / (num_nodes - 1)
+    return int(_np.asarray(distances).sum()) / (num_nodes - 1)
 
 
 def pancake_relative_ranks(sources, targets, size: int, *, chunk_nodes=None):
@@ -449,10 +438,6 @@ def sampled_pancake_estimate(
     Deterministic in its parameters and invariant under ``chunk_nodes``.
     """
     check_positive_int(samples, "samples", minimum=1)
-    if _np is None:  # pragma: no cover - the image bakes NumPy in
-        raise InvalidParameterError(
-            "sampled pancake estimation requires NumPy"
-        )
     from repro.permutations.ranking import (
         MAX_TABLE_DEGREE,
         factorials,

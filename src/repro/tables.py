@@ -49,14 +49,10 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro import telemetry
 from repro.backend import TABLE_CACHE_ENV, resolve_chunk_nodes
-from repro.exceptions import InvalidParameterError
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
 
 __all__ = [
     "TABLE_CACHE_ENV",
@@ -131,8 +127,6 @@ def has_move_tables(
 def _check_buildable(generators, n) -> Tuple[Tuple[int, ...], ...]:
     from repro.permutations.ranking import _check_generators, require_table_degree
 
-    if _np is None:
-        raise InvalidParameterError("the memmap move-table cache requires NumPy")
     require_table_degree(n)
     generators = tuple(tuple(g) for g in generators)
     _check_generators(generators, n)
@@ -279,8 +273,6 @@ def stacked_neighbor_table(tables):
     In-RAM table tuples are stacked exactly as before (read-only ``int64``).
     """
     tables = tuple(tables)
-    if _np is None:
-        raise InvalidParameterError("stacked_neighbor_table requires NumPy")
     if not tables:
         return _np.zeros((0, 0), dtype=_np.int64)
     base = tables[0].base if isinstance(tables[0], _np.ndarray) else None

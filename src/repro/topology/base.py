@@ -22,10 +22,9 @@ The adjacency-index contract
 ``neighbor_index_table()`` returns a ``(num_nodes, max_degree)`` table whose
 row ``i`` lists ``node_index(neighbor)`` for every neighbour of
 ``node_from_index(i)``, **in the same order as** ``neighbors()``, left-packed
-and padded with ``-1`` for nodes of smaller degree.  It is a NumPy ``int64``
-array (read-only) when NumPy is available and a list of ``array.array('q')``
-rows otherwise; either way it is cached per instance and shared by every
-vectorised service in :mod:`repro.topology.routing`.
+and padded with ``-1`` for nodes of smaller degree.  It is a read-only NumPy
+``int64`` array, cached per instance and shared by every vectorised service in
+:mod:`repro.topology.routing`.
 """
 
 from __future__ import annotations
@@ -34,12 +33,9 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import InvalidNodeError
+import numpy as _np
 
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
+from repro.exceptions import InvalidNodeError
 
 Node = Tuple[int, ...]
 
@@ -50,22 +46,16 @@ def pack_index_rows(rows: Iterable[Sequence[int]], width: int):
     """Pack variable-length neighbour-index rows into the dense table format.
 
     Each row is left-packed and padded with ``-1`` up to *width*.  Returns a
-    read-only NumPy ``int64`` array when NumPy is available, otherwise a list
-    of ``array.array('q')`` rows -- the two concrete representations of the
+    read-only NumPy ``int64`` array -- the concrete representation of the
     ``neighbor_index_table`` contract.
     """
-    if _np is not None:
-        rows = list(rows)
-        table = _np.full((len(rows), width), -1, dtype=_np.int64)
-        for i, row in enumerate(rows):
-            if row:
-                table[i, : len(row)] = row
-        table.setflags(write=False)
-        return table
-
-    from array import array as _array
-
-    return [_array("q", list(row) + [-1] * (width - len(row))) for row in rows]
+    rows = list(rows)
+    table = _np.full((len(rows), width), -1, dtype=_np.int64)
+    for i, row in enumerate(rows):
+        if row:
+            table[i, : len(row)] = row
+    table.setflags(write=False)
+    return table
 
 
 class Topology(ABC):
@@ -181,8 +171,8 @@ class Topology(ABC):
 
         Row ``i`` lists the ``node_index`` of every neighbour of
         ``node_from_index(i)`` in ``neighbors()`` order, left-packed and
-        padded with ``-1``.  Cached per instance; NumPy ``int64`` (read-only)
-        when NumPy is available, else a list of ``array.array('q')`` rows.
+        padded with ``-1``.  Cached per instance; a read-only NumPy ``int64``
+        array.
 
         Subclasses with closed-form adjacency override
         :meth:`_build_neighbor_index_table`; the base implementation walks
@@ -278,8 +268,7 @@ class Topology(ABC):
 
         Cached per instance so requesting both metrics costs a single pass.
         Uses the vectorised index-table sweep of
-        :func:`repro.topology.routing.distance_summary` (which itself falls
-        back to the dict BFS when NumPy is unavailable).
+        :func:`repro.topology.routing.distance_summary`.
         """
         cached = getattr(self, "_cached_distance_totals", None)
         if cached is None:

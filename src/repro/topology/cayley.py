@@ -418,15 +418,6 @@ class CayleyGraph(Topology):
         no dense copy.
         """
         tables = self.move_tables()
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - NumPy absent
-            from array import array as _array
-
-            return [
-                _array("q", (table[rank] for table in tables))
-                for rank in range(self.num_nodes)
-            ]
         from repro.tables import stacked_neighbor_table
 
         return stacked_neighbor_table(tables)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidParameterError
 from repro.topology.base import Node, Topology
 from repro.topology.routing import hypercube_distance, hypercube_route
@@ -102,11 +104,6 @@ class Hypercube(Topology):
         Matches the :meth:`neighbors` order (flip bit 0, bit 1, ...); the
         graph is regular so no padding appears.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - NumPy absent
-            return super()._build_neighbor_index_table()
-
         indices = np.arange(self.num_nodes, dtype=np.int64)
         table = np.stack([indices ^ (1 << dim) for dim in range(self._n)], axis=1)
         table.setflags(write=False)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import InvalidParameterError
 from repro.topology.base import Node, Topology
 from repro.topology.routing import mesh_distance, mesh_route
@@ -167,10 +169,8 @@ class Mesh(Topology):
         ``u_indices``/``v_indices`` are the row-major node indices of all
         ``+1`` edges along *dim* (``v = u + weight``), as NumPy ``int64``
         arrays -- the shared edge enumeration behind the batched embedding
-        kernel and the vectorised contraction measurement.  Requires NumPy.
+        kernel and the vectorised contraction measurement.
         """
-        import numpy as np
-
         weights = self.index_weights()
         indices = np.arange(self.num_nodes, dtype=np.int64)
         for dim, side in enumerate(self._sides):
@@ -188,11 +188,6 @@ class Mesh(Topology):
         ``neighbors()`` order (per dimension: ``-1`` then ``+1``) left-packed
         with ``-1`` padding -- no coordinate tuples are materialised.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - NumPy absent
-            return super()._build_neighbor_index_table()
-
         weights = self.index_weights()
         indices = np.arange(self.num_nodes, dtype=np.int64)
         columns = []

@@ -18,17 +18,13 @@ references (``connectivity_after_faults_reference``,
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.exceptions import InvalidParameterError
 from repro.topology.base import Node, Topology
 from repro.topology.routing import bfs_distances_from, connected_under_alive_mask
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
 
 __all__ = [
     "degree_histogram",
@@ -44,29 +40,21 @@ __all__ = [
 def node_degrees(topology: Topology):
     """Per-node degrees indexed by ``node_index`` (one pass over the table).
 
-    Returns a NumPy ``int64`` array when NumPy is available, else a list.
+    Returns a NumPy ``int64`` array.
     """
     table = topology.neighbor_index_table()
-    if _np is not None:
-        return (table >= 0).sum(axis=1, dtype=_np.int64)
-    return [sum(1 for entry in row if entry >= 0) for row in table]
+    return (table >= 0).sum(axis=1, dtype=_np.int64)
 
 
 def degree_histogram(topology: Topology) -> Dict[int, int]:
     """Map ``degree -> number of nodes with that degree``."""
-    degrees = node_degrees(topology)
-    if _np is not None:
-        counts = _np.bincount(degrees)
-        return {int(d): int(c) for d, c in enumerate(counts) if c}
-    return dict(Counter(degrees))
+    counts = _np.bincount(node_degrees(topology))
+    return {int(d): int(c) for d, c in enumerate(counts) if c}
 
 
 def verify_regular(topology: Topology, expected_degree: int) -> bool:
     """True if every node has exactly *expected_degree* neighbours."""
-    degrees = node_degrees(topology)
-    if _np is not None:
-        return bool((degrees == expected_degree).all())
-    return all(degree == expected_degree for degree in degrees)
+    return bool((node_degrees(topology) == expected_degree).all())
 
 
 def edge_count(topology: Topology) -> int:
@@ -78,10 +66,7 @@ def edge_count(topology: Topology) -> int:
     closed-form adjacency on the concrete topologies, and those tests are
     what tie it back to actual neighbour enumeration.
     """
-    degrees = node_degrees(topology)
-    if _np is not None:
-        return int(degrees.sum()) // 2
-    return sum(degrees) // 2
+    return int(node_degrees(topology).sum()) // 2
 
 
 def is_vertex_transitive_sample(
@@ -122,9 +107,7 @@ def _index_eccentricity(topology: Topology, index: int) -> int:
     distances = bfs_distances_from(
         topology, topology.node_from_index(index), use_closed_form=False
     )
-    if _np is not None:
-        return int(_np.asarray(distances).max())
-    return max(distances)
+    return int(_np.asarray(distances).max())
 
 
 def connectivity_after_faults(
@@ -151,12 +134,9 @@ def connectivity_after_faults(
         if topology.is_node(node)
     }
     num_nodes = topology.num_nodes
-    if _np is not None:
-        alive = _np.ones(num_nodes, dtype=bool)
-        if faulty_indices:
-            alive[_np.fromiter(faulty_indices, dtype=_np.int64)] = False
-    else:
-        alive = [index not in faulty_indices for index in range(num_nodes)]
+    alive = _np.ones(num_nodes, dtype=bool)
+    if faulty_indices:
+        alive[_np.fromiter(faulty_indices, dtype=_np.int64)] = False
     return connected_under_alive_mask(topology, alive)
 
 

@@ -31,8 +31,7 @@ over ``Topology.neighbor_index_table()`` (:func:`bfs_distances_from`,
 :func:`distance_matrix`, :func:`distance_summary`), alive-mask connectivity
 (:func:`connected_under_alive_mask`) and batched pairwise star distances
 (:func:`star_distances_between`).  Every service is bit-identical to the
-retained tuple/dict BFS references (see ``tests/topology/test_index_services``)
-and falls back to pure-Python sweeps when NumPy is unavailable.
+retained tuple/dict BFS references (see ``tests/topology/test_index_services``).
 
 The NumPy sweeps process node-index blocks of ``REPRO_CHUNK_NODES`` at a time
 (:func:`index_bfs_distances`, the chunked :func:`star_distances_from`) so
@@ -61,9 +60,10 @@ source at every chunk size (``tests/tables/test_implicit_neighbors.py``).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro import telemetry
 from repro.exceptions import InvalidParameterError
@@ -98,12 +98,6 @@ __all__ = [
     "distance_summary",
     "connected_under_alive_mask",
 ]
-
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes NumPy in
-    _np = None
-
 
 # --------------------------------------------------------------------------- star
 def _relative_cycles(source: Node, target: Node) -> List[List[int]]:
@@ -189,74 +183,64 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
     bit-identical results -- and is what keeps peak RSS bounded through the
     memmap-tier degrees.  With ``REPRO_BACKEND=numba`` each block runs the
     compiled per-row cycle walk instead of the pointer-doubling oracle.
-    Falls back to a per-node cycle walk when NumPy is unavailable.
+    Degrees whose ranks overflow int64 (``n > 20``) raise the canonical
+    :class:`~repro.exceptions.TableDegreeError`
+    (:func:`~repro.permutations.ranking.require_int64_rank_degree`).
     """
     source = tuple(origin)
     if not is_permutation(source):
         raise InvalidParameterError(f"{source!r} is not a permutation")
     n = len(source)
 
+    from repro.backend import resolve_chunk_nodes, use_numba
     from repro.permutations.ranking import (
         MAX_DENSE_DEGREE,
         all_permutations_array,
         factorials,
         permutations_slice,
-        within_int64_rank_degree,
+        require_int64_rank_degree,
     )
 
-    if _np is not None and within_int64_rank_degree(n):
-        from repro.backend import resolve_chunk_nodes, use_numba
+    require_int64_rank_degree(n)
+    kernel = None
+    if use_numba():
+        from repro._numba_kernels import cycle_distances_kernel as kernel
 
-        kernel = None
-        if use_numba():
-            from repro._numba_kernels import cycle_distances_kernel as kernel
+    if n <= MAX_DENSE_DEGREE:
+        # Dense tier: rank blocks are views of the cached population
+        # array -- no per-call unranking.
+        perms_all = all_permutations_array(n)
 
-        if n <= MAX_DENSE_DEGREE:
-            # Dense tier: rank blocks are views of the cached population
-            # array -- no per-call unranking.
-            perms_all = all_permutations_array(n)
+        def perm_block(start, stop):
+            return perms_all[start:stop]
 
-            def perm_block(start, stop):
-                return perms_all[start:stop]
+    else:
+        # Memmap tier: no (n!, n) array exists; unrank on the fly.
+        def perm_block(start, stop):
+            return permutations_slice(start, stop, n)
 
-        else:
-            # Memmap tier: no (n!, n) array exists; unrank on the fly.
-            def perm_block(start, stop):
-                return permutations_slice(start, stop, n)
-
-        total = factorials(n)[n]
-        chunk = resolve_chunk_nodes(chunk_nodes)
-        source_columns = list(source)
-        distances = _np.empty(total, dtype=_np.int64)
-        with telemetry.span(
-            "kernel.distance_sweep",
-            degree=n,
-            num_nodes=total,
-            chunks=-(-total // chunk),
-            backend="numba" if kernel is not None else "numpy",
-            tier="dense" if n <= MAX_DENSE_DEGREE else "streamed",
-        ):
-            for start in range(0, total, chunk):
-                stop = min(start + chunk, total)
-                perms = perm_block(start, stop)
-                # positions[r, s] = index of symbol s in row r
-                positions = _np.argsort(perms, axis=1)
-                mapping = positions[:, source_columns].astype(_np.int64)
-                if kernel is not None:
-                    distances[start:stop] = kernel(mapping)
-                else:
-                    distances[start:stop] = _cycle_structure_distances(mapping)
-        return distances
-
-    from itertools import permutations as _perms
-
-    distances: List[int] = []
-    for target in _perms(range(n)):
-        position = [0] * n
-        for p, symbol in enumerate(target):
-            position[symbol] = p
-        mapping = [position[source[p]] for p in range(n)]
-        distances.append(_cycle_distance_of_mapping(mapping))
+    total = factorials(n)[n]
+    chunk = resolve_chunk_nodes(chunk_nodes)
+    source_columns = list(source)
+    distances = _np.empty(total, dtype=_np.int64)
+    with telemetry.span(
+        "kernel.distance_sweep",
+        degree=n,
+        num_nodes=total,
+        chunks=-(-total // chunk),
+        backend="numba" if kernel is not None else "numpy",
+        tier="dense" if n <= MAX_DENSE_DEGREE else "streamed",
+    ):
+        for start in range(0, total, chunk):
+            stop = min(start + chunk, total)
+            perms = perm_block(start, stop)
+            # positions[r, s] = index of symbol s in row r
+            positions = _np.argsort(perms, axis=1)
+            mapping = positions[:, source_columns].astype(_np.int64)
+            if kernel is not None:
+                distances[start:stop] = kernel(mapping)
+            else:
+                distances[start:stop] = _cycle_structure_distances(mapping)
     return distances
 
 
@@ -287,24 +271,6 @@ def _cycle_structure_distances(mapping):
     return num_displaced + num_cycles - 2 * (mapping[:, 0] != 0)
 
 
-def _cycle_distance_of_mapping(mapping: Sequence[int]) -> int:
-    """Scalar cycle-structure distance of one relative position permutation."""
-    total = 0
-    n = len(mapping)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start] or mapping[start] == start:
-            continue
-        length = 0
-        cursor = start
-        while not seen[cursor]:
-            seen[cursor] = True
-            length += 1
-            cursor = mapping[cursor]
-        total += length - 1 if start == 0 else length + 1
-    return total
-
-
 def star_distances_between(sources, targets):
     """Batched star distances between row-aligned permutation arrays.
 
@@ -314,37 +280,17 @@ def star_distances_between(sources, targets):
     cycle-structure closed form in one vectorised sweep.  Rows are not
     re-validated (fast-core helper, like
     :func:`repro.permutations.ranking.ranks_of`).  Returns a NumPy ``int64``
-    array when NumPy is available, else a list.
+    array.
     """
-    if _np is not None:
-        source_rows = _np.asarray(sources)
-        target_rows = _np.asarray(targets)
-        if source_rows.ndim != 2 or source_rows.shape != target_rows.shape:
-            raise InvalidParameterError(
-                "star_distances_between expects two equal-shape (m, n) batches"
-            )
-        positions = _np.argsort(target_rows, axis=1)
-        mapping = _np.take_along_axis(
-            positions, source_rows.astype(_np.int64), axis=1
-        )
-        return _cycle_structure_distances(mapping)
-
-    sources = list(sources)
-    targets = list(targets)
-    if len(sources) != len(targets) or any(
-        len(source) != len(target) for source, target in zip(sources, targets)
-    ):
+    source_rows = _np.asarray(sources)
+    target_rows = _np.asarray(targets)
+    if source_rows.ndim != 2 or source_rows.shape != target_rows.shape:
         raise InvalidParameterError(
             "star_distances_between expects two equal-shape (m, n) batches"
         )
-    distances: List[int] = []
-    for source, target in zip(sources, targets):
-        n = len(source)
-        position = [0] * n
-        for p, symbol in enumerate(target):
-            position[symbol] = p
-        distances.append(_cycle_distance_of_mapping([position[s] for s in source]))
-    return distances
+    positions = _np.argsort(target_rows, axis=1)
+    mapping = _np.take_along_axis(positions, source_rows.astype(_np.int64), axis=1)
+    return _cycle_structure_distances(mapping)
 
 
 def star_route(source: Sequence[int], target: Sequence[int]) -> List[Node]:
@@ -494,10 +440,7 @@ class TableNeighborSource(NeighborSource):
 
     @property
     def width(self) -> int:
-        shape = getattr(self._table, "shape", None)
-        if shape is not None:
-            return int(shape[1])
-        return len(self._table[0])
+        return int(self._table.shape[1])
 
     def neighbor_block(self, indices):
         """Rows ``table[indices]`` -- a fancy-index gather (memmap pages in)."""
@@ -622,7 +565,7 @@ def _is_star(topology: "Topology") -> bool:
 def index_bfs_distances(
     table, num_nodes: int, origin_index: int, *, alive_mask=None, chunk_nodes=None
 ):
-    """Frontier-sweep BFS over an adjacency source (NumPy required).
+    """Frontier-sweep BFS over an adjacency source.
 
     The one chunked sweep behind :func:`bfs_distances_from`,
     :func:`connected_under_alive_mask` and the masked rerouting floods
@@ -754,9 +697,6 @@ class BoundedBall:
         A ``-1`` means "not reached within ``max_depth``"; whether that is
         disconnection or truncation is the :attr:`truncated` flag's call.
         """
-        if _np is None:
-            lookup = {int(n): int(d) for n, d in zip(self.nodes, self.distances)}
-            return [lookup.get(int(t), -1) for t in targets]
         targets = _np.asarray(targets, dtype=_np.int64)
         positions = _np.searchsorted(self.nodes, targets)
         positions = _np.minimum(positions, len(self.nodes) - 1)
@@ -848,8 +788,6 @@ def bounded_bfs_ball(
     """
     if max_depth < 0:
         raise InvalidParameterError(f"max_depth must be >= 0, got {max_depth!r}")
-    if _np is None:
-        return _bounded_bfs_ball_python(source, origin_index, max_depth, excluded)
     from repro.backend import resolve_chunk_nodes
 
     neighbor_source = as_neighbor_source(source)
@@ -932,89 +870,6 @@ def bounded_bfs_ball(
         return ball
 
 
-def _bounded_bfs_ball_python(source, origin_index, max_depth, excluded):
-    """Pure-Python :func:`bounded_bfs_ball` (tuple fallback, small graphs only)."""
-    if isinstance(source, NeighborSource):
-        def row(index):
-            return source.neighbor_block([index])[0]
-    else:
-        def row(index):
-            return source[index]
-    excluded_set = set(int(x) for x in excluded) if excluded is not None else set()
-    if origin_index in excluded_set:
-        raise InvalidParameterError(
-            f"origin index {origin_index} is excluded; balls grow from survivors"
-        )
-    distances = {origin_index: 0}
-    frontier = [origin_index]
-    level = 0
-    truncated = False
-    while frontier and level < max_depth:
-        level += 1
-        next_frontier = []
-        for index in frontier:
-            for neighbor in row(index):
-                neighbor = int(neighbor)
-                if (
-                    neighbor >= 0
-                    and neighbor not in distances
-                    and neighbor not in excluded_set
-                ):
-                    distances[neighbor] = level
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-        if not frontier:
-            level -= 1
-            break
-    if frontier and level == max_depth:
-        for index in frontier:
-            for neighbor in row(index):
-                neighbor = int(neighbor)
-                if (
-                    neighbor >= 0
-                    and neighbor not in distances
-                    and neighbor not in excluded_set
-                ):
-                    truncated = True
-                    break
-            if truncated:
-                break
-    nodes = sorted(distances)
-    return BoundedBall(
-        nodes=nodes,
-        distances=[distances[n] for n in nodes],
-        truncated=truncated,
-        levels=level,
-    )
-
-
-def _index_sweep_from(topology: "Topology", origin_index: int, *, chunk_nodes=None):
-    """Single-source BFS as a frontier sweep over the adjacency index table.
-
-    Returns distances indexed by node index; unreachable nodes hold ``-1``.
-    NumPy ``int64`` array when NumPy is available, else a list of ints.
-    """
-    num_nodes = topology.num_nodes
-    if _np is not None:
-        return index_bfs_distances(
-            topology.neighbor_source(), num_nodes, origin_index,
-            chunk_nodes=chunk_nodes,
-        )
-
-    table = topology.neighbor_index_table()
-    distances = [-1] * num_nodes
-    distances[origin_index] = 0
-    queue = deque([origin_index])
-    while queue:
-        current = queue.popleft()
-        next_level = distances[current] + 1
-        for neighbor in table[current]:
-            if neighbor >= 0 and distances[neighbor] < 0:
-                distances[neighbor] = next_level
-                queue.append(neighbor)
-    return distances
-
-
 def bfs_distances_from(topology: "Topology", origin, *, use_closed_form: bool = True):
     """Distances from *origin* to every node, indexed by ``node_index``.
 
@@ -1024,13 +879,14 @@ def bfs_distances_from(topology: "Topology", origin, *, use_closed_form: bool = 
     closed form (:func:`star_distances_from`) answers in one vectorised pass
     without any sweep; pass ``use_closed_form=False`` to force the BFS sweep
     (e.g. when the BFS itself is the measurement, as in the PROP-D diameter
-    check).  Returns a NumPy ``int64`` array when NumPy is available, else a
-    list.
+    check).  Returns a NumPy ``int64`` array.
     """
     origin = topology.validate_node(origin)
     if use_closed_form and _is_star(topology):
         return topology.distances_from(origin)
-    return _index_sweep_from(topology, topology.node_index(origin))
+    return index_bfs_distances(
+        topology.neighbor_source(), topology.num_nodes, topology.node_index(origin)
+    )
 
 
 def distance_matrix(topology: "Topology", *, use_closed_form: bool = True):
@@ -1045,9 +901,7 @@ def distance_matrix(topology: "Topology", *, use_closed_form: bool = True):
         )
         for i in range(topology.num_nodes)
     ]
-    if _np is not None:
-        return _np.stack([_np.asarray(row, dtype=_np.int64) for row in rows])
-    return rows
+    return _np.stack([_np.asarray(row, dtype=_np.int64) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -1076,21 +930,13 @@ def distance_summary(topology: "Topology", *, use_closed_form: bool = True) -> D
         row = bfs_distances_from(
             topology, topology.node_from_index(index), use_closed_form=use_closed_form
         )
-        if _np is not None:
-            row = _np.asarray(row)
-            if (row < 0).any():
-                connected = False
-                row = row[row >= 0]
-            diameter = max(diameter, int(row.max(initial=0)))
-            total += int(row.sum())
-            pairs += int(row.size) - 1
-        else:
-            reachable = [d for d in row if d >= 0]
-            if len(reachable) != num_nodes:
-                connected = False
-            diameter = max(diameter, max(reachable, default=0))
-            total += sum(reachable)
-            pairs += len(reachable) - 1
+        row = _np.asarray(row)
+        if (row < 0).any():
+            connected = False
+            row = row[row >= 0]
+        diameter = max(diameter, int(row.max(initial=0)))
+        total += int(row.sum())
+        pairs += int(row.size) - 1
     return DistanceSummary(
         diameter=diameter,
         average_distance=total / pairs if pairs > 0 else 0.0,
@@ -1108,34 +954,14 @@ def connected_under_alive_mask(topology: "Topology", alive) -> bool:
     not connected (matching the dict reference in
     :func:`repro.topology.properties.connectivity_after_faults_reference`).
     """
-    if _np is not None:
-        alive_mask = _np.asarray(alive, dtype=bool)
-        alive_indices = _np.flatnonzero(alive_mask)
-        if alive_indices.size == 0:
-            return False
-        distances = index_bfs_distances(
-            topology.neighbor_source(),
-            topology.num_nodes,
-            int(alive_indices[0]),
-            alive_mask=alive_mask,
-        )
-        return int((distances >= 0).sum()) == int(alive_indices.size)
-
-    table = topology.neighbor_index_table()
-    alive_list = [bool(flag) for flag in alive]
-    try:
-        start = alive_list.index(True)
-    except ValueError:
+    alive_mask = _np.asarray(alive, dtype=bool)
+    alive_indices = _np.flatnonzero(alive_mask)
+    if alive_indices.size == 0:
         return False
-    seen = [False] * topology.num_nodes
-    seen[start] = True
-    reached = 1
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for neighbor in table[current]:
-            if neighbor >= 0 and alive_list[neighbor] and not seen[neighbor]:
-                seen[neighbor] = True
-                reached += 1
-                queue.append(neighbor)
-    return reached == sum(alive_list)
+    distances = index_bfs_distances(
+        topology.neighbor_source(),
+        topology.num_nodes,
+        int(alive_indices[0]),
+        alive_mask=alive_mask,
+    )
+    return int((distances >= 0).sum()) == int(alive_indices.size)

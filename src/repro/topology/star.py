@@ -178,15 +178,6 @@ class StarGraph(Topology):
         (:func:`repro.tables.stacked_neighbor_table`).
         """
         tables = move_tables(self._n)
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - NumPy absent
-            from array import array as _array
-
-            return [
-                _array("q", (table[rank] for table in tables))
-                for rank in range(self.num_nodes)
-            ]
         from repro.tables import stacked_neighbor_table
 
         return stacked_neighbor_table(tables)
@@ -229,7 +220,7 @@ class StarGraph(Topology):
 
         One vectorised sweep of the cycle-structure closed form over all
         ``n!`` nodes; entry ``r`` equals ``distance(origin, node_from_index(r))``.
-        Returns a NumPy ``int64`` array when NumPy is available, else a list.
+        Returns a NumPy ``int64`` array.
         """
         origin = self.validate_node(origin)
         return star_distances_from(origin)

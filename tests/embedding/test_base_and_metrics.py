@@ -1,5 +1,6 @@
 """Unit tests for the generic Embedding container and the embedding metrics."""
 
+import numpy
 import pytest
 
 from repro.exceptions import DilationViolationError, EmbeddingError
@@ -183,7 +184,6 @@ class TestBatchedMeasurementParity:
             assert int(ranks[index]) == permutation_rank(embedding.map_node(coords))
 
     def test_fast_verifier_rejects_corrupted_vertex_map(self):
-        numpy = pytest.importorskip("numpy")
         from repro.embedding.mesh_to_star import MeshToStarEmbedding
 
         embedding = MeshToStarEmbedding(4)
@@ -194,7 +194,6 @@ class TestBatchedMeasurementParity:
             verify_embedding(embedding)
 
     def test_fast_verifier_rejects_out_of_range_ranks(self):
-        numpy = pytest.importorskip("numpy")
         from repro.embedding.mesh_to_star import MeshToStarEmbedding
 
         embedding = MeshToStarEmbedding(4)
@@ -205,7 +204,6 @@ class TestBatchedMeasurementParity:
             verify_embedding(embedding)
 
     def test_fast_verifier_rejects_disconnected_paths(self):
-        numpy = pytest.importorskip("numpy")
         from repro.embedding.mesh_to_star import MeshToStarEmbedding
 
         embedding = MeshToStarEmbedding(4)

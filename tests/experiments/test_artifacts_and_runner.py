@@ -428,6 +428,18 @@ class TestReportRenderers:
         assert "FAILS" in render_markdown_report([record])
         assert "fails" in render_html_report([record])
 
+    def test_missing_claim_counts_as_failed(self, tmp_path):
+        """A summary without ``claim_holds`` is a failed claim, never a pass."""
+        record = build_record(
+            "0" * 16,
+            build_payload("default", {}, ExperimentResult("X", "t", ["h"], [[1]])),
+            0.0,
+        )
+        store = ArtifactStore(tmp_path)
+        store.write(record)
+        assert claim_summary(store) == {"X": False}
+        assert "| X | default | FAILS |" in render_markdown_report([record])
+
 
 class TestCorruptVsStale:
     """Corrupt entries are quarantined (evidence kept); stale ones re-run."""

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.experiments.artifacts import claim_verdict
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -190,7 +192,7 @@ class TestCli:
         assert main(["run", "all", "--fast", "--json", str(out)]) == 0
         artifacts = json.loads(out.read_text())
         assert len(artifacts) == len(EXPERIMENTS)
-        assert all(a["summary"].get("claim_holds", True) for a in artifacts)
+        assert all(claim_verdict(a["summary"]) for a in artifacts)
 
     def test_run_unknown_experiment_exits_2_readably(self, capsys):
         """Library errors become one readable stderr line, not a traceback."""
@@ -293,7 +295,6 @@ class TestJsonSafe:
         assert json_safe({"a": (1, 2.5, "x", None, True)}) == {"a": [1, 2.5, "x", None, True]}
 
     def test_numpy_scalars_unwrap(self):
-        numpy = pytest.importorskip("numpy")
         assert json_safe(numpy.int64(7)) == 7
         assert json_safe([numpy.float64(0.5)]) == [0.5]
 

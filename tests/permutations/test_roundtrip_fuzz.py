@@ -19,9 +19,8 @@ tier-1 tier stays within the in-RAM dense-table degrees.
 
 import os
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.permutations.ranking import (
     factorials,

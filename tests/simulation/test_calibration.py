@@ -25,9 +25,7 @@ accounts for the finite replication count.  Tier-1 runs ~40 replications;
 
 import os
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.analysis.comparison import closest_hypercube_for_star
 from repro.simulation.sampling import (

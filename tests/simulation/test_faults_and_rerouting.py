@@ -37,7 +37,7 @@ from repro.simulation import (
 from repro.topology.cayley import BubbleSortGraph, PancakeGraph
 from repro.topology.hypercube import Hypercube
 from repro.topology.nx_adapter import to_networkx
-from repro.topology.routing import bfs_distances_from
+from repro.topology.routing import ImplicitNeighborSource, bfs_distances_from
 from repro.topology.star import StarGraph
 
 #: The four-family instance set of the oracle property tests: permutation
@@ -149,13 +149,22 @@ class TestMaskedBfsOracle:
             masked_bfs_distances(topology, topology.num_nodes, alive)
 
 
+#: Swept under ``REPRO_NEIGHBORS=implicit``: routes walk back over
+#: neighbour blocks computed on the fly, with no adjacency table.
+IMPLICIT_STAR = StarGraph(5)
+
+
 class TestMaskedRoute:
     @pytest.mark.parametrize(
-        "topology", [StarGraph(4), PancakeGraph(4), BubbleSortGraph(4), Hypercube(4)]
+        "topology",
+        [StarGraph(4), PancakeGraph(4), BubbleSortGraph(4), Hypercube(4), IMPLICIT_STAR],
     )
-    def test_routes_witness_distances(self, topology):
+    def test_routes_witness_distances(self, topology, monkeypatch):
         """Every finite detour distance is realised by an explicit path of
         alive-to-alive edges of exactly that many hops."""
+        if topology is IMPLICIT_STAR:
+            monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+            assert isinstance(topology.neighbor_source(), ImplicitNeighborSource)
         rng = random.Random(0x207E)
         alive = _random_alive(rng, topology)
         alive[0] = True

@@ -17,9 +17,8 @@ Three layers, each held against an exact small-degree oracle:
 
 import os
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.registry import get_spec, list_experiments, run_experiment
@@ -37,8 +36,8 @@ from repro.simulation.sampling import (
 from repro.simulation.stats import derive_trial_seed
 from repro.topology.cayley import PancakeGraph
 from repro.topology.routing import (
+    BoundedBall,
     NeighborSource,
-    _bounded_bfs_ball_python,
     _sorted_unique,
     bounded_bfs_ball,
     index_bfs_distances,
@@ -182,8 +181,18 @@ class TestBoundedBall:
         ]
         assert escapes
         excluded = np.setdiff1d(beyond, escapes[:1] if escape else [])
-        oracle = _bounded_bfs_ball_python(
-            star.neighbor_source(), 0, depth, excluded
+        # Oracle: a whole-graph sweep with the exclusions as dead nodes.
+        alive = np.ones(star.num_nodes, dtype=bool)
+        alive[excluded] = False
+        masked = index_bfs_distances(
+            star.neighbor_source(), star.num_nodes, 0, alive_mask=alive
+        )
+        inside = np.flatnonzero((masked >= 0) & (masked <= depth))
+        oracle = BoundedBall(
+            nodes=inside,
+            distances=masked[inside],
+            truncated=bool((masked == depth + 1).any()),
+            levels=int(masked[inside].max()),
         )
         assert oracle.truncated is escape
         assert oracle.levels == depth

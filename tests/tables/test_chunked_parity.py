@@ -25,7 +25,7 @@ from repro.embedding.metrics import (
     measure_embedding_reference,
 )
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, TableDegreeError
 from repro.simulation.rerouting import masked_bfs_distances
 from repro.topology.routing import (
     bfs_distances_from,
@@ -52,6 +52,9 @@ class TestStarDistancesChunks:
                 star_distances_from(star5.identity, chunk_nodes=chunk)
             )
             assert np.array_equal(chunked, reference)
+        # 21! overflows int64 ranks, so no sweep exists at that degree.
+        with pytest.raises(TableDegreeError):
+            star_distances_from(tuple(range(21)), chunk_nodes=7)
 
     def test_env_chunks_match_default(self, star5, monkeypatch):
         reference = np.asarray(star_distances_from(star5.identity))

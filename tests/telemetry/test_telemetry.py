@@ -9,6 +9,7 @@ import json
 import logging
 import time
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -132,7 +133,6 @@ class TestEventEmission:
         assert event["attrs"]["error"] == "ValueError"
 
     def test_numpy_scalars_become_json_numbers(self, tmp_path):
-        np = pytest.importorskip("numpy")
         path = tmp_path / "t.jsonl"
         telemetry.enable(path)
         telemetry.add_counter("unit.np", n=np.int64(7), rate=np.float64(0.5))

@@ -13,9 +13,8 @@ Two contracts per layer:
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro import telemetry
 from repro.embedding.metrics import measure_embedding
