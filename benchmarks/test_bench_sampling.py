@@ -8,13 +8,12 @@ Ablation pairs quantify the PR-8 design decisions:
   pair measures what table-freedom costs per block, and the BFS pair what it
   costs across a full frontier sweep);
 * **chunked vs single block** — the degree-13 sampled distance estimator at
-  the default 1 Mi-pair blocks against one whole-sample block;
-* **numpy vs numba** — the batched Lehmer encode and the implicit block
-  kernel on the compiled backend, skipped when numba is not importable.
+  the default 1 Mi-pair blocks against one whole-sample block.
+
+Single rows time the batched Lehmer encode and the implicit block kernel.
 
 The ``heavy_bench`` row is the acceptance-scale case: the S_13 sampled
-distance distribution (6.2 G nodes, one million pairs) with no table in RAM
-or on disk.
+distance distribution (6.2 G nodes, one million pairs) with no table at all.
 """
 
 import math
@@ -22,7 +21,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.backend import numba_available
 from repro.permutations.ranking import (
     implicit_neighbor_block,
     rank_batch,
@@ -36,20 +34,11 @@ from repro.topology.routing import (
 )
 from repro.topology.star import StarGraph
 
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable (optional backend)"
-)
-
-
-@pytest.fixture()
-def numba_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numba")
-
 
 @pytest.fixture(scope="module")
 def star7():
     star = StarGraph(7)
-    star.neighbor_index_table()  # warm the dense tables for the table legs
+    star.neighbor_index_table()  # warm the tables for the table legs
     return star
 
 
@@ -89,7 +78,7 @@ def test_index_bfs_s7_implicit_source(benchmark, star7, monkeypatch):
     assert int(np.asarray(distances).max()) == 9
 
 
-# ------------------------------------------------------- numpy-vs-numba pair
+# ------------------------------------------------------ rank and block rows
 @pytest.fixture(scope="module")
 def rank_batch_input():
     ranks = np.random.default_rng(13).integers(
@@ -99,39 +88,18 @@ def rank_batch_input():
 
 
 def test_rank_batch_s13_numpy(benchmark, rank_batch_input):
-    """Ablation (a): batched Lehmer encode of 100k degree-13 rows, NumPy."""
+    """Batched Lehmer encode of 100k degree-13 rows."""
     ranks, perms = rank_batch_input
-    out = benchmark(rank_batch, perms)
-    assert np.array_equal(out, ranks)
-
-
-@requires_numba
-def test_rank_batch_s13_numba(benchmark, rank_batch_input, numba_backend):
-    """Ablation (b): the same encode on the compiled per-row kernel."""
-    ranks, perms = rank_batch_input
-    rank_batch(perms)  # JIT warm-up round
     out = benchmark(rank_batch, perms)
     assert np.array_equal(out, ranks)
 
 
 def test_implicit_block_s9_numpy(benchmark):
-    """Ablation (a): a 50k-rank implicit S_9 neighbour block, NumPy."""
+    """A 50k-rank implicit S_9 neighbour block."""
     generators = star_position_generators(9)
     ranks = np.random.default_rng(9).integers(
         0, math.factorial(9), size=50_000, dtype=np.int64
     )
-    block = benchmark(implicit_neighbor_block, ranks, generators, 9)
-    assert block.shape == (50_000, 8)
-
-
-@requires_numba
-def test_implicit_block_s9_numba(benchmark, numba_backend):
-    """Ablation (b): the same block on the fused compiled kernel."""
-    generators = star_position_generators(9)
-    ranks = np.random.default_rng(9).integers(
-        0, math.factorial(9), size=50_000, dtype=np.int64
-    )
-    implicit_neighbor_block(ranks, generators, 9)  # JIT warm-up round
     block = benchmark(implicit_neighbor_block, ranks, generators, 9)
     assert block.shape == (50_000, 8)
 
@@ -158,7 +126,7 @@ def test_sampled_distance_s13_single_block(benchmark):
 # --------------------------------------------------------- S_13 heavy row
 @pytest.mark.heavy_bench
 def test_s13_sampled_distance_million_pairs(benchmark):
-    """Acceptance scale: one million S_13 pairs, no table in RAM or on disk."""
+    """Acceptance scale: one million S_13 pairs, no table at all."""
 
     def estimate():
         return sampled_distance_estimate("star", 13, 1_000_000, 2206)

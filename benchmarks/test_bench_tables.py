@@ -1,14 +1,9 @@
-"""Benchmarks for the out-of-core table layer and the streamed kernels.
+"""Benchmarks for the table layer and the streamed kernels.
 
-Ablation pairs quantify the design decisions of the two-tier table core:
-
-* **build vs reuse** — constructing a memmap table set from scratch against
-  opening the cached file (the "built once per ``(generators, n)``" story);
-* **chunked vs single block** — the streamed kernels at their default block
-  size against one whole-graph block (identical results; the pair measures
-  what bounding peak memory costs in wall-clock);
-* **numpy vs numba** — the same kernels on the compiled backend, skipped
-  when numba is not importable (tier-1 stays numba-free).
+The **chunked vs single block** pairs run the streamed kernels at their
+default block size against one whole-graph block (identical results; the
+pair measures what bounding peak memory costs in wall-clock).  Single rows
+time the frontier BFS and the batched embedding measurement at degree 7.
 
 The ``heavy_bench`` rows exercise the acceptance-scale graph ``S_10``
 (3,628,800 nodes): the full closed-form distance sweep, one fault-campaign
@@ -19,11 +14,8 @@ the degree-10 embedding (~26 M mesh edges).
 import numpy as np
 import pytest
 
-from repro.backend import numba_available
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.metrics import measure_embedding
-from repro.permutations.ranking import star_position_generators
-from repro.tables import build_move_tables, open_move_tables
 from repro.topology.routing import (
     connected_under_alive_mask,
     index_bfs_distances,
@@ -31,42 +23,11 @@ from repro.topology.routing import (
 )
 from repro.topology.star import StarGraph
 
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable (optional backend)"
-)
-
-
-@pytest.fixture()
-def numba_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numba")
-
 
 @pytest.fixture(scope="module")
 def star7_table():
     star = StarGraph(7)
     return star, star.neighbor_index_table()
-
-
-# ------------------------------------------------------------ cache ablation
-def test_table_build_cold(benchmark, tmp_path):
-    """Ablation (a): build the S_7 memmap tables from scratch every round."""
-    generators = star_position_generators(7)
-
-    def build():
-        return build_move_tables(generators, 7, cache_dir=tmp_path, force=True)
-
-    benchmark.pedantic(build, rounds=3, iterations=1)
-
-
-def test_table_open_warm(benchmark, tmp_path):
-    """Ablation (b): reopen the already-built S_7 file (the steady state)."""
-    generators = star_position_generators(7)
-    build_move_tables(generators, 7, cache_dir=tmp_path)
-
-    def reopen():
-        return open_move_tables(generators, 7, cache_dir=tmp_path)
-
-    benchmark(reopen)
 
 
 # ----------------------------------------------------- chunked-vs-dense pair
@@ -84,33 +45,16 @@ def test_star_distances_s7_chunked(benchmark):
     assert int(np.asarray(result).max()) == 9
 
 
-# ------------------------------------------------------- numpy-vs-numba pair
+# ------------------------------------------------------------ degree-7 rows
 def test_index_bfs_s7_numpy(benchmark, star7_table):
-    """Ablation (a): frontier BFS over the S_7 adjacency table, NumPy oracle."""
+    """Frontier BFS over the S_7 adjacency table."""
     star, table = star7_table
-    distances = benchmark(index_bfs_distances, table, star.num_nodes, 0)
-    assert int(np.asarray(distances).max()) == 9
-
-
-@requires_numba
-def test_index_bfs_s7_numba(benchmark, star7_table, numba_backend):
-    """Ablation (b): the same BFS on the compiled array-queue kernel."""
-    star, table = star7_table
-    index_bfs_distances(table, star.num_nodes, 0)  # JIT warm-up round
     distances = benchmark(index_bfs_distances, table, star.num_nodes, 0)
     assert int(np.asarray(distances).max()) == 9
 
 
 def test_measure_embedding_s7_numpy(benchmark):
-    """Ablation (a): batched embedding measurement at degree 7, NumPy oracle."""
-    metrics = benchmark(lambda: measure_embedding(MeshToStarEmbedding(7)))
-    assert metrics.dilation == 3
-
-
-@requires_numba
-def test_measure_embedding_s7_numba(benchmark, numba_backend):
-    """Ablation (b): the same measurement on the compiled edge kernel."""
-    measure_embedding(MeshToStarEmbedding(7))  # JIT warm-up round
+    """Batched embedding measurement at degree 7."""
     metrics = benchmark(lambda: measure_embedding(MeshToStarEmbedding(7)))
     assert metrics.dilation == 3
 
@@ -166,21 +110,3 @@ def test_s10_measure_embedding(benchmark):
 
     metrics = benchmark.pedantic(build_and_measure, rounds=1, iterations=1)
     assert metrics.dilation == 3
-
-
-@pytest.mark.heavy_bench
-@requires_numba
-def test_s10_fault_campaign_trial_numba(benchmark, numba_backend):
-    """Ablation twin: the S_10 connectivity trial on the compiled BFS kernel."""
-    star = StarGraph(10)
-    star.neighbor_index_table()
-    rng = np.random.default_rng(1990)
-    alive = np.ones(star.num_nodes, dtype=bool)
-    alive[rng.choice(star.num_nodes, size=8, replace=False)] = False
-    connected_under_alive_mask(star, alive)  # JIT warm-up round
-
-    def trial():
-        return connected_under_alive_mask(star, alive)
-
-    connected = benchmark.pedantic(trial, rounds=1, iterations=1)
-    assert connected

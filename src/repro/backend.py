@@ -1,37 +1,23 @@
-"""Kernel backend and chunk-size selection for the out-of-core fast paths.
+"""Chunk-size and adjacency-source selection for the whole-graph kernels.
 
 Two environment knobs tune the whole-graph kernels without touching any call
 site:
-
-``REPRO_BACKEND`` (``numpy`` | ``numba``, default ``numpy``)
-    Which implementation the gather/bincount inner loops run on.  The NumPy
-    path is the bit-identical parity oracle (the same retained-reference
-    pattern as the object-vs-numeric program engines); the Numba path JIT
-    compiles scalar loops over the same arrays and must agree bit for bit
-    (``tests/tables/test_backend_numba.py``).  Requesting ``numba`` when the
-    package is not importable warns once and falls back to NumPy, so
-    campaigns keep running on numba-free hosts.
-
-``REPRO_TABLE_CACHE`` (directory path)
-    Where :mod:`repro.tables` keeps the memmap move-table files (the name is
-    defined here so the degree guard in :mod:`repro.permutations.ranking` can
-    cite the remedy without importing the cache module).
 
 ``REPRO_CHUNK_NODES`` (positive int, default ``1048576``)
     How many node indices a streamed kernel processes per block.  The chunked
     sweeps (:func:`repro.topology.routing.star_distances_from`, the frontier
     BFS, the masked floods, the batched embedding tallies) touch
     ``O(chunk * degree)`` elements at a time instead of whole ``n!`` arrays,
-    which is what keeps peak RSS bounded on degree 10-12 graphs.  Chunking is
+    which is what keeps peak RSS bounded on the large graphs.  Chunking is
     exact: every chunk size produces bit-identical results (only wall-clock
     and memory change).
 
 ``REPRO_NEIGHBORS`` (``auto`` | ``table`` | ``implicit``, default ``auto``)
     Where the whole-graph kernels read adjacency from.  ``table`` serves the
-    materialised/memmap move tables; ``implicit`` computes neighbour blocks
-    on the fly as ``unrank -> apply generator -> rank``
+    in-RAM move tables; ``implicit`` computes neighbour blocks on the fly as
+    ``unrank -> apply generator -> rank``
     (:func:`repro.permutations.ranking.implicit_neighbor_block`) with no
-    table in RAM or on disk; ``auto`` uses tables through
+    table at all; ``auto`` uses tables through
     :data:`repro.permutations.ranking.MAX_TABLE_DEGREE` and switches to the
     implicit backend beyond it.  The choice never changes results -- the
     implicit blocks are bit-identical to the table rows
@@ -41,30 +27,20 @@ site:
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
-    "BACKEND_ENV",
     "CHUNK_ENV",
-    "TABLE_CACHE_ENV",
     "NEIGHBORS_ENV",
-    "BACKENDS",
     "NEIGHBOR_MODES",
     "DEFAULT_CHUNK_NODES",
-    "backend_name",
     "neighbor_mode",
-    "numba_available",
-    "use_numba",
     "resolve_chunk_nodes",
 ]
 
-BACKEND_ENV = "REPRO_BACKEND"
 CHUNK_ENV = "REPRO_CHUNK_NODES"
-TABLE_CACHE_ENV = "REPRO_TABLE_CACHE"
 NEIGHBORS_ENV = "REPRO_NEIGHBORS"
-BACKENDS = ("numpy", "numba")
 NEIGHBOR_MODES = ("auto", "table", "implicit")
 
 #: Default node-index block size of the streamed kernels (~8 MB of int64
@@ -72,27 +48,11 @@ NEIGHBOR_MODES = ("auto", "table", "implicit")
 #: the tens of megabytes at the top table degrees).
 DEFAULT_CHUNK_NODES = 1 << 20
 
-_warned_numba_missing = False
-
-
-def backend_name() -> str:
-    """The requested kernel backend (``REPRO_BACKEND``), validated.
-
-    Read at call time (not import time) so tests and long-lived processes can
-    switch backends between kernels.
-    """
-    value = os.environ.get(BACKEND_ENV, "").strip().lower() or "numpy"
-    if value not in BACKENDS:
-        raise InvalidParameterError(
-            f"{BACKEND_ENV} must be one of {BACKENDS}, got {value!r}"
-        )
-    return value
-
 
 def neighbor_mode() -> str:
     """The requested adjacency source (``REPRO_NEIGHBORS``), validated.
 
-    Read at call time, like :func:`backend_name`, so one process can switch
+    Read at call time (not import time), so one process can switch
     between table-backed and implicit kernels mid-campaign.  The selection
     itself lives in :func:`repro.topology.routing.permutation_neighbor_source`
     (``auto`` resolves against the table-degree bound there).
@@ -103,43 +63,6 @@ def neighbor_mode() -> str:
             f"{NEIGHBORS_ENV} must be one of {NEIGHBOR_MODES}, got {value!r}"
         )
     return value
-
-
-@lru_cache(maxsize=None)
-def numba_available() -> bool:
-    """True when the optional :mod:`numba` package is importable."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def use_numba() -> bool:
-    """True when kernels should dispatch to the compiled Numba loops.
-
-    Requires ``REPRO_BACKEND=numba`` *and* an importable numba; a request
-    without the package warns once and falls back to the NumPy oracle rather
-    than failing mid-campaign.
-    """
-    global _warned_numba_missing
-    if backend_name() != "numba":
-        return False
-    if numba_available():
-        return True
-    if not _warned_numba_missing:
-        # Through the telemetry logging shim: silent inside library use
-        # (NullHandler), visible on stderr from the CLI, which installs the
-        # handler at startup.
-        from repro.telemetry import get_logger
-
-        get_logger("backend").warning(
-            "%s=numba requested but numba is not importable; "
-            "falling back to the numpy backend",
-            BACKEND_ENV,
-        )
-        _warned_numba_missing = True
-    return False
 
 
 def resolve_chunk_nodes(explicit=None) -> int:

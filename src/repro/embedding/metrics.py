@@ -21,9 +21,8 @@ hop is a gather through the star generator move tables, and the
 dilation/congestion/load tallies accumulate into one bounded usage array over
 dense ``(min rank, generator)`` host-link ids (:func:`_mesh_to_star_edge_data`).
 Edges are processed in ``REPRO_CHUNK_NODES`` blocks (bit-exact for every
-block size) so the kernel streams at the memmap-tier degrees too, and each
-block dispatches to a compiled loop under ``REPRO_BACKEND=numba``.  That
-kernel is what makes the degree-8 Theorem-4 sweep run in seconds.  Other
+block size) so the kernel streams past the table degree too.  That kernel is
+what makes the degree-8 Theorem-4 sweep run in seconds.  Other
 embeddings walk their edge paths
 per-hop (the construction cost dominates there); that implementation is
 :func:`measure_embedding_reference`, which doubles as the parity oracle for
@@ -299,10 +298,8 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
 
     Returns None (caller falls back to the tuple walk) unless *embedding* is
     a :class:`~repro.embedding.mesh_to_star.MeshToStarEmbedding` with an
-    adjacency source in reach: any degree at or below the
-    table bound (the streamed memmap tier included -- the kernel chunks its
-    gathers, see :func:`_build_mesh_to_star_edge_data`), or any int64-rank
-    degree when the table-free implicit source applies
+    adjacency source in reach: any degree at or below the table bound, or
+    any int64-rank degree when the table-free implicit source applies
     (``REPRO_NEIGHBORS=implicit``, or ``auto`` past the table ceiling).  The
     result is cached on the embedding instance -- safe because every source
     yields bit-identical tallies.
@@ -328,11 +325,11 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
 
 
 def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdgeData:
-    from repro.backend import resolve_chunk_nodes, use_numba
+    from repro.backend import resolve_chunk_nodes
     from repro.permutations.ranking import (
-        MAX_DENSE_DEGREE,
         all_permutations_array,
         unrank_batch,
+        within_table_degree,
     )
     from repro.topology.routing import _sorted_unique
 
@@ -369,24 +366,17 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
             paths_consistent=False,
         )
 
-    if n <= MAX_DENSE_DEGREE:
+    if within_table_degree(n):
         perms = all_permutations_array(n)
 
         def permutation_rows(rank_block):
             return perms[rank_block].astype(_np.int64)
 
     else:
-        # Memmap-tier degrees: no (n!, n) population array exists; unrank the
-        # endpoint blocks on the fly instead.
+        # Past the table degree no (n!, n) population array exists; unrank
+        # the endpoint blocks on the fly instead.
         def permutation_rows(rank_block):
             return unrank_batch(rank_block, n).astype(_np.int64)
-
-    kernel = None
-    if use_numba() and neighbor_source.table is not None:
-        # The compiled edge kernel walks one materialised move array; the
-        # implicit source runs the vectorised block path, whose per-block
-        # rank/unrank work dispatches to numba on its own.
-        from repro._numba_kernels import mesh_star_edges_kernel as kernel
 
     # Star edges are (node rank, generator) pairs, so the undirected host
     # link ``{r, move[r, g]}`` has the dense id ``min * (n-1) + g``: usage
@@ -403,7 +393,6 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
         "kernel.embedding_tally",
         degree=n,
         num_nodes=num_nodes,
-        backend="numba" if kernel is not None else "numpy",
         neighbor_source="table" if neighbor_source.table is not None else "implicit",
         chunk_nodes=chunk,
     ) as sp:
@@ -417,20 +406,9 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
                 blocks += 1
                 source = permutation_rows(u_ranks)
                 target = permutation_rows(v_ranks)
-                if kernel is not None:
-                    lengths, links, block_ok = kernel(
-                        source,
-                        target,
-                        _np.asarray(neighbor_source.table),
-                        u_ranks,
-                        v_ranks,
-                    )
-                    ones = int((lengths == 1).sum())
-                    threes = int(lengths.size) - ones
-                else:
-                    links, ones, threes, block_ok = _mesh_star_edge_block(
-                        source, target, neighbor_source, u_ranks, v_ranks, n
-                    )
+                links, ones, threes, block_ok = _mesh_star_edge_block(
+                    source, target, neighbor_source, u_ranks, v_ranks, n
+                )
                 one_hop_edges += ones
                 three_hop_edges += threes
                 consistent = consistent and bool(block_ok)
@@ -474,8 +452,7 @@ def _mesh_star_edge_block(source, target, neighbor_source, u_ranks, v_ranks, n: 
     over the host star graph; the per-row generator gathers go through
     ``neighbor_along``, so table-backed and implicit adjacency produce the
     same tallies.  Returns ``(link_ids, one_hop_count, three_hop_count,
-    consistent)`` -- the parity oracle of the compiled
-    :func:`repro._numba_kernels.mesh_star_edges_kernel`.
+    consistent)``.
     """
     width = n - 1
     differs = source != target

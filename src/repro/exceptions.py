@@ -38,27 +38,19 @@ class InvalidParameterError(ReproError, ValueError):
 
 
 class TableDegreeError(InvalidParameterError):
-    """A degree exceeds the per-degree table bound (two-tier).
+    """A degree exceeds the per-degree table bound.
 
     The rank-indexed fast core precomputes ``(n-1) x n!`` move tables and the
-    ``(n!, n)`` permutation population per degree, under a two-tier bound:
-
-    * **dense tier** -- through
-      :data:`repro.permutations.ranking.MAX_DENSE_DEGREE` the tables live in
-      RAM; entry points that must materialise whole ``n!`` arrays (e.g.
-      ``all_permutations_array``) stop here, and the error message points at
-      the out-of-core remedy;
-    * **memmap tier** -- through
-      :data:`repro.permutations.ranking.MAX_TABLE_DEGREE` the tables are
-      ``np.memmap`` column views of the on-disk cache (:mod:`repro.tables`,
-      ``REPRO_TABLE_CACHE``), built once per ``(generators, n)`` and swept in
-      node-index chunks.  Beyond it the files themselves stop being sensible
-      (n = 13 is ~560 GB per generator set) and this error is absolute.
+    ``(n!, n)`` permutation population per degree, in RAM, through
+    :data:`repro.permutations.ranking.MAX_TABLE_DEGREE` (``n <= 10``; n = 11
+    would already need ~3.2 GB of tables).  Beyond it the table-free
+    implicit adjacency and the sampled estimators take over, and the error
+    message names them.  The int64 rank ceiling of the vectorised batch
+    helpers (``n <= 20``) raises the same type.
 
     Every consumer that *requires* the tables raises this one exception type
-    through :func:`repro.permutations.ranking.require_table_degree`
-    (``dense=True`` for in-RAM-only consumers); consumers with a tuple-based
-    fallback gate it on
+    through :func:`repro.permutations.ranking.require_table_degree`;
+    consumers with a tuple-based fallback gate it on
     :func:`repro.permutations.ranking.within_table_degree` instead.
     """
 

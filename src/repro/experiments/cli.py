@@ -32,17 +32,6 @@ Usage
     environment stamp) from a previously written artifact store; with
     neither flag the Markdown goes to stdout, ``-`` selects stdout
     explicitly.
-``repro-star tables build DEGREE [--force]``
-    Pre-build the on-disk memmap move tables of the star graph ``S_DEGREE``
-    into the cache (``REPRO_TABLE_CACHE`` or ``--cache DIR``); a table set
-    already in the cache is a no-op.  The memmap-tier degrees
-    (``MAX_DENSE_DEGREE < n <= MAX_TABLE_DEGREE``) also build lazily on
-    first use -- this command just front-loads the (potentially long) build.
-``repro-star tables list [--json]``
-    Show the cached table sets (file, degree, generators, size); ``--json``
-    emits the machine-readable listing on stdout.
-``repro-star tables clear [--degree N]``
-    Delete cached table sets (all of them, or one degree's).
 ``repro-star run all --fast --trace trace.jsonl --timings``
     Additionally append structured telemetry (kernel spans, cache/store
     counters, per-shard timings) to ``trace.jsonl`` while the run executes
@@ -214,51 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--title",
         default="Experiment results",
         help="report heading (default: 'Experiment results')",
-    )
-
-    tables_parser = subparsers.add_parser(
-        "tables", help="manage the on-disk memmap move-table cache"
-    )
-    tables_sub = tables_parser.add_subparsers(dest="tables_command", required=True)
-    build_parser_ = tables_sub.add_parser(
-        "build", help="build one degree's star move tables into the cache"
-    )
-    build_parser_.add_argument(
-        "degree",
-        type=int,
-        help="star-graph degree n (tables are (n!, n-1) int64)",
-    )
-    build_parser_.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default: REPRO_TABLE_CACHE or "
-        "~/.cache/repro-star/tables)",
-    )
-    build_parser_.add_argument(
-        "--force",
-        action="store_true",
-        help="rebuild even when the table set is already cached",
-    )
-    list_parser_ = tables_sub.add_parser("list", help="list cached table sets")
-    list_parser_.add_argument(
-        "--cache", metavar="DIR", default=None, help="cache directory to list"
-    )
-    list_parser_.add_argument(
-        "--json",
-        action="store_true",
-        help="print the cache listing as JSON (file, degree, key, bytes)",
-    )
-    clear_parser_ = tables_sub.add_parser("clear", help="delete cached table sets")
-    clear_parser_.add_argument(
-        "--cache", metavar="DIR", default=None, help="cache directory to clear"
-    )
-    clear_parser_.add_argument(
-        "--degree",
-        type=int,
-        default=None,
-        metavar="N",
-        help="only clear degree N's table sets (default: all)",
     )
 
     trace_parser = subparsers.add_parser(
@@ -514,49 +458,6 @@ def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_tables(args, parser: argparse.ArgumentParser) -> int:
-    from repro import tables as table_cache
-    from repro.permutations.ranking import (
-        require_table_degree,
-        star_position_generators,
-    )
-
-    if args.tables_command == "build":
-        require_table_degree(args.degree)  # one readable line via ReproError
-        generators = star_position_generators(args.degree)
-        path = table_cache.build_move_tables(
-            generators, args.degree, cache_dir=args.cache, force=args.force
-        )
-        print(path)
-        return 0
-
-    if args.tables_command == "list":
-        entries = table_cache.list_tables(args.cache)
-        if args.json:
-            print(json.dumps(entries, indent=2))
-            return 0
-        if not entries:
-            print("table cache is empty")
-            return 0
-        for entry in entries:
-            n = entry.get("n")
-            generators = entry.get("num_generators")
-            detail = (
-                f"n={n}  generators={generators}"
-                if n is not None
-                else "(no metadata sidecar)"
-            )
-            print(f"{entry['file']}  {detail}  {entry['bytes']} bytes")
-        return 0
-
-    if args.tables_command == "clear":
-        removed = table_cache.clear_tables(args.cache, degree=args.degree)
-        print(f"removed {removed} table set(s)")
-        return 0
-
-    parser.error(f"unknown tables command {args.tables_command!r}")  # pragma: no cover
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -567,8 +468,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Library modules log through the "repro" logger behind a NullHandler;
-    # the CLI is the one place the stderr handler is attached, keeping the
-    # historical "[repro.tables] ..." messages visible to terminal users.
+    # the CLI is the one place the stderr handler is attached, so library
+    # diagnostics stay visible to terminal users.
     telemetry.enable_stderr_logging()
 
     try:
@@ -578,8 +479,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_run(args, parser)
         if args.command == "report":
             return _cmd_report(args, parser)
-        if args.command == "tables":
-            return _cmd_tables(args, parser)
         if args.command == "trace":
             return _cmd_trace(args, parser)
     except ReproError as error:

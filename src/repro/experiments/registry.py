@@ -18,7 +18,7 @@ Profiles
     --fast``, the CI smoke test); every experiment stays under a second.
 ``heavy``
     Larger sweeps for machines with time to spare; no experiment requires
-    more memory than the dense-table bound
+    more memory than the table bound
     (:data:`repro.permutations.ranking.MAX_TABLE_DEGREE`).
 """
 

@@ -27,19 +27,17 @@ This module is the substrate of the rank-indexed fast core:
   :class:`~repro.topology.star.StarGraph` and SIMD machine of that degree;
 * :func:`unrank_batch` / :func:`rank_batch` / :func:`permutations_slice` --
   vectorised unranking and ranking of whole rank/permutation arrays, the
-  substrate of the chunked whole-graph kernels and the out-of-core table
-  builds (:mod:`repro.tables`);
+  substrate of the chunked whole-graph kernels;
 * :func:`implicit_neighbor_block` -- neighbour ranks computed on the fly as
   ``unrank -> apply generator -> rank`` with **no table at all**, the
   substrate of the implicit adjacency backend
   (``REPRO_NEIGHBORS=implicit``, :mod:`repro.topology.routing`).
 
-Degrees are bounded by a **two-tier** guard
-(:func:`within_table_degree`/:func:`require_table_degree`): in-RAM dense
-tables through :data:`MAX_DENSE_DEGREE`, memmap-streamed tables from the
-on-disk cache through :data:`MAX_TABLE_DEGREE`.  The table-free batch
-helpers reach further, to the int64 rank ceiling
-(:func:`require_int64_rank_degree`, ``n <= 20``): ``21!`` overflows int64.
+Tables are bounded by one guard
+(:func:`within_table_degree`/:func:`require_table_degree`): in-RAM tables
+through :data:`MAX_TABLE_DEGREE`.  The table-free batch helpers reach
+further, to the int64 rank ceiling (:func:`require_int64_rank_degree`,
+``n <= 20``): ``21!`` overflows int64.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ __all__ = [
     "move_tables",
     "move_tables_for",
     "star_position_generators",
-    "MAX_DENSE_DEGREE",
     "MAX_TABLE_DEGREE",
     "MAX_INT64_RANK_DEGREE",
     "within_table_degree",
@@ -83,17 +80,11 @@ __all__ = [
     "require_int64_rank_degree",
 ]
 
-# Beyond this degree the dense n! tables stop fitting comfortably in RAM
-# (n = 11 would need 8 * 10 * 11! bytes ~ 3.2 GB across the generators,
-# plus comparable working sets in the vectorised sweeps).
-MAX_DENSE_DEGREE = 10
-
-# Absolute table ceiling: degrees MAX_DENSE_DEGREE+1 .. MAX_TABLE_DEGREE are
-# served as np.memmap column views from the on-disk cache (repro.tables) and
-# swept in node-index chunks instead of whole n! arrays.  n = 13 would need a
-# 560 GB table file per generator set -- beyond "out of core" into "out of
-# disk", so the guard stops there.
-MAX_TABLE_DEGREE = 12
+# Beyond this degree the n! tables stop fitting comfortably in RAM (n = 11
+# would need 8 * 10 * 11! bytes ~ 3.2 GB across the generators, plus
+# comparable working sets in the vectorised sweeps); larger graphs use the
+# table-free implicit adjacency instead.
+MAX_TABLE_DEGREE = 10
 
 # int64 rank accumulation overflows at 21! - 1 > 2**63 - 1; beyond this the
 # vectorised path must defer to exact Python integers.
@@ -266,44 +257,32 @@ def all_permutations(n: int) -> Iterator[Tuple[int, ...]]:
 
 
 # --------------------------------------------------------------- dense tables
-def within_table_degree(n: int, *, dense: bool = False) -> bool:
-    """True when per-degree tables exist for degree *n* (two-tier bound).
-
-    The default answers for the *streamed* tier: tables through
-    :data:`MAX_TABLE_DEGREE` exist, served as memmap column views from the
-    on-disk cache (:mod:`repro.tables`) above :data:`MAX_DENSE_DEGREE`.
-    ``dense=True`` asks about the in-RAM tier only (callers that must
-    materialise whole ``n!`` arrays at once, e.g.
-    :func:`all_permutations_array`).
+def within_table_degree(n: int) -> bool:
+    """True when per-degree tables exist for degree *n* (``n <= 10``).
 
     Consumers with a tuple-based fallback (the SIMD machines' generic route
     path, the batched embedding kernels) gate the fast path on this predicate;
     consumers that *require* the tables call :func:`require_table_degree`.
     """
-    if dense:
-        return n <= MAX_DENSE_DEGREE
     return n <= MAX_TABLE_DEGREE
 
 
-def require_table_degree(n: int, *, dense: bool = False) -> None:
+def require_table_degree(n: int) -> None:
     """Raise the one canonical error when degree *n* exceeds the table bound.
 
     Every table entry point (:func:`all_permutations_array`,
-    :func:`move_tables`, :func:`move_tables_for`, the cache builds in
-    :mod:`repro.tables`) raises this same
+    :func:`move_tables`, :func:`move_tables_for`) raises this same
     :class:`~repro.exceptions.TableDegreeError`, so callers can catch the
     overflow uniformly regardless of which table was requested first.  The
-    message names the ceiling that actually applied: the absolute
-    :data:`MAX_TABLE_DEGREE` bound, or -- for ``dense=True`` requests in the
-    memmap range -- the :data:`MAX_DENSE_DEGREE` in-RAM bound together with
-    the on-disk cache remedy.
+    message names the :data:`MAX_TABLE_DEGREE` bound and the table-free
+    remedies.
     """
     if n < 1:
         raise InvalidParameterError(f"degree must be >= 1, got {n}")
     if n > MAX_TABLE_DEGREE:
         raise TableDegreeError(
-            f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE} "
-            f"even memmap-streamed from the on-disk cache, got {n}; beyond "
+            f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE}, "
+            f"got {n}; beyond "
             f"the table ceiling use the table-free implicit adjacency "
             f"backend (REPRO_NEIGHBORS=implicit, selected automatically by "
             f"Topology.neighbor_source), the sampled estimators in "
@@ -311,13 +290,6 @@ def require_table_degree(n: int, *, dense: bool = False) -> None:
             f"SAMPLED-PROPERTIES experiments), or the bounded-ball sampled "
             f"campaigns in repro.simulation.sampled_campaign (SAMPLED-FAULT "
             f"/ SAMPLED-STRETCH experiments)"
-        )
-    if not within_table_degree(n, dense=dense):
-        raise TableDegreeError(
-            f"in-RAM dense tables are limited to n <= {MAX_DENSE_DEGREE}, got {n}; "
-            f"degrees {MAX_DENSE_DEGREE + 1}..{MAX_TABLE_DEGREE} stream from the "
-            f"on-disk move-table cache (REPRO_TABLE_CACHE dir, built once via "
-            f"`repro-star tables build {n}` or on first use)"
         )
 
 
@@ -361,11 +333,11 @@ def all_permutations_array(n: int):
 
     Row ``r`` is the permutation of rank ``r``.  The returned array is
     read-only.
-    Bounded by the **dense** tier (:data:`MAX_DENSE_DEGREE`) -- the whole
-    ``(n!, n)`` array lives in RAM; chunked consumers use
-    :func:`permutations_slice` instead, which reaches the memmap ceiling.
+    Bounded by :data:`MAX_TABLE_DEGREE` -- the whole ``(n!, n)`` array lives
+    in RAM; chunked consumers use :func:`permutations_slice` instead, which
+    reaches the int64 rank ceiling.
     """
-    _check_table_degree(n, dense=True)
+    _check_table_degree(n)
     if n == 1:
         out = _np.zeros((1, 1), dtype=_np.int8)
     else:
@@ -391,8 +363,7 @@ def _rank_rows_numpy(array):
     symbols below it, ``np.bitwise_count(seen & (bit - 1))`` with
     ``bit = 1 << array[:, i]``.  That is ``O(n)`` whole-column operations
     (``n <= 20`` symbols fit the 32-bit mask) accumulated against the
-    factorial base, and the NumPy parity oracle of the compiled
-    :func:`repro._numba_kernels.rank_batch_kernel` (identical integers).
+    factorial base.
     """
     m, n = array.shape
     fact = factorials(n)
@@ -436,21 +407,12 @@ def rank_batch(perms):
     rank ceiling raise the canonical
     :class:`~repro.exceptions.TableDegreeError`
     (:func:`require_int64_rank_degree`) instead of silently changing
-    representation.  Dispatches to the compiled per-row Lehmer encode under
-    ``REPRO_BACKEND=numba``; the NumPy seen-bitmask path is the
-    bit-identical parity oracle.
+    representation.
     """
     array = _np.asarray(perms)
     if array.ndim != 2:
         raise InvalidParameterError("rank_batch expects a 2-D batch of permutations")
     require_int64_rank_degree(array.shape[1])
-    from repro.backend import use_numba
-
-    if use_numba() and array.size:
-        from repro._numba_kernels import rank_batch_kernel
-
-        fact = _np.asarray(factorials(array.shape[1]), dtype=_np.int64)
-        return rank_batch_kernel(_np.ascontiguousarray(array, dtype=_np.int64), fact)
     return _rank_rows_numpy(array)
 
 
@@ -461,7 +423,7 @@ def unrank_batch(ranks, n: int):
     of rank ``ranks[k]`` -- i.e. the corresponding rows of
     :func:`all_permutations_array` *without materialising it*, which is what
     lets the chunked kernels gather endpoint permutations at degrees beyond
-    the dense tier.  The inverse of :func:`ranks_of` on valid inputs.
+    the table degree.  The inverse of :func:`ranks_of` on valid inputs.
 
     The state is one ``(n, m)`` ``int8`` digit array, so a block of a
     million degree-12 ranks costs tens of megabytes, never ``n!``.  The
@@ -510,24 +472,22 @@ def implicit_neighbor_block(
     evaluated on the fly as ``unrank -> apply generator -> rank``
     (:func:`unrank_batch` / :func:`rank_batch`).  This is the substrate of
     the implicit adjacency backend (``REPRO_NEIGHBORS=implicit``): the
-    whole-graph kernels stay exact past the memmap table ceiling, bounded
+    whole-graph kernels stay exact past the table ceiling, bounded
     only by the int64 rank degree (``n <= 20``).
 
     The block is processed in ``chunk_nodes`` sub-chunks (default
     ``REPRO_CHUNK_NODES``) so the transient ``O(chunk * k * n)`` state
-    stays bounded; chunk size never changes the results.  On NumPy each
-    sub-chunk is one :func:`unrank_batch`, one gather of all ``k``
-    generator images (``perms[:, generators]``) and one fused Lehmer encode
-    of the ``chunk * k`` moved rows.  Under ``REPRO_BACKEND=numba`` each
-    sub-chunk runs one fused compiled unrank/apply/rank loop; the NumPy path
-    is the bit-identical parity oracle.  *generators* are validated exactly
+    stays bounded; chunk size never changes the results.  Each sub-chunk is
+    one :func:`unrank_batch`, one gather of all ``k`` generator images
+    (``perms[:, generators]``) and one fused Lehmer encode of the
+    ``chunk * k`` moved rows.  *generators* are validated exactly
     like the table builders' (:func:`move_tables_for`), so implicit blocks
     and tables can never disagree about a legal generator set.
     """
     require_int64_rank_degree(n)
     generators = tuple(tuple(generator) for generator in generators)
     _check_generators(generators, n)
-    from repro.backend import resolve_chunk_nodes, use_numba
+    from repro.backend import resolve_chunk_nodes
 
     if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
         ranks = list(ranks)
@@ -543,20 +503,12 @@ def implicit_neighbor_block(
     out = _np.empty((m, len(generators)), dtype=_np.int64)
     chunk = resolve_chunk_nodes(chunk_nodes)
     columns = _np.asarray(generators, dtype=_np.int64).reshape(len(generators), n)
-    kernel = None
-    if use_numba():
-        from repro._numba_kernels import implicit_neighbors_kernel as kernel
-
-        fact = _np.asarray(factorials(n), dtype=_np.int64)
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
-        if kernel is not None:
-            out[start:stop] = kernel(ranks[start:stop], columns, fact)
-        else:
-            perms = unrank_batch(ranks[start:stop], n)
-            out[start:stop] = _rank_rows_numpy(
-                perms[:, columns].reshape(-1, n)
-            ).reshape(stop - start, len(generators))
+        perms = unrank_batch(ranks[start:stop], n)
+        out[start:stop] = _rank_rows_numpy(
+            perms[:, columns].reshape(-1, n)
+        ).reshape(stop - start, len(generators))
     return out
 
 
@@ -564,11 +516,10 @@ def permutations_slice(start: int, stop: int, n: int):
     """Rows ``start .. stop-1`` of :func:`all_permutations_array`, streamed.
 
     The contiguous special case of :func:`unrank_batch`, used by the chunked
-    whole-graph sweeps and the on-disk table builds (:mod:`repro.tables`) to
-    walk all ``n!`` permutations one block at a time.  Table-free, so it is
-    *not* bounded by the table tiers: any degree whose ranks fit in int64
-    works (``n <= 20``, :func:`require_int64_rank_degree` -- ``21!``
-    overflows int64 and raises the canonical
+    whole-graph sweeps to walk all ``n!`` permutations one block at a time.
+    Table-free, so it is *not* bounded by the table degree: any degree whose
+    ranks fit in int64 works (``n <= 20``, :func:`require_int64_rank_degree`
+    -- ``21!`` overflows int64 and raises the canonical
     :class:`~repro.exceptions.TableDegreeError`).
     """
     require_int64_rank_degree(n)
@@ -647,19 +598,9 @@ def move_tables_for(generators: Tuple[Tuple[int, ...], ...], n: int) -> Tuple:
     The cache is LRU-bounded: one entry can reach hundreds of megabytes at
     the top degrees, so sweeps over many distinct generator sets must not
     pin every table set forever.
-
-    Above :data:`MAX_DENSE_DEGREE` the tables are not built in RAM at all:
-    they come back as read-only ``np.memmap`` column views of the on-disk
-    cache (:func:`repro.tables.memmap_move_tables`), built once per
-    ``(generators, n)`` and paged in on demand -- the API and the entries are
-    identical, only the residence changes.
     """
     require_table_degree(n)
     _check_generators(generators, n)
-    if n > MAX_DENSE_DEGREE:
-        from repro.tables import memmap_move_tables
-
-        return memmap_move_tables(generators, n)
     perms = all_permutations_array(n)
     tables = []
     for generator in generators:

@@ -68,8 +68,8 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chun
         array.
 
     This is the shared chunked frontier sweep
-    :func:`repro.topology.routing.index_bfs_distances` (memmap-friendly,
-    ``REPRO_BACKEND=numba``-dispatched) restricted to the alive mask, fed by
+    :func:`repro.topology.routing.index_bfs_distances` restricted to the
+    alive mask, fed by
     ``topology.neighbor_source()`` -- a materialised table or the table-free
     implicit source, per ``REPRO_NEIGHBORS``.
     """

@@ -71,6 +71,10 @@ __all__ = [
 #: form (that is the "pancake number" problem).
 SAMPLING_FAMILIES: Tuple[str, ...] = ("star", "bubble-sort", "hypercube")
 
+#: Largest pancake size the estimator resolves with one exact whole-graph
+#: sweep (12! nodes); larger sizes use the depth-capped ball.
+_EXACT_PANCAKE_MAX_SIZE = 12
+
 
 def _check_family(family: str) -> None:
     if family not in SAMPLING_FAMILIES:
@@ -101,7 +105,10 @@ def family_num_nodes(family: str, size: int) -> int:
             )
         return 1 << size
     check_positive_int(size, "size", minimum=2)
-    from repro.permutations.ranking import factorials, require_int64_rank_degree
+    from repro.permutations.ranking import (
+        factorials,
+        require_int64_rank_degree,
+    )
 
     require_int64_rank_degree(size)
     return factorials(size)[size]
@@ -370,7 +377,7 @@ class PancakeDistanceEstimate:
 
     Pancake distance has no closed form, so this estimate comes from BFS:
     exact when a whole-graph identity sweep is feasible
-    (``size <= MAX_TABLE_DEGREE``, ``exact=True``), otherwise from a
+    (``size <= 12``, ``exact=True``), otherwise from a
     depth-``max_depth`` truncated identity ball where every unresolved pair
     contributes the certified lower bound ``max_depth + 1``.  The
     ``truncated`` channel is explicit: ``mean`` is the exact sampled mean
@@ -423,8 +430,9 @@ def sampled_pancake_estimate(
     (vertex-transitivity turns every pair into a single-source lookup via
     :func:`pancake_relative_ranks`):
 
-    * ``size <= MAX_TABLE_DEGREE`` and ``max_depth`` unset -- one full
-      sweep; every sampled pair gets its **exact** distance.
+    * ``size <= 12`` and ``max_depth`` unset -- one full sweep over
+      ``graph.neighbor_source()``; every sampled pair gets its **exact**
+      distance.
     * otherwise -- a :func:`repro.topology.routing.bounded_bfs_ball` of
       depth ``max_depth`` (default :func:`default_pancake_depth`); pairs
       whose relative rank falls outside the ball are counted in the
@@ -439,7 +447,6 @@ def sampled_pancake_estimate(
     """
     check_positive_int(samples, "samples", minimum=1)
     from repro.permutations.ranking import (
-        MAX_TABLE_DEGREE,
         factorials,
         require_int64_rank_degree,
     )
@@ -454,7 +461,7 @@ def sampled_pancake_estimate(
     targets = rng.integers(0, num_nodes - 1, size=samples, dtype=_np.int64)
     targets += targets >= sources  # uniform over targets != source
 
-    exact = max_depth is None and size <= MAX_TABLE_DEGREE
+    exact = max_depth is None and size <= _EXACT_PANCAKE_MAX_SIZE
     if max_depth is None and not exact:
         max_depth = default_pancake_depth(size)
     if max_depth is not None:

@@ -3,7 +3,7 @@
 Three primitives, one process-global recorder:
 
 * :func:`span` -- a context manager timing one named operation
-  (``span("kernel.bfs", degree=9, backend=..., neighbor_source=...)``);
+  (``span("kernel.bfs", num_nodes=..., neighbor_source=...)``);
 * :func:`add_counter` -- named increments (cache hits, store writes,
   quarantines), optionally carrying byte sizes;
 * :func:`set_gauge` -- instantaneous measurements (samples/sec).
@@ -19,7 +19,7 @@ aggregation; :doc:`docs/observability` documents the instrumented sites.
 The package also hosts the library's single logging shim
 (:mod:`repro.telemetry.logshim`): library modules log through the ``repro``
 logger (silent by default under a ``NullHandler``), the CLI attaches the
-stderr handler that keeps today's visible messages.
+stderr handler that makes their messages visible.
 
 Tracing never changes results: artifact payloads and keys are byte-identical
 with tracing on or off (the standing serial-parity contract).

@@ -6,14 +6,10 @@ every library diagnostic goes through a child of the ``"repro"`` logger,
 whose only default handler is a :class:`logging.NullHandler` -- silent unless
 the *application* opts in.  The CLI opts in at startup via
 :func:`enable_stderr_logging`, whose ``[%(name)s] %(message)s`` format
-reproduces the historical stderr lines (``[repro.tables] building ...``)
-exactly.
+prefixes each line with the emitting logger (``[repro.<module>] ...``).
 
-Routed through here (PR 9):
-
-* the warn-once ``REPRO_BACKEND=numba``-requested-but-missing fallback
-  (:func:`repro.backend.use_numba`);
-* the >=256 MiB move-table build notice (:func:`repro.tables.build_move_tables`).
+No library module logs at present; the shim is the one sanctioned channel
+for library diagnostics.
 """
 
 from __future__ import annotations

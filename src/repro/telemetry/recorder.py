@@ -1,7 +1,7 @@
 """The process-global trace recorder: spans, counters and gauges.
 
-The stack makes many silent runtime decisions -- backend dispatch, neighbour
-source selection, chunk sizing, table tiers, artifact cache hits, shard
+The stack makes many silent runtime decisions -- neighbour source
+selection, chunk sizing, table tiers, artifact cache hits, shard
 retries -- and this module is how they become visible.  Instrumented sites
 call :func:`span` / :func:`add_counter` / :func:`set_gauge`; with tracing
 disabled (the default) each call costs **one attribute check** and returns a

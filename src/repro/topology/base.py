@@ -58,6 +58,19 @@ def pack_index_rows(rows: Iterable[Sequence[int]], width: int):
     return table
 
 
+def _column_stack(tables):
+    """Stack move tables as the columns of a read-only ``int64`` table.
+
+    Column ``g`` is ``tables[g]``: the adjacency index table of a regular
+    permutation Cayley graph, shared by the star and generic Cayley builders.
+    """
+    if not tables:
+        return _np.zeros((0, 0), dtype=_np.int64)
+    table = _np.column_stack(tables).astype(_np.int64, copy=False)
+    table.setflags(write=False)
+    return table
+
+
 class Topology(ABC):
     """Abstract undirected interconnection network."""
 

@@ -45,7 +45,7 @@ from repro.permutations.ranking import (
     permutation_rank,
     permutation_unrank,
 )
-from repro.topology.base import Node, Topology
+from repro.topology.base import Node, Topology, _column_stack
 from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = [
@@ -374,10 +374,9 @@ class CayleyGraph(Topology):
     def neighbor_source(self):
         """Adjacency source honouring ``REPRO_NEIGHBORS``.
 
-        ``auto`` serves the cached/memmap table through the table-tier
-        degrees and the table-free implicit source (``unrank -> generator ->
-        rank``) beyond them; see
-        :func:`repro.topology.routing.permutation_neighbor_source`.
+        ``auto`` serves the cached table through the table degrees and the
+        table-free implicit source (``unrank -> generator -> rank``) beyond
+        them; see :func:`repro.topology.routing.permutation_neighbor_source`.
         """
         from repro.topology.routing import permutation_neighbor_source
 
@@ -412,15 +411,9 @@ class CayleyGraph(Topology):
 
         Column ``g`` of the ``(n!, num_generators)`` table is
         ``move_tables()[g]``, exactly the order of :meth:`neighbors`; the
-        graph is regular, so no ``-1`` padding ever appears.  At the
-        memmap-tier degrees the shared on-disk base of the column views is
-        returned directly (:func:`repro.tables.stacked_neighbor_table`) --
-        no dense copy.
+        graph is regular, so no ``-1`` padding ever appears.
         """
-        tables = self.move_tables()
-        from repro.tables import stacked_neighbor_table
-
-        return stacked_neighbor_table(tables)
+        return _column_stack(self.move_tables())
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:

@@ -35,16 +35,14 @@ retained tuple/dict BFS references (see ``tests/topology/test_index_services``).
 
 The NumPy sweeps process node-index blocks of ``REPRO_CHUNK_NODES`` at a time
 (:func:`index_bfs_distances`, the chunked :func:`star_distances_from`) so
-peak RSS stays bounded through the memmap-tier degrees (11-12, see
-:mod:`repro.tables`), and dispatch to compiled loops under
-``REPRO_BACKEND=numba`` -- both exactly, with the unchunked NumPy path as the
-parity oracle (``tests/tables/``).
+peak RSS stays bounded on large graphs -- exactly, with the unchunked sweep
+as the parity oracle (``tests/tables/``).
 
 The neighbour-source seam
 -------------------------
 Since PR 8 the whole-graph kernels no longer insist on a materialised
 adjacency table: they consume a :class:`NeighborSource`, which serves
-neighbour-index blocks either from a dense/memmap table
+neighbour-index blocks either from an in-RAM table
 (:class:`TableNeighborSource`) or computed on the fly as
 ``unrank -> apply generator -> rank`` with no table anywhere
 (:class:`ImplicitNeighborSource`, backed by
@@ -172,19 +170,17 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
     closed form ``d = m + c - 2*[position 0 displaced]`` (``m`` displaced
     positions, ``c`` non-trivial cycles of the relative permutation) is
     evaluated for all ``n!`` targets in rank-block sweeps: each block's
-    permutations come as views of the cached population array at dense-tier
-    degrees, or are unranked on the fly above it
+    permutations come as views of the cached population array within the
+    table degree, or are unranked on the fly above it
     (:func:`~repro.permutations.ranking.permutations_slice` -- no ``(n!, n)``
-    array is materialised at the memmap tier), the relative mappings are
+    array is materialised there), the relative mappings are
     gathered, displaced positions are counted with one comparison, and the
     non-trivial cycle count comes from pointer-doubling cycle-minima (a
     position is counted once per cycle, at the cycle's minimum).  Chunking is
     exact -- every ``chunk_nodes`` (default ``REPRO_CHUNK_NODES``) produces
-    bit-identical results -- and is what keeps peak RSS bounded through the
-    memmap-tier degrees.  With ``REPRO_BACKEND=numba`` each block runs the
-    compiled per-row cycle walk instead of the pointer-doubling oracle.
-    Degrees whose ranks overflow int64 (``n > 20``) raise the canonical
-    :class:`~repro.exceptions.TableDegreeError`
+    bit-identical results -- and is what keeps peak RSS bounded above the
+    table degree.  Degrees whose ranks overflow int64 (``n > 20``) raise the
+    canonical :class:`~repro.exceptions.TableDegreeError`
     (:func:`~repro.permutations.ranking.require_int64_rank_degree`).
     """
     source = tuple(origin)
@@ -192,30 +188,27 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
         raise InvalidParameterError(f"{source!r} is not a permutation")
     n = len(source)
 
-    from repro.backend import resolve_chunk_nodes, use_numba
+    from repro.backend import resolve_chunk_nodes
     from repro.permutations.ranking import (
-        MAX_DENSE_DEGREE,
         all_permutations_array,
         factorials,
         permutations_slice,
         require_int64_rank_degree,
+        within_table_degree,
     )
 
     require_int64_rank_degree(n)
-    kernel = None
-    if use_numba():
-        from repro._numba_kernels import cycle_distances_kernel as kernel
-
-    if n <= MAX_DENSE_DEGREE:
-        # Dense tier: rank blocks are views of the cached population
-        # array -- no per-call unranking.
+    dense = within_table_degree(n)
+    if dense:
+        # Rank blocks are views of the cached population array -- no
+        # per-call unranking.
         perms_all = all_permutations_array(n)
 
         def perm_block(start, stop):
             return perms_all[start:stop]
 
     else:
-        # Memmap tier: no (n!, n) array exists; unrank on the fly.
+        # No (n!, n) array exists; unrank on the fly.
         def perm_block(start, stop):
             return permutations_slice(start, stop, n)
 
@@ -228,8 +221,7 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
         degree=n,
         num_nodes=total,
         chunks=-(-total // chunk),
-        backend="numba" if kernel is not None else "numpy",
-        tier="dense" if n <= MAX_DENSE_DEGREE else "streamed",
+        tier="dense" if dense else "streamed",
     ):
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
@@ -237,10 +229,7 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
             # positions[r, s] = index of symbol s in row r
             positions = _np.argsort(perms, axis=1)
             mapping = positions[:, source_columns].astype(_np.int64)
-            if kernel is not None:
-                distances[start:stop] = kernel(mapping)
-            else:
-                distances[start:stop] = _cycle_structure_distances(mapping)
+            distances[start:stop] = _cycle_structure_distances(mapping)
     return distances
 
 
@@ -394,8 +383,8 @@ class NeighborSource:
     """Where a whole-graph kernel reads adjacency from (the PR-8 seam).
 
     A source answers block queries over node indices instead of exposing one
-    giant array, so the same frontier sweeps serve dense tables, memmap
-    tables and table-free implicit adjacency unchanged:
+    giant array, so the same frontier sweeps serve in-RAM tables and
+    table-free implicit adjacency unchanged:
 
     * ``num_nodes`` / ``width`` -- graph size and max degree;
     * ``neighbor_block(indices)`` -- the ``(m, width)`` neighbour-index rows
@@ -404,8 +393,7 @@ class NeighborSource:
       a scalar generator index or a per-row generator-index array (the shape
       the batched embedding tally gathers);
     * ``table`` -- the materialised ``(num_nodes, width)`` array when one
-      exists, else ``None`` (kernels use it to decide whether a whole-graph
-      compiled sweep may run over a single array).
+      exists, else ``None``.
 
     Sources are exact and interchangeable: for the same graph every source
     returns identical blocks, which the parity suite enforces.
@@ -421,7 +409,7 @@ class NeighborSource:
 
 
 class TableNeighborSource(NeighborSource):
-    """Adjacency served from a materialised (dense or memmap) index table."""
+    """Adjacency served from a materialised index table."""
 
     def __init__(self, table, num_nodes=None):
         self._table = table
@@ -443,7 +431,7 @@ class TableNeighborSource(NeighborSource):
         return int(self._table.shape[1])
 
     def neighbor_block(self, indices):
-        """Rows ``table[indices]`` -- a fancy-index gather (memmap pages in)."""
+        """Rows ``table[indices]`` -- a fancy-index gather."""
         return self._table[_np.asarray(indices, dtype=_np.int64)]
 
     def neighbor_along(self, indices, generators):
@@ -461,11 +449,8 @@ class ImplicitNeighborSource(NeighborSource):
 
     Blocks are computed on demand as ``unrank -> apply generator -> rank``
     (:func:`repro.permutations.ranking.implicit_neighbor_block`); nothing is
-    materialised in RAM or on disk, so the source works at any degree whose
-    ranks fit in int64 (``n <= 20``) -- past the memmap-table ceiling.
-    ``table`` is ``None``: kernels that want one compiled whole-graph sweep
-    fall back to the chunked frontier, whose per-block work still dispatches
-    to numba under ``REPRO_BACKEND=numba``.
+    materialised, so the source works at any degree whose ranks fit in
+    int64 (``n <= 20``) -- past the table ceiling.  ``table`` is ``None``.
     """
 
     def __init__(self, generators, n: int):
@@ -538,13 +523,13 @@ def permutation_neighbor_source(generators, n: int, table_supplier) -> NeighborS
     """Select the adjacency source for a permutation Cayley graph.
 
     ``REPRO_NEIGHBORS`` decides (read at call time): ``table`` always serves
-    the materialised/memmap table from *table_supplier* (raising the usual
+    the materialised table from *table_supplier* (raising the usual
     :class:`~repro.exceptions.TableDegreeError` past the table ceiling),
     ``implicit`` always computes blocks on the fly, and ``auto`` -- the
     default -- uses tables through
     :data:`~repro.permutations.ranking.MAX_TABLE_DEGREE` and switches to the
-    implicit source beyond it, which is what makes degree-13+ sweeps possible
-    with no table on disk.
+    implicit source beyond it, which is what makes degree-11+ sweeps possible
+    with no table at all.
     """
     from repro.backend import neighbor_mode
     from repro.permutations.ranking import within_table_degree
@@ -575,49 +560,23 @@ def index_bfs_distances(
     as ``flatnonzero(distances == level)`` -- the same sorted node set the
     unchunked ``np.unique`` sweep produced, so chunking is bit-exact while
     per-level gathers stay ``O(chunk * degree)``.  *table* may be an in-RAM
-    array, a memmap (the out-of-core tier pages rows in on demand) or any
-    :class:`NeighborSource` -- including the table-free implicit source,
-    which computes each frontier block's neighbours on the fly.
+    array or any :class:`NeighborSource` -- including the table-free implicit
+    source, which computes each frontier block's neighbours on the fly.
 
     ``alive_mask`` (boolean, indexed by node) restricts the sweep to
     surviving nodes; dead nodes are impassable and keep distance ``-1``.
-    With ``REPRO_BACKEND=numba`` and a materialised table the whole sweep
-    runs as one compiled array-queue BFS (BFS levels are unique, so traversal
-    order cannot change the distances); for table-free sources the chunked
-    frontier runs instead and each block's ``unrank -> apply -> rank`` work
-    dispatches to the compiled implicit-neighbour kernel.
     """
-    from repro.backend import resolve_chunk_nodes, use_numba
+    from repro.backend import resolve_chunk_nodes
 
     source = as_neighbor_source(table, num_nodes)
-    sp = telemetry.span(
+    chunk = resolve_chunk_nodes(chunk_nodes)
+    with telemetry.span(
         "kernel.bfs",
         num_nodes=int(num_nodes),
         neighbor_source="table" if source.table is not None else "implicit",
         masked=alive_mask is not None,
-    )
-    if use_numba() and source.table is not None:
-        with sp:
-            sp.add(backend="numba", mode="whole_graph")
-            from repro._numba_kernels import bfs_distances_kernel
-
-            mask = (
-                alive_mask
-                if alive_mask is not None
-                else _np.ones(num_nodes, dtype=bool)
-            )
-            distances = bfs_distances_kernel(
-                _np.asarray(source.table),
-                int(origin_index),
-                _np.asarray(mask, dtype=bool),
-            )
-            if telemetry.trace_enabled():
-                sp.add(reached=int((distances >= 0).sum()))
-            return distances
-
-    chunk = resolve_chunk_nodes(chunk_nodes)
-    with sp:
-        sp.add(backend="numpy", mode="frontier", chunk_nodes=chunk)
+        chunk_nodes=chunk,
+    ) as sp:
         blocks = 0
         distances = _np.full(num_nodes, -1, dtype=_np.int64)
         distances[origin_index] = 0

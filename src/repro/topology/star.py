@@ -29,7 +29,7 @@ from repro.permutations.ranking import (
     permutation_rank,
     permutation_unrank,
 )
-from repro.topology.base import Node, Topology
+from repro.topology.base import Node, Topology, _column_stack
 from repro.topology.routing import star_distance, star_distances_from, star_route
 from repro.utils.validation import check_in_range, check_positive_int
 
@@ -172,15 +172,9 @@ class StarGraph(Topology):
         Column ``j - 1`` of the ``(n!, n - 1)`` table is ``move_tables()[j-1]``,
         so row ``rank`` lists the neighbour ranks along ``g_1 .. g_{n-1}`` --
         exactly the order of :meth:`neighbors`.  The graph is regular, so no
-        ``-1`` padding ever appears.  At the memmap-tier degrees the tables
-        are column views of one on-disk array, and that shared base *is* the
-        adjacency table -- no dense copy is stacked
-        (:func:`repro.tables.stacked_neighbor_table`).
+        ``-1`` padding ever appears.
         """
-        tables = move_tables(self._n)
-        from repro.tables import stacked_neighbor_table
-
-        return stacked_neighbor_table(tables)
+        return _column_stack(move_tables(self._n))
 
     def move_tables(self) -> Tuple:
         """The per-degree generator move tables (cached, shared across instances).
@@ -194,10 +188,9 @@ class StarGraph(Topology):
     def neighbor_source(self):
         """Adjacency source honouring ``REPRO_NEIGHBORS``.
 
-        ``auto`` serves the cached/memmap table through the table-tier
-        degrees and the table-free implicit source (``unrank -> g_j ->
-        rank``) beyond them; see
-        :func:`repro.topology.routing.permutation_neighbor_source`.
+        ``auto`` serves the cached table through the table degrees and the
+        table-free implicit source (``unrank -> g_j -> rank``) beyond
+        them; see :func:`repro.topology.routing.permutation_neighbor_source`.
         """
         from repro.permutations.ranking import star_position_generators
         from repro.topology.routing import permutation_neighbor_source

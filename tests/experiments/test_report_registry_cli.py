@@ -194,6 +194,13 @@ class TestCli:
         assert len(artifacts) == len(EXPERIMENTS)
         assert all(claim_verdict(a["summary"]) for a in artifacts)
 
+    @pytest.mark.parametrize("args", [["build", "8"], ["list"], ["clear"]])
+    def test_retired_tables_subcommand_is_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tables", *args])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tables'" in capsys.readouterr().err
+
     def test_run_unknown_experiment_exits_2_readably(self, capsys):
         """Library errors become one readable stderr line, not a traceback."""
         assert main(["run", "UNKNOWN"]) == 2

@@ -11,7 +11,6 @@ from repro.exceptions import (
     TableDegreeError,
 )
 from repro.permutations.ranking import (
-    MAX_DENSE_DEGREE,
     MAX_TABLE_DEGREE,
     all_permutations,
     all_permutations_array,
@@ -100,24 +99,15 @@ class TestAllPermutations:
 
 
 class TestTableDegreeGuard:
-    """The unified two-tier table overflow path (one exception type)."""
-
-    def test_tiers_are_ordered(self):
-        assert MAX_DENSE_DEGREE < MAX_TABLE_DEGREE
+    """The unified table overflow path (one exception type)."""
 
     def test_within_table_degree_boundary(self):
+        assert MAX_TABLE_DEGREE == 10
         assert within_table_degree(MAX_TABLE_DEGREE)
         assert not within_table_degree(MAX_TABLE_DEGREE + 1)
 
-    def test_within_dense_degree_boundary(self):
-        assert within_table_degree(MAX_DENSE_DEGREE, dense=True)
-        assert not within_table_degree(MAX_DENSE_DEGREE + 1, dense=True)
-        # The memmap tier covers the dense range too.
-        assert within_table_degree(MAX_DENSE_DEGREE + 1)
-
     def test_require_table_degree_passes_in_range(self):
         require_table_degree(MAX_TABLE_DEGREE)  # must not raise
-        require_table_degree(MAX_DENSE_DEGREE, dense=True)
 
     def test_every_table_entry_point_raises_the_same_error(self):
         over = MAX_TABLE_DEGREE + 1
@@ -137,8 +127,8 @@ class TestTableDegreeGuard:
         assert len(messages) == 1
         (message,) = messages
         assert message.startswith(
-            f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE} "
-            f"even memmap-streamed from the on-disk cache, got {over}"
+            f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE}, "
+            f"got {over}"
         )
         assert "REPRO_NEIGHBORS=implicit" in message
         assert "repro.simulation.sampling" in message
@@ -148,19 +138,6 @@ class TestTableDegreeGuard:
         assert "repro.simulation.sampled_campaign" in message
         assert "SAMPLED-FAULT" in message
         assert "SAMPLED-STRETCH" in message
-
-    def test_dense_tier_message_names_ceiling_and_cache_remedy(self):
-        over = MAX_DENSE_DEGREE + 1
-        with pytest.raises(TableDegreeError) as excinfo:
-            require_table_degree(over, dense=True)
-        message = str(excinfo.value)
-        assert f"n <= {MAX_DENSE_DEGREE}" in message
-        assert "REPRO_TABLE_CACHE" in message
-        assert f"repro-star tables build {over}" in message
-        # all_permutations_array materialises whole n! arrays: dense tier.
-        with pytest.raises(TableDegreeError) as excinfo:
-            all_permutations_array(over)
-        assert str(excinfo.value) == message
 
     def test_table_degree_error_is_an_invalid_parameter_error(self):
         # Pre-unification callers caught InvalidParameterError; they still can.

@@ -4,21 +4,13 @@
 against throughput -- these tests sweep pathological chunk sizes (1, a small
 prime, larger than the whole graph) over every streamed kernel and demand
 array equality with the unchunked result, plus unit coverage of the
-``repro.backend`` selection knobs themselves.
+``REPRO_CHUNK_NODES`` knob itself.
 """
-
-import logging
 
 import numpy as np
 import pytest
 
-import repro.backend as backend
-from repro.backend import (
-    DEFAULT_CHUNK_NODES,
-    backend_name,
-    resolve_chunk_nodes,
-    use_numba,
-)
+from repro.backend import DEFAULT_CHUNK_NODES, resolve_chunk_nodes
 from repro.embedding.metrics import (
     _build_mesh_to_star_edge_data,
     measure_embedding,
@@ -150,44 +142,6 @@ class TestEmbeddingChunks:
                 monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
                 # Fresh instance: the edge data is cached per embedding.
                 assert measure_embedding(MeshToStarEmbedding(n)) == oracle
-
-
-class TestBackendSelection:
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_name() == "numpy"
-        assert use_numba() is False
-
-    def test_backend_env_is_normalised_and_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  NumPy ")
-        assert backend_name() == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(InvalidParameterError):
-            backend_name()
-
-    def test_numba_request_without_numba_warns_once_and_falls_back(
-        self, monkeypatch, caplog
-    ):
-        # The warn-once fallback goes through the telemetry logging shim
-        # (PR 9): a library-silent "repro.backend" warning, not a raw
-        # warnings.warn -- the CLI's stderr handler is what makes it visible.
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        monkeypatch.setattr(backend, "numba_available", lambda: False)
-        monkeypatch.setattr(backend, "_warned_numba_missing", False)
-        with caplog.at_level(logging.WARNING, logger="repro.backend"):
-            assert use_numba() is False
-            assert any(
-                "falling back to the numpy" in record.getMessage()
-                for record in caplog.records
-            )
-            caplog.clear()
-            assert use_numba() is False  # a second call must stay silent
-            assert not caplog.records
-
-    def test_numba_request_with_numba_dispatches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        monkeypatch.setattr(backend, "numba_available", lambda: True)
-        assert use_numba() is True
 
 
 class TestResolveChunkNodes:

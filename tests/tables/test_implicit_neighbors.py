@@ -19,12 +19,10 @@ import pytest
 
 from repro.backend import NEIGHBOR_MODES, neighbor_mode
 from repro.exceptions import InvalidParameterError, TableDegreeError
-from repro.permutations import ranking
 from repro.permutations.ranking import (
     MAX_INT64_RANK_DEGREE,
     MAX_TABLE_DEGREE,
     implicit_neighbor_block,
-    move_tables,
     move_tables_for,
     permutation_rank,
     permutation_unrank,
@@ -63,8 +61,8 @@ class TestRankBatch:
 
     @pytest.mark.parametrize("n", [8, 12, 13, 14])
     def test_round_trips_random_ranks(self, n):
-        # Degrees straddle the table ceiling on purpose: 13 and 14 have no
-        # tables at all, only the table-free batch pair.
+        # Degrees straddle the table ceiling on purpose: 12, 13 and 14 have
+        # no tables at all, only the table-free batch pair.
         total = math.factorial(n)
         ranks = _rng(90 + n).integers(0, total, size=512, dtype=np.int64)
         perms = unrank_batch(ranks, n)
@@ -171,7 +169,7 @@ class TestInt64RankGuard:
             assert "int64" in str(excinfo.value)
 
     def test_table_free_helpers_work_past_the_table_ceiling(self):
-        n = MAX_TABLE_DEGREE + 1  # 13: no table may exist at this degree
+        n = MAX_TABLE_DEGREE + 1  # 11: no table may exist at this degree
         rows = permutations_slice(0, 4, n)
         for rank, row in enumerate(rows):
             assert tuple(map(int, row)) == permutation_unrank(rank, n)
@@ -235,25 +233,6 @@ class TestImplicitBlockParity:
         generators = star_position_generators(4)
         with pytest.raises(InvalidParameterError):
             implicit_neighbor_block([24], generators, 4)
-
-    def test_memmap_tier_parity(self, tmp_path, monkeypatch):
-        """Implicit blocks match the out-of-core memmap tables bit for bit."""
-        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
-        monkeypatch.setattr(ranking, "MAX_DENSE_DEGREE", 4)
-        move_tables_for.cache_clear()
-        move_tables.cache_clear()
-        try:
-            generators = star_position_generators(6)
-            streamed = move_tables_for(generators, 6)
-            assert all(isinstance(t, np.memmap) for t in streamed)
-            ranks = np.arange(math.factorial(6), dtype=np.int64)
-            block = implicit_neighbor_block(ranks, generators, 6)
-            assert np.array_equal(
-                block, np.column_stack([np.asarray(t) for t in streamed])
-            )
-        finally:
-            move_tables_for.cache_clear()
-            move_tables.cache_clear()
 
 
 class TestNeighborSourceSeam:
@@ -353,6 +332,13 @@ class TestModeSelection:
             star_position_generators(5), 5, StarGraph(5).neighbor_index_table
         )
         assert isinstance(source, TableNeighborSource)
+        # Past the table bound a forced table raises instead of going implicit.
+        with pytest.raises(TableDegreeError):
+            permutation_neighbor_source(
+                star_position_generators(11),
+                11,
+                StarGraph(11).neighbor_index_table,
+            )
 
     def test_topology_entry_points(self, monkeypatch):
         monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")

@@ -334,8 +334,8 @@ class TestSummarize:
 
 class TestLogshim:
     def test_get_logger_namespacing(self):
-        logger = telemetry.get_logger("tables")
-        assert logger.name == "repro.tables"
+        logger = telemetry.get_logger("store")
+        assert logger.name == "repro.store"
 
     def test_root_logger_has_null_handler(self):
         root = logging.getLogger(telemetry.LOGGER_NAME)
@@ -362,7 +362,7 @@ class TestLogshim:
     def test_handler_formats_with_logger_name(self, capsys):
         handler = telemetry.enable_stderr_logging()
         try:
-            telemetry.get_logger("tables").info("building something")
-            assert "[repro.tables] building something" in capsys.readouterr().err
+            telemetry.get_logger("store").info("writing something")
+            assert "[repro.store] writing something" in capsys.readouterr().err
         finally:
             telemetry.disable_stderr_logging()

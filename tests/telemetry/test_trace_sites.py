@@ -3,7 +3,7 @@
 Two contracts per layer:
 
 * **Coverage** -- enabling the recorder around a representative call of each
-  instrumented site (kernels, table cache, artifact store, sharded runner,
+  instrumented site (kernels, artifact store, sharded runner,
   simulation campaigns, pair sampling) produces events that pass
   :func:`repro.telemetry.validate_trace_events` and carry the documented
   names and attributes.
@@ -21,10 +21,8 @@ from repro.embedding.metrics import measure_embedding
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.runner import plan_shards, run_shards
-from repro.permutations.ranking import star_position_generators
 from repro.simulation.campaign import connectivity_campaign, stretch_campaign
 from repro.simulation.sampling import sampled_pair_distances
-from repro.tables import build_move_tables, open_move_tables
 from repro.topology.routing import index_bfs_distances, star_distances_from
 from repro.topology.star import StarGraph
 
@@ -65,7 +63,7 @@ class TestKernelSites:
         assert attrs["degree"] == 5
         assert attrs["num_nodes"] == 120
         assert attrs["tier"] == "dense"
-        assert attrs["backend"] in ("numpy", "numba")
+        assert "backend" not in attrs
         assert attrs["chunks"] >= 1
 
     def test_bfs_span_table_source(self, trace):
@@ -76,10 +74,9 @@ class TestKernelSites:
         assert attrs["num_nodes"] == 24
         assert attrs["neighbor_source"] == "table"
         assert attrs["masked"] is False
-        assert attrs["mode"] in ("frontier", "whole_graph")
+        assert "backend" not in attrs and "mode" not in attrs
         assert attrs["reached"] == 24
-        if attrs["mode"] == "frontier":
-            assert attrs["chunks"] >= 1 and attrs["levels"] >= 1
+        assert attrs["chunks"] >= 1 and attrs["levels"] >= 1
 
     def test_bfs_span_implicit_source(self, trace, monkeypatch):
         monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
@@ -111,30 +108,7 @@ class TestKernelSites:
         assert attrs["neighbor_source"] in ("table", "implicit")
         assert attrs["guest_edges"] > 0
         assert attrs["chunks"] >= 1
-
-
-class TestTableSites:
-    def test_build_cache_hit_open(self, trace, tmp_path):
-        generators = star_position_generators(5)
-        cache = tmp_path / "tables"
-        build_move_tables(generators, 5, cache_dir=cache)
-        build_move_tables(generators, 5, cache_dir=cache)  # reuse
-        open_move_tables(generators, 5, cache_dir=cache)
-        events = trace()
-
-        (build,) = _by_name(events, "tables.build")
-        assert build["attrs"]["n"] == 5
-        assert build["attrs"]["num_generators"] == len(generators)
-        assert build["attrs"]["bytes"] == 120 * len(generators) * 8
-
-        # Two hits: the explicit rebuild, and open_move_tables routing
-        # through build_move_tables against the existing file.
-        hits = _by_name(events, "tables.cache_hit")
-        assert len(hits) == 2
-        assert all(e["attrs"]["n"] == 5 and e["attrs"]["bytes"] > 0 for e in hits)
-
-        (opened,) = _by_name(events, "tables.open")
-        assert opened["attrs"]["file"] == build["attrs"]["file"]
+        assert "backend" not in attrs
 
 
 class TestRunnerSites:

@@ -15,8 +15,10 @@ bit-identical to the retained tuple/dict BFS references --
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.permutations.ranking import move_tables
 from repro.topology.cayley import (
     BubbleSortGraph,
     PancakeGraph,
@@ -40,6 +42,7 @@ from repro.topology.routing import (
     star_distance,
     star_distances_between,
 )
+from repro.topology.base import _column_stack
 from repro.topology.star import StarGraph
 
 
@@ -85,6 +88,50 @@ class TestNeighborIndexTable:
         for index in range(topology.num_nodes):
             node = topology.node_from_index(index)
             assert int(degrees[index]) == topology.degree(node)
+
+
+class TestColumnStack:
+    """The shared move-table stacker behind the star and Cayley tables."""
+
+    def test_stacks_plain_tuples_read_only(self):
+        tables = move_tables(5)
+        stacked = _column_stack(tables)
+        assert stacked.dtype == np.int64
+        assert not stacked.flags.writeable
+        assert np.array_equal(stacked, np.column_stack(tables))
+
+    def test_empty_tuple(self):
+        assert _column_stack(()).shape == (0, 0)
+
+    def test_columns_follow_table_order_and_widen_to_int64(self):
+        first = np.array([1, 0, 3, 2], dtype=np.int32)
+        second = np.array([2, 3, 0, 1], dtype=np.int32)
+        stacked = _column_stack((first, second))
+        assert stacked.shape == (4, 2)
+        assert stacked.dtype == np.int64
+        assert np.array_equal(stacked[:, 0], first)
+        assert np.array_equal(stacked[:, 1], second)
+
+    def test_result_does_not_alias_its_inputs(self):
+        column = np.array([1, 0], dtype=np.int64)
+        stacked = _column_stack((column,))
+        column[0] = 7
+        assert stacked.tolist() == [[1], [0]]
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            StarGraph(4),
+            PancakeGraph(4),
+            BubbleSortGraph(4),
+            TranspositionCayleyGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+        ],
+        ids=repr,
+    )
+    def test_permutation_graph_tables_are_the_stacked_move_tables(self, topology):
+        table = topology.neighbor_index_table()
+        assert not table.flags.writeable
+        assert np.array_equal(table, _column_stack(topology.move_tables()))
 
 
 @pytest.mark.parametrize("topology", small_topologies(), ids=repr)
