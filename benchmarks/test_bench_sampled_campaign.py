@@ -15,7 +15,13 @@ Ablation pairs quantify the PR-10 design decisions:
 * micro rows for the campaign's own shape: the **S_13 depth-4 ball**, whose
   truncation probe stops at the first escaping frontier row, and
   ``rank_batch`` / ``unrank_batch`` on one 14 k-row S_13 block (the size of
-  a depth-4 frontier).
+  a depth-4 frontier);
+* **rank-keyed vs packed-key** neighbour blocks on that same block — the
+  ``unrank -> gather -> rank`` rows against the key-space
+  ``unpack -> gather -> pack`` rows the bounded ball now grows with (the
+  same neighbours, decoded);
+* the **P_13 depth-6 estimate** — the truncated pancake estimator, whose
+  1.18 M-node identity ball is grown in key space and never ranked.
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
 S_13 on the implicit backend — the acceptance-scale campaign.
@@ -116,6 +122,28 @@ def test_rank_batch_s13_block(benchmark, s13_block):
     assert np.array_equal(benchmark(rank_batch, perms), ranks)
 
 
+# ------------------------------------------------ rank-keyed vs packed keys
+@pytest.fixture(scope="module")
+def s13_source():
+    return ImplicitNeighborSource(star_position_generators(13), 13)
+
+
+def test_neighbor_block_s13_rank_keyed(benchmark, s13_block, s13_source):
+    """Ablation (a): the 14 k-row block's neighbour ranks (unrank, gather, rank)."""
+    ranks, _ = s13_block
+    block = benchmark(s13_source.neighbor_block, ranks)
+    assert block.shape == (ranks.size, 12)
+
+
+def test_neighbor_block_s13_packed_keys(benchmark, s13_block, s13_source):
+    """Ablation (b): the same neighbours as packed keys (unpack, gather, pack)."""
+    ranks, _ = s13_block
+    keys = s13_source.encode(ranks)
+    block = benchmark(s13_source.neighbor_keys, keys)
+    decoded = s13_source.decode(block.reshape(-1)).reshape(block.shape)
+    assert np.array_equal(decoded, s13_source.neighbor_block(ranks))
+
+
 def test_sampled_fault_point_s7(benchmark, star7):
     """One seeded fault-campaign point (4 trials x 4 pairs) on S_7."""
 
@@ -138,6 +166,18 @@ def test_sampled_pancake_estimate_exact_p7(benchmark):
     """The exact-tier pancake estimator: 500 pairs against one P_7 sweep."""
     estimate = benchmark(sampled_pancake_estimate, 7, 500, seed=2613)
     assert estimate.exact and estimate.truncated == 0
+
+
+def test_sampled_pancake_estimate_p13_depth6(benchmark):
+    """The truncated pancake estimator: 200 pairs against a depth-6 P_13 ball."""
+    estimate = benchmark.pedantic(
+        sampled_pancake_estimate,
+        args=(13, 200),
+        kwargs={"seed": 2613, "max_depth": 6},
+        rounds=3,
+        iterations=1,
+    )
+    assert not estimate.exact and estimate.truncated == 200
 
 
 # --------------------------------------------------------- S_13 heavy row

@@ -31,7 +31,12 @@ This module is the substrate of the rank-indexed fast core:
 * :func:`implicit_neighbor_block` -- neighbour ranks computed on the fly as
   ``unrank -> apply generator -> rank`` with **no table at all**, the
   substrate of the implicit adjacency backend
-  (``REPRO_NEIGHBORS=implicit``, :mod:`repro.topology.routing`).
+  (``REPRO_NEIGHBORS=implicit``, :mod:`repro.topology.routing`);
+* :func:`pack_permutations` / :func:`unpack_permutations` and
+  :func:`ranks_to_keys` / :func:`keys_to_ranks` -- the packed-key space the
+  bounded-ball kernel grows in: a permutation of degree ``n <= 16``
+  (:data:`MAX_PACKED_DEGREE`) packs 4 bits per symbol into one ``uint64``
+  whose order is lexicographic, i.e. rank order.
 
 Tables are bounded by one guard
 (:func:`within_table_degree`/:func:`require_table_degree`): in-RAM tables
@@ -69,6 +74,12 @@ __all__ = [
     "unrank_batch",
     "implicit_neighbor_block",
     "permutations_slice",
+    "pack_permutations",
+    "unpack_permutations",
+    "ranks_to_keys",
+    "keys_to_ranks",
+    "MAX_PACKED_DEGREE",
+    "within_packed_degree",
     "move_tables",
     "move_tables_for",
     "star_position_generators",
@@ -90,6 +101,10 @@ MAX_TABLE_DEGREE = 10
 # vectorised path must defer to exact Python integers.
 MAX_INT64_RANK_DEGREE = 20
 _MAX_INT64_RANK_DEGREE = MAX_INT64_RANK_DEGREE  # retained pre-PR-8 alias
+
+# A packed key spends 4 bits per symbol, so 16 symbols fill one uint64.  A
+# representation limit like MAX_INT64_RANK_DEGREE, not a tuning knob.
+MAX_PACKED_DEGREE = 16
 
 # Degree below which the naive O(n^2) Lehmer loop beats the Fenwick tree's
 # constant factor in CPython.
@@ -439,17 +454,26 @@ def unrank_batch(ranks, n: int):
     (:func:`require_int64_rank_degree`).
     """
     require_int64_rank_degree(n)
+    ranks = _check_rank_array(ranks, n, "unrank_batch")
+    return _unrank_rows(ranks, n)
+
+
+def _check_rank_array(ranks, n: int, caller: str):
+    """*ranks* as a 1-D ``int64`` array, every entry in ``[0, n!)``."""
     if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
         ranks = list(ranks)  # materialise one-shot iterables for asarray
     ranks = _np.asarray(ranks, dtype=_np.int64)
     if ranks.ndim != 1:
-        raise InvalidParameterError("unrank_batch expects a 1-D rank array")
-    fact = factorials(n)
-    total = fact[n]
-    if ranks.size and not (
-        int(ranks.min()) >= 0 and int(ranks.max()) < total
-    ):
+        raise InvalidParameterError(f"{caller} expects a 1-D rank array")
+    total = factorials(n)[n]
+    if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
         raise InvalidParameterError(f"ranks must be in [0, {total})")
+    return ranks
+
+
+def _unrank_rows(ranks, n: int):
+    """The body of :func:`unrank_batch` for an already validated rank array."""
+    fact = factorials(n)
     digits = _np.empty((n, ranks.shape[0]), dtype=_np.int8)
     remainder = ranks
     for i in range(n):
@@ -478,7 +502,7 @@ def implicit_neighbor_block(
     The block is processed in ``chunk_nodes`` sub-chunks (default
     ``REPRO_CHUNK_NODES``) so the transient ``O(chunk * k * n)`` state
     stays bounded; chunk size never changes the results.  Each sub-chunk is
-    one :func:`unrank_batch`, one gather of all ``k`` generator images
+    one unrank, one gather of all ``k`` generator images
     (``perms[:, generators]``) and one fused Lehmer encode of the
     ``chunk * k`` moved rows.  *generators* are validated exactly
     like the table builders' (:func:`move_tables_for`), so implicit blocks
@@ -487,28 +511,30 @@ def implicit_neighbor_block(
     require_int64_rank_degree(n)
     generators = tuple(tuple(generator) for generator in generators)
     _check_generators(generators, n)
+    ranks = _check_rank_array(ranks, n, "implicit_neighbor_block")
+    columns = _np.asarray(generators, dtype=_np.intp).reshape(len(generators), n)
+    return _neighbor_rank_rows(ranks, columns, chunk_nodes)
+
+
+def _neighbor_rank_rows(ranks, columns, chunk_nodes=None):
+    """The body of :func:`implicit_neighbor_block` for validated inputs.
+
+    *ranks* is a 1-D ``int64`` array already known to lie in ``[0, n!)``
+    and *columns* the ``(k, n)`` array of a checked generator set, so
+    ``perms[:, columns]`` gathers every generator image at once.
+    """
     from repro.backend import resolve_chunk_nodes
 
-    if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
-        ranks = list(ranks)
-    ranks = _np.asarray(ranks, dtype=_np.int64)
-    if ranks.ndim != 1:
-        raise InvalidParameterError(
-            "implicit_neighbor_block expects a 1-D rank array"
-        )
-    total = factorials(n)[n]
-    if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
-        raise InvalidParameterError(f"ranks must be in [0, {total})")
+    k, n = columns.shape
     m = ranks.shape[0]
-    out = _np.empty((m, len(generators)), dtype=_np.int64)
+    out = _np.empty((m, k), dtype=_np.int64)
     chunk = resolve_chunk_nodes(chunk_nodes)
-    columns = _np.asarray(generators, dtype=_np.int64).reshape(len(generators), n)
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
-        perms = unrank_batch(ranks[start:stop], n)
+        perms = _unrank_rows(ranks[start:stop], n)
         out[start:stop] = _rank_rows_numpy(
             perms[:, columns].reshape(-1, n)
-        ).reshape(stop - start, len(generators))
+        ).reshape(stop - start, k)
     return out
 
 
@@ -529,6 +555,106 @@ def permutations_slice(start: int, stop: int, n: int):
             f"slice [{start}, {stop}) out of range for degree {n} (n! = {total})"
         )
     return unrank_batch(_np.arange(start, stop, dtype=_np.int64), n)
+
+
+# ------------------------------------------------------------ packed keys
+# Byte b of a key holds positions 2b (high nibble) and 2b + 1 (low nibble),
+# bytes big-endian, so position 0 is the most significant nibble of the
+# uint64 and key order is lexicographic order -- which is rank order.
+# Unpacked symbols are position-major ``(16, m)`` so that gathering
+# generator images copies whole rows.
+_KEY_BYTES = _np.dtype(">u8")
+
+
+def within_packed_degree(n: int) -> bool:
+    """True when a degree-*n* permutation packs into one ``uint64`` key."""
+    return n <= MAX_PACKED_DEGREE
+
+
+def _keys_from_bytes(packed):
+    """``(..., 8)`` big-endian key bytes -> ``(...)`` ``uint64`` keys."""
+    packed = _np.ascontiguousarray(packed)
+    return packed.view(_KEY_BYTES)[..., 0].astype(_np.uint64)
+
+
+def _unpack_nibbles(keys):
+    """``(m,)`` ``uint64`` keys -> ``(16, m)`` ``uint8`` symbols, by position."""
+    packed = _np.asarray(keys, dtype=_np.uint64).astype(_KEY_BYTES)
+    packed = packed.view(_np.uint8).reshape(-1, 8).T
+    nibbles = _np.empty((16, packed.shape[1]), dtype=_np.uint8)
+    _np.right_shift(packed, 4, out=nibbles[0::2])
+    _np.bitwise_and(packed, 15, out=nibbles[1::2])
+    return nibbles
+
+
+def _require_packed_degree(n: int) -> None:
+    if n > MAX_PACKED_DEGREE:
+        raise TableDegreeError(
+            f"packed permutation keys hold n <= {MAX_PACKED_DEGREE} symbols "
+            f"(4 bits each in a uint64), got {n}; use ranks beyond it"
+        )
+
+
+def pack_permutations(perms):
+    """Pack an ``(m, n)`` permutation batch into ``(m,)`` ``uint64`` keys.
+
+    Symbol ``p`` goes to the 4-bit nibble ``15 - p`` (position 0 is the most
+    significant), unused low nibbles stay zero, so comparing keys compares
+    the rows lexicographically: for one degree, key order **is** rank
+    order.  Rows are not validated (fast-core helper); degrees past
+    :data:`MAX_PACKED_DEGREE` raise
+    :class:`~repro.exceptions.TableDegreeError`.
+    """
+    array = _np.asarray(perms)
+    if array.ndim != 2:
+        raise InvalidParameterError(
+            "pack_permutations expects a 2-D batch of permutations"
+        )
+    m, n = array.shape
+    _require_packed_degree(n)
+    nibbles = _np.zeros((16, m), dtype=_np.uint8)
+    nibbles[:n] = array.T
+    return _keys_from_bytes(((nibbles[0::2] << 4) | nibbles[1::2]).T)
+
+
+def unpack_permutations(keys, n: int):
+    """Inverse of :func:`pack_permutations`: the ``(m, n)`` ``int8`` rows."""
+    _require_packed_degree(n)
+    return _np.ascontiguousarray(_unpack_nibbles(keys)[:n].T).view(_np.int8)
+
+
+def ranks_to_keys(ranks, n: int):
+    """The keys the bounded-ball kernel grows in, for degree-*n* ranks.
+
+    ``uint64`` packed permutations (:func:`pack_permutations` of
+    :func:`unrank_batch`) through :data:`MAX_PACKED_DEGREE`; past it the
+    keys **are** the ``int64`` ranks.  Either way key order is rank order,
+    so sorted ranks map to sorted keys.
+    """
+    if within_packed_degree(n):
+        return pack_permutations(unrank_batch(ranks, n))
+    require_int64_rank_degree(n)
+    return _check_rank_array(ranks, n, "ranks_to_keys")
+
+
+def _neighbor_key_rows(keys, columns):
+    """``(m, k)`` neighbour keys of ``(m,)`` packed *keys*, with no rank.
+
+    *columns* is the ``(k, 16)`` array of the generators padded with fixed
+    positions ``n .. 15``.  One unpack, one row gather per nibble half, one
+    pack: the key-space twin of :func:`_neighbor_rank_rows`.
+    """
+    nibbles = _unpack_nibbles(keys)
+    packed = (nibbles << 4)[columns[:, 0::2]]
+    packed |= nibbles[columns[:, 1::2]]  # (k, 8, m): byte b of every image
+    return _keys_from_bytes(packed.transpose(2, 0, 1))
+
+
+def keys_to_ranks(keys, n: int):
+    """Inverse of :func:`ranks_to_keys`: the ``int64`` ranks of *keys*."""
+    if within_packed_degree(n):
+        return rank_batch(_unpack_nibbles(keys)[:n].T)
+    return _np.asarray(keys, dtype=_np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -218,7 +218,8 @@ def sampled_fault_campaign(
                 healthy = bounded_bfs_ball(
                     source, origin, max_depth=depth, chunk_nodes=chunk_nodes
                 )
-                nodes = _np.asarray(healthy.nodes)
+                # Only the drawn faults and targets are decoded to ranks; the
+                # rest of the ball stays in the source's key space.
                 distances = _np.asarray(healthy.distances)
                 if fault_count > healthy.size - 1:
                     raise InvalidParameterError(
@@ -226,23 +227,26 @@ def sampled_fault_campaign(
                         f"non-origin nodes of a depth-{depth} ball; lower the "
                         f"fault count or raise the depth"
                     )
-                origin_position = int(_np.searchsorted(nodes, origin))
+                # The origin is the ball's only node at distance 0.
+                origin_position = int(_np.flatnonzero(distances == 0)[0])
                 fault_positions = [
                     position + (position >= origin_position)
                     for position in rng.sample(range(healthy.size - 1), fault_count)
                 ]
-                faults = _np.sort(nodes[fault_positions]) if fault_count else None
+                faults = (
+                    _np.sort(healthy.nodes_at(fault_positions)) if fault_count else None
+                )
 
                 candidate_mask = (distances >= 1) & (distances <= max_target_depth)
                 if fault_count:
                     candidate_mask[fault_positions] = False
-                candidates = nodes[candidate_mask]
-                candidate_distances = distances[candidate_mask]
+                candidates = _np.flatnonzero(candidate_mask)
+                candidate_distances = distances[candidates]
                 wanted = min(pairs_per_trial, int(candidates.size))
                 if wanted == 0:
                     continue
                 target_positions = rng.sample(range(int(candidates.size)), wanted)
-                targets = candidates[target_positions]
+                targets = healthy.nodes_at(candidates[target_positions])
                 healthy_distances = candidate_distances[target_positions]
 
                 if fault_count == 0:

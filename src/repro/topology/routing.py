@@ -54,6 +54,9 @@ source from ``REPRO_NEIGHBORS`` (``auto`` serves tables through
 is exact: implicit blocks are bit-identical to the table rows, so BFS,
 connectivity floods and embedding tallies return the same arrays from either
 source at every chunk size (``tests/tables/test_implicit_neighbors.py``).
+:func:`bounded_bfs_ball` grows its balls in the source's key space
+(:meth:`NeighborSource.encode`): packed permutations on the implicit source
+through degree 16, node indices everywhere else.
 """
 
 from __future__ import annotations
@@ -397,6 +400,19 @@ class NeighborSource:
 
     Sources are exact and interchangeable: for the same graph every source
     returns identical blocks, which the parity suite enforces.
+
+    **Key space.**  :func:`bounded_bfs_ball` grows its balls in a source's
+    *key space* rather than in node indices:
+
+    * ``encode(ranks)`` / ``decode(keys)`` -- the order-preserving bijection
+      between node indices and keys (sorted indices encode to sorted keys);
+    * ``neighbor_keys(keys)`` -- the ``(m, width)`` neighbour keys of
+      *keys*.
+
+    By default keys **are** the ``int64`` node indices and
+    ``neighbor_keys`` is ``neighbor_block``, so a source that overrides only
+    ``neighbor_block`` serves the kernel unchanged.  The implicit source
+    overrides all three with packed permutation keys through degree 16.
     """
 
     table = None
@@ -406,6 +422,18 @@ class NeighborSource:
 
     def neighbor_along(self, indices, generators):
         raise NotImplementedError
+
+    def encode(self, ranks):
+        """Keys of node indices *ranks* (identity: the ``int64`` indices)."""
+        return _np.asarray(ranks, dtype=_np.int64)
+
+    def decode(self, keys):
+        """Node indices of *keys* (identity: the keys themselves)."""
+        return _np.asarray(keys, dtype=_np.int64)
+
+    def neighbor_keys(self, keys):
+        """Neighbour keys of *keys* (identity key space: ``neighbor_block``)."""
+        return self.neighbor_block(keys)
 
 
 class TableNeighborSource(NeighborSource):
@@ -451,6 +479,13 @@ class ImplicitNeighborSource(NeighborSource):
     (:func:`repro.permutations.ranking.implicit_neighbor_block`); nothing is
     materialised, so the source works at any degree whose ranks fit in
     int64 (``n <= 20``) -- past the table ceiling.  ``table`` is ``None``.
+
+    Through :data:`~repro.permutations.ranking.MAX_PACKED_DEGREE` its key
+    space is the packed permutations
+    (:func:`~repro.permutations.ranking.ranks_to_keys`): ``neighbor_keys``
+    unpacks, gathers every generator image and packs, with no unrank and
+    no rank.  Past it keys are ranks.  Both column arrays are built once
+    here, not per block.
     """
 
     def __init__(self, generators, n: int):
@@ -458,6 +493,7 @@ class ImplicitNeighborSource(NeighborSource):
             _check_generators,
             factorials,
             require_int64_rank_degree,
+            within_packed_degree,
         )
 
         self._generators = tuple(tuple(g) for g in generators)
@@ -465,6 +501,16 @@ class ImplicitNeighborSource(NeighborSource):
         require_int64_rank_degree(self._n)
         _check_generators(self._generators, self._n)
         self._num_nodes = factorials(self._n)[self._n]
+        width = len(self._generators)
+        # (k, n) gather columns of the rank path.
+        self._columns = _np.asarray(self._generators, dtype=_np.intp).reshape(
+            width, self._n
+        )
+        # (k, 16) gather columns of the key path: positions n..15 stay put.
+        self._key_columns = None
+        if within_packed_degree(self._n):
+            self._key_columns = _np.tile(_np.arange(16, dtype=_np.intp), (width, 1))
+            self._key_columns[:, : self._n] = self._columns
 
     @property
     def generators(self):
@@ -484,21 +530,50 @@ class ImplicitNeighborSource(NeighborSource):
     def width(self) -> int:
         return len(self._generators)
 
-    def neighbor_block(self, indices):
-        """The ``(m, width)`` neighbour ranks of *indices*, computed on the fly."""
-        from repro.permutations.ranking import implicit_neighbor_block
+    def neighbor_block(self, indices, *, keyed=False):
+        """The ``(m, width)`` neighbour ranks of *indices*, computed on the fly.
 
-        return implicit_neighbor_block(indices, self._generators, self._n)
+        With ``keyed=True`` *indices* and the result are keys of this
+        source's key space (:meth:`encode`) instead of ranks.  Inputs are
+        trusted: the kernels pass only indices and keys they produced.
+        """
+        from repro.permutations.ranking import (
+            _neighbor_key_rows,
+            _neighbor_rank_rows,
+        )
+
+        if keyed and self._key_columns is not None:
+            return _neighbor_key_rows(indices, self._key_columns)
+        indices = _np.asarray(indices, dtype=_np.int64)
+        return _neighbor_rank_rows(indices, self._columns)
+
+    def neighbor_keys(self, keys):
+        """Neighbour keys of *keys*: ``neighbor_block(keys, keyed=True)``."""
+        return self.neighbor_block(keys, keyed=True)
+
+    def encode(self, ranks):
+        """Packed keys of *ranks* (the ranks themselves past degree 16)."""
+        from repro.permutations.ranking import ranks_to_keys
+
+        return ranks_to_keys(ranks, self._n)
+
+    def decode(self, keys):
+        """Ranks of packed *keys* (:meth:`encode` inverted)."""
+        from repro.permutations.ranking import keys_to_ranks
+
+        return keys_to_ranks(keys, self._n)
 
     def neighbor_along(self, indices, generators):
         """One neighbour per row along scalar or per-row generator indices."""
-        from repro.permutations.ranking import implicit_neighbor_block
+        from repro.permutations.ranking import _neighbor_rank_rows
 
         indices = _np.asarray(indices, dtype=_np.int64)
         if _np.ndim(generators) == 0:
-            column = self._generators[int(generators)]
-            return implicit_neighbor_block(indices, (column,), self._n)[:, 0]
-        block = implicit_neighbor_block(indices, self._generators, self._n)
+            column = int(generators)
+            return _neighbor_rank_rows(
+                indices, self._columns[column : column + 1]
+            )[:, 0]
+        block = _neighbor_rank_rows(indices, self._columns)
         return block[
             _np.arange(indices.shape[0]), _np.asarray(generators, dtype=_np.int64)
         ]
@@ -611,7 +686,6 @@ def index_bfs_distances(
         return distances
 
 
-@dataclass(frozen=True)
 class BoundedBall:
     """The depth-``max_depth`` BFS ball of one origin, as sparse arrays.
 
@@ -622,9 +696,15 @@ class BoundedBall:
 
     Attributes
     ----------
+    keys : array
+        The reached nodes in the key space of the source that grew the ball
+        (:class:`NeighborSource`), **sorted ascending**.  Key order is
+        index order, so position ``i`` is the same node in ``keys`` and
+        ``nodes``.
     nodes : int64 array
-        The reached node indices (origin included), **sorted ascending** so
-        membership queries are ``searchsorted`` lookups.
+        The reached node indices (origin included), sorted ascending --
+        decoded from ``keys`` on first access and cached.  Callers that
+        need only a few nodes use :meth:`nodes_at` instead.
     distances : int64 array
         Aligned with ``nodes``: ``distances[i]`` is the BFS distance of
         ``nodes[i]`` from the origin (exact -- a bounded BFS distance is a
@@ -638,28 +718,63 @@ class BoundedBall:
         disconnection.
     levels : int
         Deepest level actually populated (``<= max_depth``).
+
+    ``BoundedBall(nodes=..., distances=..., truncated=..., levels=...)``
+    builds a ball whose keys are its node indices; the kernel passes
+    ``keys=`` and the ``source`` that encodes and decodes them instead.
     """
 
-    nodes: "object"
-    distances: "object"
-    truncated: bool
-    levels: int
+    def __init__(
+        self,
+        nodes=None,
+        distances=None,
+        truncated=False,
+        levels=0,
+        *,
+        keys=None,
+        source=None,
+    ):
+        if (nodes is None) == (keys is None):
+            raise InvalidParameterError("BoundedBall takes exactly one of nodes= or keys=")
+        if keys is None:
+            nodes = _np.asarray(nodes, dtype=_np.int64)
+            keys, source = nodes, NeighborSource()
+        self.keys = keys
+        self.distances = distances
+        self.truncated = truncated
+        self.levels = levels
+        self._source = source
+        self._nodes = nodes
+
+    @property
+    def nodes(self):
+        """Sorted reached node indices, decoded from ``keys`` once."""
+        if self._nodes is None:
+            self._nodes = self._source.decode(self.keys)
+        return self._nodes
 
     @property
     def size(self) -> int:
         """Number of reached nodes, origin included."""
-        return int(len(self.nodes))
+        return int(len(self.keys))
+
+    def nodes_at(self, positions):
+        """``nodes[positions]``, decoding only the selected entries."""
+        if self._nodes is not None:
+            return self._nodes[positions]
+        return self._source.decode(self.keys[_np.asarray(positions, dtype=_np.intp)])
 
     def distance_of(self, targets):
         """Ball distances of *targets* (int64 array): ``-1`` when not in the ball.
 
         A ``-1`` means "not reached within ``max_depth``"; whether that is
         disconnection or truncation is the :attr:`truncated` flag's call.
+        Only the targets are encoded; the ball is never decoded.
         """
-        targets = _np.asarray(targets, dtype=_np.int64)
-        positions = _np.searchsorted(self.nodes, targets)
-        positions = _np.minimum(positions, len(self.nodes) - 1)
-        found = self.nodes[positions] == targets
+        targets = self._source.encode(targets)
+        positions = _np.searchsorted(self.keys, targets)
+        positions = _np.minimum(positions, len(self.keys) - 1)
+        found = self.keys[positions] == targets
         out = _np.full(targets.shape, -1, dtype=_np.int64)
         out[found] = self.distances[positions[found]]
         return out
@@ -681,12 +796,28 @@ def _sorted_unique(values):
 
 
 def _in_sorted(values, sorted_array):
-    """Boolean mask: which *values* occur in *sorted_array* (both int64)."""
+    """Boolean mask: which *values* occur in *sorted_array* (same dtype)."""
     if sorted_array.size == 0:
         return _np.zeros(values.shape, dtype=bool)
     positions = _np.searchsorted(sorted_array, values)
     positions = _np.minimum(positions, sorted_array.size - 1)
     return sorted_array[positions] == values
+
+
+def _drop_members(candidates, members):
+    """Sorted distinct *candidates* minus every value of sorted *members*.
+
+    Binary-searches the smaller array in the larger one: a level's
+    candidates outnumber the visited set, a probe block's are far fewer.
+    """
+    if candidates.size <= members.size:
+        return candidates[~_in_sorted(candidates, members)]
+    positions = _np.minimum(
+        _np.searchsorted(candidates, members), candidates.size - 1
+    )
+    keep = _np.ones(candidates.size, dtype=bool)
+    keep[positions[candidates[positions] == members]] = False
+    return candidates[keep]
 
 
 def bounded_bfs_ball(
@@ -703,8 +834,15 @@ def bounded_bfs_ball(
     (:mod:`repro.simulation.sampled_campaign`): where
     :func:`index_bfs_distances` allocates a whole-graph distances array,
     this sweep touches **only the ball it reaches** -- visited bookkeeping is
-    a sorted int64 array that grows with the ball, never with ``n!`` -- so it
+    a sorted key array that grows with the ball, never with ``n!`` -- so it
     runs on the table-free implicit source at any int64-rank degree.
+
+    The sweep runs in the source's key space (:class:`NeighborSource`): the
+    origin and ``excluded`` are encoded once, and frontier, visited set,
+    dedupe and truncation probe all work on keys.  On the implicit source
+    through degree 16 keys are packed permutations, so growing a ball
+    neither unranks nor ranks; the returned ball decodes its nodes only
+    when they are read.
 
     Each level expands the frontier in ``chunk_nodes`` blocks, dedupes the
     candidates with one sort plus an adjacent-difference mask and drops the
@@ -757,9 +895,13 @@ def bounded_bfs_ball(
         )
     if excluded is None:
         excluded = _np.empty(0, dtype=_np.int64)
-    else:
-        excluded = _np.asarray(excluded, dtype=_np.int64)
-    if _in_sorted(_np.asarray([origin_index], dtype=_np.int64), excluded)[0]:
+    # One encode for both; key order is index order, so sorted exclusions
+    # encode to sorted keys.
+    keys = neighbor_source.encode(
+        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
+    )
+    origin, excluded = keys[:1], keys[1:]
+    if _in_sorted(origin, excluded)[0]:
         raise InvalidParameterError(
             f"origin index {origin_index} is excluded; balls grow from survivors"
         )
@@ -771,26 +913,25 @@ def bounded_bfs_ball(
         max_depth=int(max_depth),
         excluded=int(excluded.size),
     ) as sp:
-        visited = _np.asarray([origin_index], dtype=_np.int64)
-        level_arrays = [visited]
+        # What a level may not add: the ball so far and the exclusions.
+        blocked = _np.sort(keys, kind="stable")
+        level_arrays = [origin]
         level_sizes = [1]
-        frontier = visited
+        frontier = origin
         truncated = False
         level = 0
 
         def unseen(rows):
-            # Sorted distinct neighbours of *rows* neither visited nor excluded.
+            # Sorted distinct neighbours of *rows* that are not blocked.
             blocks = []
             for start in range(0, rows.size, chunk):
-                candidates = neighbor_source.neighbor_block(
+                candidates = neighbor_source.neighbor_keys(
                     rows[start : start + chunk]
                 ).reshape(-1)
-                blocks.append(candidates[candidates >= 0])
-            candidates = _sorted_unique(_np.concatenate(blocks))
-            keep = ~_in_sorted(candidates, visited)
-            if excluded.size:
-                keep &= ~_in_sorted(candidates, excluded)
-            return candidates[keep]
+                if candidates.dtype.kind == "i":  # index keys: drop -1 padding
+                    candidates = candidates[candidates >= 0]
+                blocks.append(candidates)
+            return _drop_members(_sorted_unique(_np.concatenate(blocks)), blocked)
 
         while frontier.size and level < max_depth:
             level += 1
@@ -798,7 +939,10 @@ def bounded_bfs_ball(
             if frontier.size:
                 level_arrays.append(frontier)
                 level_sizes.append(int(frontier.size))
-                visited = _np.sort(_np.concatenate([visited, frontier]))
+                # Two sorted runs: the stable sort merges them in O(n).
+                blocked = _np.sort(
+                    _np.concatenate([blocked, frontier]), kind="stable"
+                )
             else:
                 level -= 1
                 break
@@ -813,16 +957,17 @@ def bounded_bfs_ball(
                 stop = min(start + width, frontier.size)
                 truncated = bool(unseen(frontier[start:stop]).size)
                 start, width = stop, min(8 * width, chunk)
-        nodes = _np.concatenate(level_arrays)
+        keys = _np.concatenate(level_arrays)
         distances = _np.repeat(
             _np.arange(len(level_sizes), dtype=_np.int64), level_sizes
         )
-        order = _np.argsort(nodes)
+        order = _np.argsort(keys, kind="stable")  # merges the sorted levels
         ball = BoundedBall(
-            nodes=nodes[order],
+            keys=keys[order],
             distances=distances[order],
             truncated=truncated,
             levels=level,
+            source=neighbor_source,
         )
         if telemetry.trace_enabled():
             sp.add(reached=ball.size, levels=level, truncated=truncated)

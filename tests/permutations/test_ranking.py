@@ -3,6 +3,7 @@
 import math
 from itertools import permutations as itertools_permutations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -11,9 +12,16 @@ from repro.exceptions import (
     TableDegreeError,
 )
 from repro.permutations.ranking import (
+    MAX_INT64_RANK_DEGREE,
+    MAX_PACKED_DEGREE,
     MAX_TABLE_DEGREE,
     all_permutations,
     all_permutations_array,
+    keys_to_ranks,
+    pack_permutations,
+    ranks_to_keys,
+    unpack_permutations,
+    unrank_batch,
     lehmer_code,
     lehmer_decode,
     move_tables,
@@ -199,3 +207,60 @@ class TestMoveTablesFor:
     def test_rejects_wrong_degree_generator(self):
         with pytest.raises(InvalidParameterError):
             move_tables_for(((1, 0),), 3)
+
+
+class TestPackedKeys:
+    """Packed permutation keys: 4 bits per symbol, position 0 on top."""
+
+    @staticmethod
+    def _ranks(n, seed):
+        total = math.factorial(n)
+        drawn = np.random.default_rng(seed).integers(0, total, size=300)
+        return np.unique(np.concatenate([[0, total - 1], drawn]).astype(np.int64))
+
+    @pytest.mark.parametrize("n", range(1, MAX_PACKED_DEGREE + 1))
+    def test_round_trip_includes_the_extreme_ranks(self, n):
+        ranks = self._ranks(n, 500 + n)
+        assert ranks[0] == 0 and ranks[-1] == math.factorial(n) - 1
+        perms = unrank_batch(ranks, n)
+        keys = pack_permutations(perms)
+        assert keys.dtype == np.uint64 and keys.shape == ranks.shape
+        assert np.array_equal(unpack_permutations(keys, n), perms)
+        assert np.array_equal(ranks_to_keys(ranks, n), keys)
+        back = keys_to_ranks(keys, n)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, ranks)
+
+    @pytest.mark.parametrize("n", range(1, MAX_PACKED_DEGREE + 1))
+    def test_key_order_is_rank_order(self, n):
+        ranks = self._ranks(n, 700 + n)  # sorted and distinct
+        keys = ranks_to_keys(ranks, n)
+        assert bool(np.all(keys[1:] > keys[:-1]))
+        shuffled = np.random.default_rng(n).permutation(ranks.size)
+        assert np.array_equal(np.argsort(keys[shuffled]), np.argsort(ranks[shuffled]))
+
+    def test_layout_puts_position_zero_in_the_top_nibble(self):
+        assert int(pack_permutations([[1, 0]])[0]) == 0x1 << 60
+        full = pack_permutations([list(range(15, -1, -1))])[0]
+        assert int(full) == 0xFEDCBA9876543210
+
+    @pytest.mark.parametrize(
+        "n", range(MAX_PACKED_DEGREE + 1, MAX_INT64_RANK_DEGREE + 1)
+    )
+    def test_past_the_packed_degree_keys_are_ranks(self, n):
+        ranks = self._ranks(n, 900 + n)
+        keys = ranks_to_keys(ranks, n)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, ranks)
+        assert np.array_equal(keys_to_ranks(keys, n), ranks)
+
+    def test_packing_refuses_degrees_past_sixteen(self):
+        with pytest.raises(TableDegreeError, match="packed"):
+            pack_permutations(np.zeros((1, MAX_PACKED_DEGREE + 1), dtype=np.int8))
+        with pytest.raises(TableDegreeError, match="packed"):
+            unpack_permutations(np.zeros(1, dtype=np.uint64), MAX_PACKED_DEGREE + 1)
+
+    def test_ranks_to_keys_validates_ranks(self):
+        for n in (5, MAX_PACKED_DEGREE + 1):
+            with pytest.raises(InvalidParameterError):
+                ranks_to_keys([math.factorial(n)], n)

@@ -33,14 +33,20 @@ from repro.simulation.sampling import (
     pancake_relative_ranks,
     sampled_pancake_estimate,
 )
+from repro.permutations.ranking import (
+    permutation_unrank,
+    star_position_generators,
+)
 from repro.simulation.stats import derive_trial_seed
 from repro.topology.cayley import PancakeGraph
 from repro.topology.routing import (
     BoundedBall,
+    ImplicitNeighborSource,
     NeighborSource,
     _sorted_unique,
     bounded_bfs_ball,
     index_bfs_distances,
+    star_distance,
 )
 from repro.topology.star import StarGraph
 
@@ -64,6 +70,16 @@ class _CountingSource(NeighborSource):
     def neighbor_block(self, indices):
         self.rows += len(indices)
         return self.inner.neighbor_block(indices)
+
+
+class _DecodeCountingSource(ImplicitNeighborSource):
+    """An implicit source that counts the keys it decodes to ranks."""
+
+    decoded = 0
+
+    def decode(self, keys):
+        self.decoded += len(keys)
+        return super().decode(keys)
 
 
 def _assert_same_ball(ball, oracle):
@@ -236,6 +252,80 @@ class TestBoundedBall:
             np.asarray(implicit_ball.distances), np.asarray(table_ball.distances)
         )
         assert implicit_ball.truncated == table_ball.truncated
+
+
+class TestPackedKeyBalls:
+    """Balls grown in packed-permutation key space vs table balls."""
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_packed_ball_is_bit_identical_to_the_table_ball(
+        self, family, n, monkeypatch
+    ):
+        table_source = sampled_campaign_instances(n)[family][1].neighbor_source()
+        assert table_source.table is not None
+        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+        packed_source = sampled_campaign_instances(n)[family][1].neighbor_source()
+        assert packed_source.table is None
+        rng = np.random.default_rng(31 * n + len(family))
+        origin = int(rng.integers(table_source.num_nodes))
+        healthy = bounded_bfs_ball(table_source, origin, max_depth=3)
+        inner = np.flatnonzero(np.asarray(healthy.distances) >= 1)
+        excluded = np.sort(healthy.nodes[rng.choice(inner, size=2 * n, replace=False)])
+        for chunk in (1, 2, 7, None):
+            oracle = bounded_bfs_ball(
+                table_source, origin, max_depth=3, excluded=excluded, chunk_nodes=chunk
+            )
+            ball = bounded_bfs_ball(
+                packed_source, origin, max_depth=3, excluded=excluded, chunk_nodes=chunk
+            )
+            assert ball.keys.dtype == np.uint64
+            _assert_same_ball(ball, oracle)
+            probes = np.concatenate([excluded, oracle.nodes[::5], [0]])
+            assert np.array_equal(ball.distance_of(probes), oracle.distance_of(probes))
+
+    def test_rank_keyed_ball_past_the_packed_degree(self):
+        # S_17 no longer packs into a uint64: keys are the ranks themselves,
+        # and every distance must still be the closed-form star distance.
+        n, origin = 17, 123456789012
+        source = ImplicitNeighborSource(star_position_generators(n), n)
+        ball = bounded_bfs_ball(source, origin, max_depth=2)
+        assert ball.keys.dtype == np.int64
+        assert np.array_equal(ball.keys, ball.nodes)
+        assert ball.size == 1 + 16 + 16 * 15 and ball.truncated
+        start = permutation_unrank(origin, n)
+        for rank, distance in zip(ball.nodes, ball.distances):
+            assert int(distance) == star_distance(start, permutation_unrank(int(rank), n))
+
+    def test_ball_still_constructs_from_node_indices(self):
+        ball = BoundedBall(
+            nodes=np.array([2, 5, 9]),
+            distances=np.array([1, 0, 1]),
+            truncated=True,
+            levels=1,
+        )
+        assert ball.size == 3 and ball.truncated and ball.levels == 1
+        assert np.array_equal(ball.keys, ball.nodes)
+        assert np.array_equal(ball.distance_of([9, 4, 5]), [1, -1, 0])
+        assert np.array_equal(ball.nodes_at([2, 0]), [9, 2])
+        with pytest.raises(InvalidParameterError):
+            BoundedBall(distances=np.array([0]), truncated=False, levels=0)
+
+    def test_nodes_at_decodes_only_the_selected_entries(self):
+        source = _DecodeCountingSource(star_position_generators(9), 9)
+        ball = bounded_bfs_ball(source, 4321, max_depth=3)
+        assert source.decoded == 0  # growing the ball ranks nothing
+        ball.distance_of([4321, 0])
+        assert source.decoded == 0  # lookups encode the targets only
+        positions = np.random.default_rng(5).choice(ball.size, size=25, replace=False)
+        picked = ball.nodes_at(positions)
+        assert source.decoded == 25
+        assert np.array_equal(picked, ball.nodes[positions])
+        assert source.decoded == 25 + ball.size
+        assert ball.nodes is ball.nodes  # cached: decoded once
+        assert source.decoded == 25 + ball.size
+        table_ball = bounded_bfs_ball(StarGraph(9).neighbor_source(), 4321, max_depth=3)
+        _assert_same_ball(ball, table_ball)
 
 
 class TestPancakeEstimator:

@@ -277,6 +277,37 @@ class TestNeighborSourceSeam:
                 table_source.neighbor_along(indices, per_row),
             ), name
 
+    @pytest.mark.parametrize("n", [5, 9, 16, 17])
+    def test_key_space_agrees_with_the_rank_path(self, n):
+        # Packed keys through degree 16, rank keys past it: either way the
+        # neighbour keys decode to the rank path's rows, and encoding is
+        # order-preserving.
+        ranks = np.unique(
+            _rng(40 + n).integers(0, math.factorial(n), size=64, dtype=np.int64)
+        )
+        for name, _, generators in _family_instances(n):
+            source = ImplicitNeighborSource(generators, n)
+            keys = source.encode(ranks)
+            assert keys.dtype == (np.uint64 if n <= 16 else np.int64), name
+            assert bool(np.all(keys[1:] > keys[:-1])), name
+            assert np.array_equal(source.decode(keys), ranks), name
+            neighbor_keys = source.neighbor_keys(keys)
+            assert neighbor_keys.shape == (ranks.size, source.width), name
+            assert np.array_equal(
+                source.decode(neighbor_keys.reshape(-1)).reshape(neighbor_keys.shape),
+                source.neighbor_block(ranks),
+            ), name
+
+    def test_identity_key_space_by_default(self):
+        star = StarGraph(5)
+        source = TableNeighborSource(star.neighbor_index_table())
+        ranks = np.array([3, 17, 119], dtype=np.int64)
+        assert np.array_equal(source.encode(ranks), ranks)
+        assert np.array_equal(source.decode(ranks), ranks)
+        assert np.array_equal(
+            source.neighbor_keys(ranks), source.neighbor_block(ranks)
+        )
+
     def test_as_neighbor_source(self):
         star = StarGraph(4)
         table = star.neighbor_index_table()
