@@ -155,10 +155,11 @@ def test_cmp_experiment(benchmark):
 
 # --------------------------------------------------------- Cayley family (PR 4)
 def test_pancake_distance_summary_index_sweep(benchmark):
-    """Ablation (a): diameter + average distance of P_6 via index-table BFS sweeps.
+    """Ablation (a): diameter + average distance of P_6 via the all-sources sweep.
 
-    720 sources, each one frontier sweep over the stacked move-table adjacency
-    index -- the backend of the NETWORK-FAMILY experiment's measured columns.
+    All 720 sources in one bit-parallel BFS over the stacked move-table
+    adjacency index -- the backend of the NETWORK-FAMILY experiment's measured
+    columns.
     """
     from repro.topology.cayley import PancakeGraph
     from repro.topology.routing import distance_summary
@@ -171,6 +172,20 @@ def test_pancake_distance_summary_index_sweep(benchmark):
 
     result = benchmark(summary)
     assert result.diameter == 7  # the known pancake number for n = 6
+
+
+def test_star_distance_summary_all_sources_s7(benchmark):
+    """Diameter + average distance of S_7 (5 040 sources, five source blocks)."""
+    from repro.topology.routing import distance_summary
+
+    star = StarGraph(7)
+    star.neighbor_index_table()  # amortised precompute, as in the experiments
+
+    def summary():
+        return distance_summary(star, use_closed_form=False)
+
+    result = benchmark(summary)
+    assert result.diameter == 9  # floor(3 * (7 - 1) / 2)
 
 
 @pytest.mark.heavy_bench

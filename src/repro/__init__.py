@@ -18,65 +18,46 @@ Quickstart
 3
 """
 
-from repro.exceptions import (
-    ReproError,
-    InvalidParameterError,
-    InvalidNodeError,
-    InvalidPermutationError,
-    EmbeddingError,
-    DilationViolationError,
-    SimulationError,
-    RouteConflictError,
-)
-from repro.permutations import Permutation, permutation_rank, permutation_unrank
-from repro.topology import StarGraph, Mesh, Hypercube, paper_mesh
-from repro.embedding import (
-    Embedding,
-    MeshToStarEmbedding,
-    MeshToHypercubeEmbedding,
-    convert_d_s,
-    convert_s_d,
-    measure_embedding,
-)
-from repro.simd import (
-    SIMDMachine,
-    StarMachine,
-    MeshMachine,
-    EmbeddedMeshMachine,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "ReproError",
-    "InvalidParameterError",
-    "InvalidNodeError",
-    "InvalidPermutationError",
-    "EmbeddingError",
-    "DilationViolationError",
-    "SimulationError",
-    "RouteConflictError",
-    # permutations
-    "Permutation",
-    "permutation_rank",
-    "permutation_unrank",
-    # topologies
-    "StarGraph",
-    "Mesh",
-    "Hypercube",
-    "paper_mesh",
-    # embeddings
-    "Embedding",
-    "MeshToStarEmbedding",
-    "MeshToHypercubeEmbedding",
-    "convert_d_s",
-    "convert_s_d",
-    "measure_embedding",
-    # SIMD machines
-    "SIMDMachine",
-    "StarMachine",
-    "MeshMachine",
-    "EmbeddedMeshMachine",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.exceptions",
+            (
+                "ReproError",
+                "InvalidParameterError",
+                "InvalidNodeError",
+                "InvalidPermutationError",
+                "EmbeddingError",
+                "DilationViolationError",
+                "SimulationError",
+                "RouteConflictError",
+            ),
+        ),
+        ("repro.permutations.permutation", ("Permutation",)),
+        ("repro.permutations.ranking", ("permutation_rank", "permutation_unrank")),
+        ("repro.topology.star", ("StarGraph",)),
+        ("repro.topology.mesh", ("Mesh",)),
+        ("repro.topology.hypercube", ("Hypercube",)),
+        ("repro.topology.mesh", ("paper_mesh",)),
+        ("repro.embedding.base", ("Embedding",)),
+        ("repro.embedding.mesh_to_star", ("MeshToStarEmbedding",)),
+        ("repro.embedding.mesh_to_hypercube", ("MeshToHypercubeEmbedding",)),
+        ("repro.embedding.mesh_to_star", ("convert_d_s", "convert_s_d")),
+        ("repro.embedding.metrics", ("measure_embedding",)),
+        ("repro.simd.machine", ("SIMDMachine",)),
+        ("repro.simd.star_machine", ("StarMachine",)),
+        ("repro.simd.mesh_machine", ("MeshMachine",)),
+        ("repro.simd.embedded", ("EmbeddedMeshMachine",)),
+    )
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

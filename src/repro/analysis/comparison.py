@@ -79,9 +79,9 @@ def star_vs_hypercube_table(max_degree: int) -> List[NetworkRow]:
 class MeasuredNetworkRow:
     """Measured whole-graph metrics of one concrete network instance.
 
-    ``diameter_measured`` and ``average_distance`` come from the vectorised
-    distance sweep of :func:`repro.topology.routing.distance_summary` (one
-    pass per source over the adjacency index table); ``diameter_formula`` is
+    ``diameter_measured`` and ``average_distance`` come from the bit-parallel
+    all-sources sweep of :func:`repro.topology.routing.distance_summary` over
+    the adjacency index table; ``diameter_formula`` is
     the closed form the measurement is held against, or ``None`` where no
     formula (or known value) exists -- pancake diameters beyond the known
     table.
@@ -149,8 +149,9 @@ def measured_network_rows(
     *degrees* sequence.  At each degree every requested family instance
     (star ``S_{degree+1}``, pancake ``P_{degree+1}``, bubble-sort
     ``B_{degree+1}``, hypercube ``Q_degree``) is measured through the
-    index-table distance sweep, skipping instances above *max_nodes* (the
-    sweep is quadratic in the node count).  Used by the CMP and
+    all-sources index-table sweep, skipping instances above *max_nodes* (the
+    sweep visits every ordered pair, so its work grows with the square of
+    the node count).  Used by the CMP and
     NETWORK-FAMILY experiments to put measured numbers next to the quoted
     formulas/known values.
     """

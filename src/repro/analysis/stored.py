@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import ArtifactError
 from repro.experiments.artifacts import ArtifactStore, claim_verdict
 from repro.experiments.report import ExperimentResult, result_from_payload
+from repro.experiments.runner import registry_sorted
 
 __all__ = [
     "load_results",
@@ -56,10 +57,6 @@ def load_results(store) -> Dict[Tuple[str, str], ExperimentResult]:
         ``(experiment, profile)`` pair the one with the lexicographically
         smallest key wins (a plain ``run all`` store has exactly one each).
     """
-    # Imported lazily: the runner sits above the experiment registry, whose
-    # claim modules import repro.analysis -- a module-level import would cycle.
-    from repro.experiments.runner import registry_sorted
-
     results: Dict[Tuple[str, str], ExperimentResult] = {}
     for record in registry_sorted(_store(store).entries()):
         payload = record["payload"]

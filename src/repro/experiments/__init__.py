@@ -19,24 +19,50 @@ artifact per ``(experiment, profile, params)`` into an
 Markdown/HTML page.
 """
 
-from repro.experiments.artifacts import ArtifactSchema, ArtifactStore, artifact_key
-from repro.experiments.report import ExperimentResult, format_table, render_result
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment, list_experiments
-from repro.experiments.runner import RunReport, Shard, plan_shards, run_shards
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "format_table",
-    "render_result",
-    "EXPERIMENTS",
-    "get_experiment",
-    "run_experiment",
-    "list_experiments",
-    "ArtifactSchema",
-    "ArtifactStore",
-    "artifact_key",
-    "RunReport",
-    "Shard",
-    "plan_shards",
-    "run_shards",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.experiments.report",
+            (
+                "ExperimentResult",
+                "format_table",
+                "render_result",
+            ),
+        ),
+        (
+            "repro.experiments.registry",
+            (
+                "EXPERIMENTS",
+                "get_experiment",
+                "run_experiment",
+                "list_experiments",
+            ),
+        ),
+        (
+            "repro.experiments.artifacts",
+            (
+                "ArtifactSchema",
+                "ArtifactStore",
+                "artifact_key",
+            ),
+        ),
+        (
+            "repro.experiments.runner",
+            (
+                "RunReport",
+                "Shard",
+                "plan_shards",
+                "run_shards",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

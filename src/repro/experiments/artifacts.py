@@ -15,9 +15,11 @@ environment stamp.  Aggregating a store therefore reproduces the serial JSON
 artifact list bit for bit: the serial engine is the parity reference for the
 sharded one (:mod:`repro.experiments.runner`).
 
-Each experiment module declares the shape of its artifact as a module-level
-:class:`ArtifactSchema` (column names plus required summary keys); the runner
-validates every result against the declared schema before it is written.
+Each experiment declares the shape of its artifact as an
+:class:`ArtifactSchema` (column names plus required summary keys) in
+:mod:`repro.experiments.schemas`, which its module re-exports as
+``ARTIFACT_SCHEMA``; the runner validates every result against the declared
+schema before it is written.
 
 Layout of a store directory::
 

@@ -34,27 +34,9 @@ RANKING   Simultaneous rank CIs across families (csranks)        ``exp_ranking``
 ========  =====================================================  =========================
 """
 
-from repro.experiments.claims import (  # noqa: F401 (re-exported for the registry)
-    exp_lemma1_no_dilation1,
-    exp_lemma2_transposition_distance,
-    exp_dilation,
-    exp_unit_route_simulation,
-    exp_star_properties,
-    exp_broadcast,
-    exp_uniform_mesh,
-    exp_optimal_dimension,
-    exp_sorting,
-    exp_star_vs_hypercube,
-    exp_network_family,
-    exp_fault_connectivity,
-    exp_fault_stretch,
-    exp_sampled_distance,
-    exp_sampled_properties,
-    exp_sampled_fault,
-    exp_sampled_stretch,
-    exp_ranking,
-)
+from repro._lazy import lazy_exports
 
+#: The experiment modules, each imported on first access (PEP 562).
 __all__ = [
     "exp_lemma1_no_dilation1",
     "exp_lemma2_transposition_distance",
@@ -75,3 +57,7 @@ __all__ = [
     "exp_sampled_stretch",
     "exp_ranking",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: f"{__name__}.{name}" for name in __all__}
+)

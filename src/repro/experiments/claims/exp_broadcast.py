@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 
 from repro.algorithms.broadcast import mesh_broadcast, star_broadcast_bound, star_broadcast_greedy
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.mesh_machine import MeshMachine
 from repro.simd.star_machine import StarMachine
@@ -26,22 +26,8 @@ from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "PEs",
-        "star broadcast unit routes (greedy)",
-        "paper bound ~3 n lg n",
-        "lower bound ceil(lg n!)",
-        "mesh broadcast unit routes (native)",
-        "mesh unit routes (embedded)",
-        "star unit routes (embedded)",
-        "star/mesh ratio",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["PROP-B"]
 
 
 def run(degrees=(3, 4, 5, 6)) -> ExperimentResult:

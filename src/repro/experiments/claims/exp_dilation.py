@@ -23,28 +23,13 @@ from __future__ import annotations
 
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.metrics import measure_embedding, verify_embedding
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "nodes",
-        "mesh edges",
-        "expansion",
-        "dilation",
-        "shortest-path dilation",
-        "avg dilation",
-        "congestion (static)",
-        "edges at dilation 1",
-        "edges at dilation 3",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["THM4"]
 
 
 def run(degrees=(3, 4, 5, 6, 7, 8)) -> ExperimentResult:

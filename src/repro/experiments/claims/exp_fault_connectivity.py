@@ -28,8 +28,8 @@ function of its parameters -- same params, same bytes, serial or sharded.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.campaign import (
     CAMPAIGN_FAMILIES,
     campaign_instances,
@@ -39,21 +39,8 @@ from repro.simulation.campaign import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "degree",
-        "network",
-        "nodes",
-        "faults",
-        "fault rate",
-        "trials",
-        "disconnected",
-        "P(disconnect) [Wilson 95%]",
-    ),
-    summary_keys=("claim_holds", "total_trials", "sub_connectivity_disconnections"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FAULT-CONNECTIVITY"]
 
 
 def run(

@@ -25,8 +25,8 @@ artifact a pure function of its parameters.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.campaign import (
     CAMPAIGN_FAMILIES,
     campaign_instances,
@@ -36,22 +36,8 @@ from repro.simulation.campaign import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "degree",
-        "network",
-        "nodes",
-        "faults",
-        "fault rate",
-        "pairs",
-        "unreachable",
-        "mean stretch [normal 95%]",
-        "max stretch",
-    ),
-    summary_keys=("claim_holds", "total_pairs", "worst_stretch"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FAULT-STRETCH"]
 
 
 def run(

@@ -18,25 +18,15 @@ from __future__ import annotations
 from repro.analysis.bounds import dilation_lower_bound_exists, paper_mesh_max_degree, star_degree
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.metrics import measure_embedding
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 from repro.topology.properties import node_degrees
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "max mesh degree (measured)",
-        "2n-3 (formula)",
-        "star degree n-1",
-        "dilation-1 possible",
-    ),
-    summary_keys=("dilation_of_embedding_at_n=2", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["LEM1"]
 
 
 def run(max_n: int = 8) -> ExperimentResult:

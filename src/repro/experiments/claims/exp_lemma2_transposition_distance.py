@@ -26,8 +26,8 @@ from typing import Dict, List
 import numpy as _np
 
 from repro.embedding.paths import transposition_path
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.permutations.permutation import swap_symbols
 from repro.permutations.ranking import all_permutations_array
 from repro.topology.nx_adapter import bfs_distances
@@ -36,20 +36,8 @@ from repro.topology.star import StarGraph
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "nodes checked",
-        "pairs at distance 1",
-        "pairs at distance 3",
-        "pairs at other distances",
-        "canonical path shortest",
-        "distance-1 iff symbol at front",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["LEM2"]
 
 
 def _pair_distances(star: StarGraph, a: int, b: int):

@@ -7,7 +7,7 @@ reversals) and the bubble-sort network (adjacent transpositions) -- measured
 with exactly the same index-native services:
 
 * **degree / regularity** -- one reduction over the adjacency index table;
-* **diameter and average distance** -- BFS frontier sweeps
+* **diameter and average distance** -- one bit-parallel all-sources BFS sweep
   (``use_closed_form=False``: the sweep is the measurement), held against the
   closed forms where they exist (star ``floor(3(n-1)/2)``, bubble-sort
   ``n(n-1)/2``, hypercube ``n``) and against the known pancake numbers;
@@ -38,29 +38,16 @@ from repro.analysis.comparison import (
     measured_instances,
     measured_network_rows,
 )
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simd.cayley_machine import CayleyMachine
 from repro.topology.cayley import TranspositionTreeGraph
 from repro.topology.properties import connectivity_after_faults, verify_regular
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "degree",
-        "network",
-        "nodes",
-        "diameter (measured)",
-        "avg distance",
-        "regular",
-        "connected after degree-1 faults",
-        "tree broadcast",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["NETWORK-FAMILY"]
 
 #: Largest machine (PE count) the broadcast-replay column builds per row.
 _MAX_BROADCAST_NODES = 5040

@@ -17,27 +17,13 @@ import math
 
 from repro.analysis.optimal_dimension import appendix_cost, optimal_dimension_table
 from repro.embedding.uniform import factorise_paper_mesh, optimal_simulation_dimension
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "N = n!",
-        "2-D factorisation",
-        "best d (discrete argmin)",
-        "analytic d ~ sqrt(log N)/2",
-        "best side lengths",
-        "cost at best d",
-        "cost at d = n-1 (no reshape)",
-        "factorisation valid",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["APP"]
 
 
 def run(degrees=(5, 6, 7, 8, 9, 10)) -> ExperimentResult:

@@ -28,8 +28,8 @@ for free).
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.sampling import (
     exact_average_distance,
     sampled_distance_estimate,
@@ -42,26 +42,8 @@ __all__ = ["ARTIFACT_SCHEMA", "run"]
 #: Presentation order of the ranked families at one matched size.
 RANKED_FAMILIES = ("star", "pancake", "bubble-sort", "hypercube")
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "size",
-        "network",
-        "nodes",
-        "samples",
-        "mean distance",
-        "marginal 95%",
-        "joint 95% (Bonferroni)",
-        "rank 95%",
-    ),
-    summary_keys=(
-        "claim_holds",
-        "rank_intervals",
-        "separated_pairs",
-        "exact_checked_sizes",
-    ),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["RANKING"]
 
 
 def _exact_pancake_mean(size: int) -> float:

@@ -29,8 +29,8 @@ at every ``REPRO_CHUNK_NODES``.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.sampling import (
     exact_average_distance,
     sampled_distance_estimate,
@@ -38,24 +38,8 @@ from repro.simulation.sampling import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "nodes",
-        "samples",
-        "distance",
-        "count",
-        "share [Wilson 95%]",
-    ),
-    summary_keys=(
-        "claim_holds",
-        "means",
-        "diameter_lower_bounds",
-        "exact_checked_degrees",
-    ),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["SAMPLED-DISTANCE"]
 
 
 def run(

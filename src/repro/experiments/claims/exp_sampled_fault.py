@@ -23,8 +23,8 @@ sharded and restarted runs, at any chunk size, on every backend.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.sampled_campaign import (
     SAMPLED_CAMPAIGN_FAMILIES,
     sampled_campaign_instances,
@@ -33,29 +33,8 @@ from repro.simulation.sampled_campaign import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "size",
-        "network",
-        "nodes",
-        "depth",
-        "faults",
-        "trials",
-        "pairs",
-        "reached",
-        "disconnected",
-        "truncated",
-        "p(disconnect | decided) [Wilson 95%]",
-    ),
-    summary_keys=(
-        "claim_holds",
-        "total_pairs",
-        "total_disconnected",
-        "total_truncated",
-    ),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["SAMPLED-FAULT"]
 
 
 def run(

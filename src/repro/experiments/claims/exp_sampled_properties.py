@@ -23,8 +23,8 @@ function of its parameters at every ``REPRO_CHUNK_NODES``.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.sampling import (
     SAMPLING_FAMILIES,
     exact_average_distance,
@@ -33,21 +33,8 @@ from repro.simulation.sampling import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "degree",
-        "network",
-        "nodes",
-        "samples",
-        "avg distance [95% CI]",
-        "exact avg",
-        "diameter >=",
-        "diameter formula",
-    ),
-    summary_keys=("claim_holds", "families", "bracket_checks"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["SAMPLED-PROPERTIES"]
 
 
 def _family_size(family: str, degree: int) -> int:

@@ -21,8 +21,8 @@ the artifact a pure function of its parameters.
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simulation.sampled_campaign import (
     SAMPLED_CAMPAIGN_FAMILIES,
     sampled_campaign_instances,
@@ -31,28 +31,8 @@ from repro.simulation.sampled_campaign import (
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "size",
-        "network",
-        "nodes",
-        "depth",
-        "faults",
-        "pairs",
-        "reached",
-        "truncated",
-        "mean stretch [normal 95%]",
-        "max stretch",
-    ),
-    summary_keys=(
-        "claim_holds",
-        "total_pairs",
-        "total_truncated",
-        "worst_stretch",
-    ),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["SAMPLED-STRETCH"]
 
 
 def run(

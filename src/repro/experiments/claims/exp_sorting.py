@@ -31,32 +31,16 @@ import random
 from repro.algorithms.sorting import odd_even_transposition_sort, shearsort_2d, snake_order_rank
 from repro.analysis.simulation_cost import sorting_cost_estimates
 from repro.embedding.uniform import factorise_paper_mesh
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.mesh_machine import MeshMachine
 from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "keys (n!)",
-        "line-sort mesh unit routes",
-        "line-sort star unit routes (embedded)",
-        "star/mesh ratio",
-        "shearsort mesh (Appendix 2-D)",
-        "shearsort unit routes",
-        "shearsort bound",
-        "paper est.: full-dim sort on star",
-        "paper est.: optimal-d sort on star",
-        "optimal d",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["CONC"]
 
 
 def _line_sort_measurement(n: int, seed: int) -> tuple:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 
 from repro.analysis.bounds import star_diameter, star_num_edges
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.nx_adapter import node_connectivity
 from repro.topology.properties import (
     connectivity_after_faults,
@@ -39,22 +39,8 @@ from repro.topology.star import StarGraph
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "nodes",
-        "diameter floor(3(n-1)/2)",
-        "diameter (BFS)",
-        "regular of degree n-1",
-        "edge count matches n!(n-1)/2",
-        "vertex-symmetric (sampled)",
-        "node connectivity",
-        "connected after n-2 random faults",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["PROP-D"]
 
 
 def _bfs_diameter(star: StarGraph) -> int:

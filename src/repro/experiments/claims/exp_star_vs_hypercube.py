@@ -20,24 +20,14 @@ from repro.analysis.comparison import (
 from repro.embedding.mesh_to_hypercube import MeshToHypercubeEmbedding
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.metrics import measure_embedding
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "comparison",
-        "star graph",
-        "hypercube",
-        "ratio (nodes / expansion)",
-        "cube dim for >= n! nodes",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["CMP"]
 
 
 def run(max_degree: int = 9, embedding_degrees=(3, 4, 5, 6)) -> ExperimentResult:

@@ -19,26 +19,13 @@ from __future__ import annotations
 import math
 
 from repro.analysis.simulation_cost import measured_uniform_contraction, uniform_simulation_table
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "N = n!",
-        "Theorem 7 slowdown",
-        "Theorem 8 slowdown (x 2^d)",
-        "on star (x dilation 3)",
-        "paper bound N^(n/log^2 N)",
-        "measured max edge stretch (contraction)",
-        "measured max load (contraction)",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["THM9"]
 
 
 def run(degrees=(3, 4, 5, 6, 7, 8), measured_degrees=(3, 4, 5, 6)) -> ExperimentResult:

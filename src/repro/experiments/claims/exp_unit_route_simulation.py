@@ -17,29 +17,16 @@ from __future__ import annotations
 
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.paths import unit_route_paths
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.simd.conflicts import check_unit_route_conflicts, paths_to_steps
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.mesh_machine import MeshMachine
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "n",
-        "mesh dimension",
-        "direction",
-        "messages",
-        "path length",
-        "star unit routes used",
-        "conflict-free",
-        "matches native mesh",
-    ),
-    summary_keys=("claim_holds",),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["THM6"]
 
 
 def run(degrees=(3, 4, 5)) -> ExperimentResult:

@@ -14,15 +14,9 @@ TAB1      Table 1 -- per-dimension exchange sequences             ``table1_excha
 ========  ======================================================  ==================
 """
 
-from repro.experiments.figures import (  # noqa: F401 (re-exported for the registry)
-    figure2_star_graph,
-    figure3_mesh,
-    figure4_example_embedding,
-    figure5_6_conversions,
-    figure7_mapping_table,
-    table1_exchange_sequences,
-)
+from repro._lazy import lazy_exports
 
+#: The experiment modules, each imported on first access (PEP 562).
 __all__ = [
     "figure2_star_graph",
     "figure3_mesh",
@@ -31,3 +25,7 @@ __all__ = [
     "figure7_mapping_table",
     "table1_exchange_sequences",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: f"{__name__}.{name}" for name in __all__}
+)

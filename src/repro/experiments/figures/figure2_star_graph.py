@@ -12,24 +12,16 @@ so adjacent permutations always have opposite parity).
 
 from __future__ import annotations
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.permutations.permutation import Permutation
 from repro.topology.nx_adapter import bfs_eccentricity
 from repro.topology.star import StarGraph
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "node",
-        "neighbours",
-        "degree",
-    ),
-    summary_keys=("nodes", "edges", "degree", "diameter_formula", "diameter_measured", "edge_parity_alternates", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FIG2"]
 
 
 def run(n: int = 4) -> ExperimentResult:

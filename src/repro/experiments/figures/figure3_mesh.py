@@ -11,23 +11,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 from repro.topology.properties import edge_count
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "node (d_{n-1}..d_1)",
-        "neighbours",
-        "degree",
-    ),
-    summary_keys=("sides", "nodes", "edges_formula", "edges_enumerated", "max_degree", "min_degree", "diameter", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FIG3"]
 
 
 def run(n: int = 4) -> ExperimentResult:

@@ -21,22 +21,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.embedding.base import Embedding
 from repro.embedding.metrics import measure_embedding
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.base import Node, Topology
 
 __all__ = ["ARTIFACT_SCHEMA", "run", "ExplicitGraph"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "guest edge",
-        "host path",
-        "length",
-    ),
-    summary_keys=("expansion", "dilation", "congestion", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FIG4"]
 
 
 class ExplicitGraph(Topology):

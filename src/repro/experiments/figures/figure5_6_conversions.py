@@ -19,23 +19,14 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.embedding.mesh_to_star import convert_d_s, convert_s_d, exchange_sequence
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run", "forward_trace", "inverse_trace"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "procedure",
-        "stage",
-        "exchange",
-        "arrangement",
-    ),
-    summary_keys=("convert_d_s((3,0,1))", "paper_forward_expected", "convert_s_d((0 2 1 3))", "paper_inverse_expected", "round_trip_all_nodes", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FIG5"]
 
 Node = Tuple[int, ...]
 

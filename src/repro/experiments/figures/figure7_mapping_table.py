@@ -12,23 +12,14 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.embedding.mesh_to_star import convert_d_s, convert_s_d
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run", "PAPER_FIGURE7"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "D_4 node",
-        "computed S_4 node",
-        "paper S_4 node",
-        "status",
-    ),
-    summary_keys=("rows", "mismatches", "bijection", "inverse_consistent", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["FIG7"]
 
 #: The table printed in the paper's Figure 7: mesh node -> star node.
 PAPER_FIGURE7: Dict[Tuple[int, int, int], Tuple[int, int, int, int]] = {

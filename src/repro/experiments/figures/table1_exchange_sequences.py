@@ -12,22 +12,14 @@ reproduces exactly :func:`convert_d_s`.
 from __future__ import annotations
 
 from repro.embedding.mesh_to_star import convert_d_s, exchange_sequence
-from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
+from repro.experiments.schemas import SCHEMAS
 from repro.topology.mesh import paper_mesh
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
 
-#: Declared artifact shape: table columns and guaranteed summary keys
-#: (validated on every store write -- see repro.experiments.artifacts).
-ARTIFACT_SCHEMA = ArtifactSchema(
-    columns=(
-        "dimension i",
-        "sequence of exchanges",
-        "row length",
-    ),
-    summary_keys=("dimensions", "row_i_length_equals_i", "prefixes_reproduce_convert_d_s", "claim_holds"),
-)
+#: Declared artifact shape (see repro.experiments.schemas).
+ARTIFACT_SCHEMA = SCHEMAS["TAB1"]
 
 
 def run(n: int = 6) -> ExperimentResult:

@@ -740,12 +740,16 @@ def run_shards(
         elif pending:
             _run_pool(pending)
     else:
-        environment = environment_stamp()
+        # Stamped at the first shard that runs: the stamp imports NumPy, which
+        # an all-cached run never needs.
+        environment = None
         for index, shard in enumerate(shards):
             record = _from_store(shard)
             if record is not None:
                 _serve_cached(index, shard, record)
             else:
+                if environment is None:
+                    environment = environment_stamp()
                 _run_serial(_Work(index=index, shard=shard), environment)
 
     report.records = [record for record in records if record is not None]

@@ -69,8 +69,8 @@ def campaign_instances(degree: int) -> Dict[str, Tuple[str, Topology]]:
     reaching that node count, so every curve in one campaign describes a
     machine of (approximately) the same size.
     """
-    # Imported lazily: repro.analysis's package __init__ pulls in the
-    # experiments stack, whose claim modules import this module back.
+    # Imported here: the sampled campaigns import this module and need
+    # nothing from repro.analysis, whose package __init__ loads all of it.
     from repro.analysis.comparison import (
         closest_hypercube_for_star,
         measured_instances,

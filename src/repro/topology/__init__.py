@@ -21,73 +21,67 @@ the embedding metrics, the SIMD simulator and the experiments can be written
 once against the interface.
 """
 
-from repro.topology.base import Topology
-from repro.topology.star import StarGraph
-from repro.topology.mesh import Mesh, paper_mesh
-from repro.topology.hypercube import Hypercube
-from repro.topology.cayley import (
-    CayleyGraph,
-    PancakeGraph,
-    TranspositionCayleyGraph,
-    TranspositionTreeGraph,
-    BubbleSortGraph,
-    bubble_sort_distance,
-)
-from repro.topology.routing import (
-    star_route,
-    star_distance,
-    star_distances_between,
-    mesh_route,
-    mesh_distance,
-    hypercube_route,
-    hypercube_distance,
-    bfs_distances_from,
-    distance_matrix,
-    DistanceSummary,
-    distance_summary,
-    connected_under_alive_mask,
-)
-from repro.topology.nx_adapter import to_networkx, bfs_distances, bfs_eccentricity
-from repro.topology.properties import (
-    is_vertex_transitive_sample,
-    degree_histogram,
-    node_degrees,
-    verify_regular,
-    edge_count,
-    connectivity_after_faults,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Topology",
-    "StarGraph",
-    "Mesh",
-    "paper_mesh",
-    "Hypercube",
-    "CayleyGraph",
-    "PancakeGraph",
-    "TranspositionCayleyGraph",
-    "TranspositionTreeGraph",
-    "BubbleSortGraph",
-    "bubble_sort_distance",
-    "star_route",
-    "star_distance",
-    "star_distances_between",
-    "mesh_route",
-    "mesh_distance",
-    "hypercube_route",
-    "hypercube_distance",
-    "bfs_distances_from",
-    "distance_matrix",
-    "DistanceSummary",
-    "distance_summary",
-    "connected_under_alive_mask",
-    "to_networkx",
-    "bfs_distances",
-    "bfs_eccentricity",
-    "is_vertex_transitive_sample",
-    "degree_histogram",
-    "node_degrees",
-    "verify_regular",
-    "edge_count",
-    "connectivity_after_faults",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.topology.base", ("Topology",)),
+        ("repro.topology.star", ("StarGraph",)),
+        ("repro.topology.mesh", ("Mesh", "paper_mesh")),
+        ("repro.topology.hypercube", ("Hypercube",)),
+        (
+            "repro.topology.cayley",
+            (
+                "CayleyGraph",
+                "PancakeGraph",
+                "TranspositionCayleyGraph",
+                "TranspositionTreeGraph",
+                "BubbleSortGraph",
+                "bubble_sort_distance",
+            ),
+        ),
+        (
+            "repro.topology.routing",
+            (
+                "star_route",
+                "star_distance",
+                "star_distances_between",
+                "mesh_route",
+                "mesh_distance",
+                "hypercube_route",
+                "hypercube_distance",
+                "bfs_distances_from",
+                "distance_matrix",
+                "DistanceSummary",
+                "distance_summary",
+                "connected_under_alive_mask",
+            ),
+        ),
+        (
+            "repro.topology.nx_adapter",
+            (
+                "to_networkx",
+                "bfs_distances",
+                "bfs_eccentricity",
+            ),
+        ),
+        (
+            "repro.topology.properties",
+            (
+                "is_vertex_transitive_sample",
+                "degree_histogram",
+                "node_degrees",
+                "verify_regular",
+                "edge_count",
+                "connectivity_after_faults",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -277,10 +277,10 @@ class Topology(ABC):
         return max(distances.values())
 
     def _distance_totals(self) -> Tuple[int, float]:
-        """``(diameter, average_distance)`` from one distance sweep per source.
+        """``(diameter, average_distance)`` from one all-sources distance sweep.
 
-        Cached per instance so requesting both metrics costs a single pass.
-        Uses the vectorised index-table sweep of
+        Cached per instance so requesting both metrics costs a single sweep.
+        Uses the bit-parallel index-table sweep of
         :func:`repro.topology.routing.distance_summary`.
         """
         cached = getattr(self, "_cached_distance_totals", None)
@@ -295,7 +295,7 @@ class Topology(ABC):
     def diameter(self) -> int:
         """Greatest eccentricity over all nodes.
 
-        The base implementation sweeps every source once (shared with
+        The base implementation runs one all-sources sweep (shared with
         :meth:`average_distance`); subclasses with a closed form override it.
         """
         return self._distance_totals()[0]

@@ -5,15 +5,20 @@ distances, diameters and connectivity computed by networkx are compared
 against the closed forms implemented by the topology classes -- and (b) by a
 few experiments that want graph-algorithmic quantities (e.g. node
 connectivity for the fault-tolerance claim) that are not worth reimplementing.
+
+networkx is imported inside each function, so importing this module (or
+:mod:`repro.topology`) does not load it: only the callers that build a graph
+pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.topology.base import Node, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = ["to_networkx", "bfs_distances", "bfs_eccentricity", "node_connectivity"]
 
@@ -31,6 +36,8 @@ def to_networkx(topology: Topology, *, nodes: Optional[Iterable[Node]] = None) -
         star graphs become large quickly (``S_7`` already has 5040 nodes and
         15120 edges), so experiments pass explicit subsets where possible.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     if nodes is None:
         graph.add_nodes_from(topology.nodes())
@@ -50,6 +57,8 @@ def bfs_distances(topology: Topology, source: Node) -> Dict[Node, int]:
 
     Used as an oracle against the closed-form ``distance`` implementations.
     """
+    import networkx as nx
+
     graph = to_networkx(topology)
     return dict(nx.single_source_shortest_path_length(graph, topology.validate_node(source)))
 
@@ -66,5 +75,7 @@ def node_connectivity(topology: Topology) -> int:
     degree ``n - 1`` (Section 2 property 4).  This is only tractable for small
     instances; the experiments call it for ``n <= 5``.
     """
+    import networkx as nx
+
     graph = to_networkx(topology)
     return nx.node_connectivity(graph)

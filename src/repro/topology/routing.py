@@ -28,7 +28,8 @@ Whole-graph index services
 On top of the point-to-point closed forms this module hosts the vectorised
 whole-graph services of the adjacency-index backend (PR 3): frontier-sweep BFS
 over ``Topology.neighbor_index_table()`` (:func:`bfs_distances_from`,
-:func:`distance_matrix`, :func:`distance_summary`), alive-mask connectivity
+:func:`distance_matrix`), the bit-parallel all-sources sweep behind
+:func:`distance_summary`, alive-mask connectivity
 (:func:`connected_under_alive_mask`) and batched pairwise star distances
 (:func:`star_distances_between`).  Every service is bit-identical to the
 retained tuple/dict BFS references (see ``tests/topology/test_index_services``).
@@ -96,6 +97,8 @@ __all__ = [
     "bfs_distances_from",
     "distance_matrix",
     "DistanceSummary",
+    "SWEEP_SOURCE_BLOCK",
+    "all_sources_level_counts",
     "distance_summary",
     "connected_under_alive_mask",
 ]
@@ -1010,7 +1013,7 @@ def distance_matrix(topology: "Topology", *, use_closed_form: bool = True):
 
 @dataclass(frozen=True)
 class DistanceSummary:
-    """Whole-graph metric aggregates from one distance sweep per source."""
+    """Whole-graph metric aggregates over every ordered pair of nodes."""
 
     diameter: int
     average_distance: float
@@ -1018,34 +1021,92 @@ class DistanceSummary:
     connected: bool
 
 
-def distance_summary(topology: "Topology", *, use_closed_form: bool = True) -> DistanceSummary:
-    """Diameter and average distance in a single pass over all sources.
+#: Sources per block of the all-sources sweep: one bit each in a node's reach
+#: row, so each per-node array of a block holds ``num_nodes * 128`` bytes.
+#: Narrower blocks repeat the per-level gathers more often; wider ones stop
+#: paying off once the rows outgrow the cache (measured on S_7 and P_6).
+SWEEP_SOURCE_BLOCK = 1024
 
-    Each source contributes one index sweep (or one closed-form evaluation
-    for the star graph); the maximum and the running sum are folded on the
-    fly, so no distance matrix is materialised.
+
+def all_sources_level_counts(table):
+    """Ordered-pair counts per distance, from one bit-parallel all-sources BFS.
+
+    Entry ``d`` of the result is the number of ordered ``(source, target)``
+    pairs at distance ``d`` over the adjacency index *table* (a
+    ``(num_nodes, width)`` array padded with ``-1``, such as
+    :meth:`~repro.topology.base.Topology.neighbor_index_table`); entry 0 is
+    ``num_nodes`` and the ``int64`` array ends at the largest finite
+    distance.  The adjacency must be symmetric, as it is for every topology
+    of this package: a node's new sources are pulled from its own neighbour
+    row.
+
+    Sources run in blocks of :data:`SWEEP_SOURCE_BLOCK`.  Within a block each
+    node holds the sources that reach it as packed bits; one level ORs the
+    frontier rows of every neighbour column (padding reads a zero row), keeps
+    the bits not yet reached and counts them with ``np.bitwise_count``.  A
+    level costs ``num_nodes * width`` row gathers for the whole block, where
+    a per-source BFS costs that much per source.
     """
-    diameter = 0
-    total = 0
-    pairs = 0
-    connected = True
-    num_nodes = topology.num_nodes
-    for index in range(num_nodes):
-        row = bfs_distances_from(
-            topology, topology.node_from_index(index), use_closed_form=use_closed_form
+    table = _np.asarray(table, dtype=_np.int64)
+    num_nodes = int(table.shape[0])
+    # Padding (-1) points at the zero row appended after the last node.
+    columns = _np.where(table < 0, num_nodes, table).T
+    counts = _np.zeros(num_nodes, dtype=_np.int64)
+    for first in range(0, num_nodes, SWEEP_SOURCE_BLOCK):
+        sources = _np.arange(first, min(first + SWEEP_SOURCE_BLOCK, num_nodes))
+        offsets = sources - first
+        reach = _np.zeros((num_nodes, (offsets.size + 63) // 64), dtype=_np.uint64)
+        reach[sources, offsets >> 6] = _np.left_shift(
+            _np.uint64(1), (offsets & 63).astype(_np.uint64)
         )
-        row = _np.asarray(row)
-        if (row < 0).any():
-            connected = False
-            row = row[row >= 0]
-        diameter = max(diameter, int(row.max(initial=0)))
-        total += int(row.sum())
-        pairs += int(row.size) - 1
+        frontier = _np.zeros((num_nodes + 1, reach.shape[1]), dtype=_np.uint64)
+        frontier[:num_nodes] = reach
+        counts[0] += sources.size
+        level = 0
+        while True:
+            pulled = frontier[columns[0]]
+            for column in columns[1:]:
+                pulled |= frontier[column]
+            pulled &= ~reach
+            found = int(_np.bitwise_count(pulled).sum())
+            if not found:
+                break
+            level += 1
+            counts[level] += found
+            reach |= pulled
+            frontier[:num_nodes] = pulled
+    return _np.trim_zeros(counts, "b")
+
+
+def distance_summary(topology: "Topology", *, use_closed_form: bool = True) -> DistanceSummary:
+    """Diameter and average distance over every ordered pair of nodes.
+
+    One bit-parallel all-sources sweep over ``topology.neighbor_index_table()``
+    (:func:`all_sources_level_counts`) yields the number of pairs at each
+    distance, and both aggregates fold from those counts; no distance matrix
+    is materialised.  For the star graph with *use_closed_form* each source
+    contributes one closed-form evaluation instead; pass
+    ``use_closed_form=False`` when the sweep itself is the measurement.
+    Unreachable pairs are left out of both aggregates and clear
+    ``connected``.
+    """
+    num_nodes = topology.num_nodes
+    if use_closed_form and _is_star(topology):
+        counts = _np.zeros(num_nodes, dtype=_np.int64)
+        for index in range(num_nodes):
+            row = _np.bincount(topology.distances_from(topology.node_from_index(index)))
+            counts[: row.size] += row
+        counts = _np.trim_zeros(counts, "b")
+    else:
+        counts = all_sources_level_counts(topology.neighbor_index_table())
+    counts = counts.tolist()
+    pairs = sum(counts) - counts[0]
+    total = sum(level * found for level, found in enumerate(counts))
     return DistanceSummary(
-        diameter=diameter,
+        diameter=len(counts) - 1,
         average_distance=total / pairs if pairs > 0 else 0.0,
         num_nodes=num_nodes,
-        connected=connected,
+        connected=sum(counts) == num_nodes * num_nodes,
     )
 
 

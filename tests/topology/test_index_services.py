@@ -10,9 +10,14 @@ bit-identical to the retained tuple/dict BFS references --
 * index-based ``connectivity_after_faults`` matches the dict-of-tuples flood
   fill (``connectivity_after_faults_reference``) on random fault sets;
 * ``star_distances_between`` matches the scalar ``star_distance`` closed form;
-* ``distance_summary`` matches a diameter/average computed from the dict BFS.
+* ``distance_summary`` matches a diameter/average computed from the dict BFS,
+  and its bit-parallel all-sources sweep equals a fold of per-source
+  ``index_bfs_distances`` rows at every family size up to 720 nodes (plus one
+  instance wider than a source block); the CMP, NETWORK-FAMILY and PROP-D
+  payloads keep the digests they had under the per-source sweep.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -34,11 +39,16 @@ from repro.topology.properties import (
     edge_count,
     node_degrees,
 )
+from repro.experiments.artifacts import build_payload, canonical_json
+from repro.experiments.registry import get_spec
 from repro.topology.routing import (
+    SWEEP_SOURCE_BLOCK,
+    DistanceSummary,
     bfs_distances_from,
     connected_under_alive_mask,
     distance_matrix,
     distance_summary,
+    index_bfs_distances,
     star_distance,
     star_distances_between,
 )
@@ -241,3 +251,85 @@ class TestPropertiesOnTable:
                 edges += degree
             assert degree_histogram(topology) == by_hand
             assert edge_count(topology) == edges // 2
+
+
+def per_source_fold(topology) -> DistanceSummary:
+    """The per-source sweep the all-sources kernel replaced: one BFS per node."""
+    table = topology.neighbor_index_table()
+    diameter = total = pairs = 0
+    connected = True
+    for index in range(topology.num_nodes):
+        row = index_bfs_distances(table, topology.num_nodes, index)
+        if (row < 0).any():
+            connected = False
+            row = row[row >= 0]
+        diameter = max(diameter, int(row.max()))
+        total += int(row.sum())
+        pairs += int(row.size) - 1
+    return DistanceSummary(
+        diameter=diameter,
+        average_distance=total / pairs if pairs else 0.0,
+        num_nodes=topology.num_nodes,
+        connected=connected,
+    )
+
+
+def sweep_instances():
+    """Every family at every size up to 720 nodes."""
+    instances = []
+    for n in range(2, 7):
+        instances += [StarGraph(n), PancakeGraph(n), BubbleSortGraph(n)]
+    for n in range(3, 7):
+        # A spider: position 1 is the hub, so it is neither the star nor the path.
+        edges = ((0, 1),) + tuple((1, leaf) for leaf in range(2, n))
+        instances.append(TranspositionTreeGraph(n, edges))
+    instances += [Hypercube(dim) for dim in range(1, 10)]
+    instances += [paper_mesh(n) for n in range(2, 7)]
+    instances += [Mesh((5,)), Mesh((4, 1, 3)), Mesh((7, 9))]
+    return instances
+
+
+class TestAllSourcesSweep:
+    @pytest.mark.parametrize("topology", sweep_instances(), ids=repr)
+    def test_equals_per_source_fold(self, topology):
+        assert topology.num_nodes <= 720
+        # == on the dataclass: the float average must match bit for bit.
+        assert distance_summary(topology, use_closed_form=False) == per_source_fold(topology)
+
+    def test_instance_wider_than_a_source_block(self):
+        mesh = Mesh((6, 5, 4, 3, 2, 2))  # 1440 nodes: one full block, one partial
+        assert SWEEP_SOURCE_BLOCK < mesh.num_nodes < 2 * SWEEP_SOURCE_BLOCK
+        assert distance_summary(mesh) == per_source_fold(mesh)
+
+    def test_disconnected_pairs_are_left_out(self):
+        # Two disjoint transpositions generate a 4-element subgroup: 6 cosets.
+        split = TranspositionCayleyGraph(4, ((0, 1), (2, 3)))
+        summary = distance_summary(split)
+        assert summary == per_source_fold(split)
+        assert not summary.connected
+        assert summary.diameter == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_star_closed_form_branch_agrees(self, n):
+        star = StarGraph(n)
+        assert distance_summary(star) == distance_summary(star, use_closed_form=False)
+
+
+#: sha256 of each payload's canonical JSON under the per-source sweep.
+PAYLOAD_DIGESTS = {
+    ("CMP", "fast"): "09bcfa495cdfefe47df5d9e4015d717bcb2c2beb92eff0c1ff41bed232ef10cb",
+    ("CMP", "default"): "f32b05306c148c30f2d582bc3f6f001fa4428bb6ad09a4d0947be0b9245d1eaa",
+    ("NETWORK-FAMILY", "fast"): "415c8eaaa2a05dc47bb255005f9029233caa0e50083cd2be09757a7e9089a22f",
+    ("NETWORK-FAMILY", "default"): "f70f4640af5e072c7335136efd8fdabea2d9d3034faa0c017c491effdd6a653b",
+    ("PROP-D", "fast"): "0984ae83a091b66562d5f4dd9f8155122ac4d87c69a0cc5fc155b8c965b43a35",
+    ("PROP-D", "default"): "b47330ff53123fe97ad648cb9f071d647d750334b0a0471e82addd6ba21f8723",
+}
+
+
+@pytest.mark.parametrize("experiment_id, profile", sorted(PAYLOAD_DIGESTS))
+def test_sweep_experiment_payloads_unchanged(experiment_id, profile):
+    spec = get_spec(experiment_id)
+    params = spec.params(profile)
+    payload = build_payload(profile, params, spec.run(**params))
+    digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    assert digest == PAYLOAD_DIGESTS[experiment_id, profile]
