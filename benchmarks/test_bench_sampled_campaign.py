@@ -24,7 +24,7 @@ Ablation pairs quantify the PR-10 design decisions:
   1.18 M-node identity ball is grown in key space and never ranked.
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
-S_13 on the implicit backend — the acceptance-scale campaign.
+S_13 on the implicit source — the acceptance-scale campaign.
 """
 
 import numpy as np
@@ -182,9 +182,8 @@ def test_sampled_pancake_estimate_p13_depth6(benchmark):
 
 # --------------------------------------------------------- S_13 heavy row
 @pytest.mark.heavy_bench
-def test_s13_sampled_fault_default_profile(benchmark, monkeypatch):
+def test_s13_sampled_fault_default_profile(benchmark):
     """Acceptance scale: the full SAMPLED-FAULT default profile, table-free."""
-    monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
 
     def campaign():
         return run_experiment("SAMPLED-FAULT")

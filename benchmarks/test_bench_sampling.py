@@ -1,4 +1,4 @@
-"""Benchmarks for the implicit adjacency backend and the sampled estimators.
+"""Benchmarks for the implicit adjacency source and the sampled estimators.
 
 Ablation pairs quantify the PR-8 design decisions:
 
@@ -8,7 +8,8 @@ Ablation pairs quantify the PR-8 design decisions:
   pair measures what table-freedom costs per block, and the BFS pair what it
   costs across a full frontier sweep);
 * **chunked vs single block** — the degree-13 sampled distance estimator at
-  the default 1 Mi-pair blocks against one whole-sample block.
+  the default 1 Mi-pair blocks against one whole-sample block (set through
+  :data:`repro.permutations.ranking.CHUNK_NODES`).
 
 Single rows time the batched Lehmer encode and the implicit block kernel.
 
@@ -21,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.permutations import ranking
 from repro.permutations.ranking import (
     implicit_neighbor_block,
     rank_batch,
@@ -69,11 +71,9 @@ def test_index_bfs_s7_table_source(benchmark, star7):
     assert int(np.asarray(distances).max()) == 9
 
 
-def test_index_bfs_s7_implicit_source(benchmark, star7, monkeypatch):
+def test_index_bfs_s7_implicit_source(benchmark, star7):
     """Ablation (b): the same BFS with every frontier block computed on the fly."""
-    monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
-    source = star7.neighbor_source()
-    assert source.table is None
+    source = ImplicitNeighborSource(star_position_generators(7), 7)
     distances = benchmark(index_bfs_distances, source, star7.num_nodes, 0)
     assert int(np.asarray(distances).max()) == 9
 
@@ -113,13 +113,10 @@ def test_sampled_distance_s13_chunked(benchmark):
     assert estimate.diameter_consistent
 
 
-def test_sampled_distance_s13_single_block(benchmark):
+def test_sampled_distance_s13_single_block(benchmark, monkeypatch):
     """Ablation (b): the same estimate evaluated as one whole-sample block."""
-    estimate = benchmark(
-        lambda: sampled_distance_estimate(
-            "star", 13, 100_000, 2206, chunk_nodes=10**9
-        )
-    )
+    monkeypatch.setattr(ranking, "CHUNK_NODES", 10**9)
+    estimate = benchmark(sampled_distance_estimate, "star", 13, 100_000, 2206)
     assert estimate.diameter_consistent
 
 

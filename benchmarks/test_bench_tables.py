@@ -1,8 +1,9 @@
 """Benchmarks for the table layer and the streamed kernels.
 
-The **chunked vs single block** pairs run the streamed kernels at their
-default block size against one whole-graph block (identical results; the
-pair measures what bounding peak memory costs in wall-clock).  Single rows
+The **chunked vs single block** pairs run the streamed kernels at a bounded
+block size against one whole-graph block, set through
+:data:`repro.permutations.ranking.CHUNK_NODES` (identical results; the pair
+measures what bounding peak memory costs in wall-clock).  Single rows
 time the frontier BFS and the batched embedding measurement at degree 7.
 
 The ``heavy_bench`` rows exercise the acceptance-scale graph ``S_10``
@@ -16,6 +17,7 @@ import pytest
 
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.metrics import measure_embedding
+from repro.permutations import ranking
 from repro.topology.routing import (
     connected_under_alive_mask,
     index_bfs_distances,
@@ -31,17 +33,19 @@ def star7_table():
 
 
 # ----------------------------------------------------- chunked-vs-dense pair
-def test_star_distances_s7_single_block(benchmark):
+def test_star_distances_s7_single_block(benchmark, monkeypatch):
     """Ablation (a): the S_7 distance sweep as one whole-graph block."""
     origin = tuple(range(7))
-    result = benchmark(star_distances_from, origin, chunk_nodes=10**9)
+    monkeypatch.setattr(ranking, "CHUNK_NODES", 10**9)
+    result = benchmark(star_distances_from, origin)
     assert int(np.asarray(result).max()) == 9
 
 
-def test_star_distances_s7_chunked(benchmark):
+def test_star_distances_s7_chunked(benchmark, monkeypatch):
     """Ablation (b): the same sweep streamed in 4096-node blocks."""
     origin = tuple(range(7))
-    result = benchmark(star_distances_from, origin, chunk_nodes=4096)
+    monkeypatch.setattr(ranking, "CHUNK_NODES", 4096)
+    result = benchmark(star_distances_from, origin)
     assert int(np.asarray(result).max()) == 9
 
 
@@ -73,12 +77,13 @@ def test_s10_distances_sweep_chunked(benchmark):
 
 
 @pytest.mark.heavy_bench
-def test_s10_distances_sweep_single_block(benchmark):
+def test_s10_distances_sweep_single_block(benchmark, monkeypatch):
     """Ablation twin: the S_10 sweep as one 3.6 M-node block."""
     origin = tuple(range(9, -1, -1))
+    monkeypatch.setattr(ranking, "CHUNK_NODES", 10**9)
 
     def sweep():
-        return star_distances_from(origin, chunk_nodes=10**9)
+        return star_distances_from(origin)
 
     distances = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert int(np.asarray(distances).max()) == 13

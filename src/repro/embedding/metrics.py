@@ -20,9 +20,10 @@ Measurement of the paper's
 hop is a gather through the star generator move tables, and the
 dilation/congestion/load tallies accumulate into one bounded usage array over
 dense ``(min rank, generator)`` host-link ids (:func:`_mesh_to_star_edge_data`).
-Edges are processed in ``REPRO_CHUNK_NODES`` blocks (bit-exact for every
-block size) so the kernel streams past the table degree too.  That kernel is
-what makes the degree-8 Theorem-4 sweep run in seconds.  Other
+Edges are processed in :data:`~repro.permutations.ranking.CHUNK_NODES`
+blocks (bit-exact for every block size) so the kernel streams past the
+table degree too.  That kernel is what makes the degree-8 Theorem-4 sweep
+run in seconds.  Other
 embeddings walk their edge paths
 per-hop (the construction cost dominates there); that implementation is
 :func:`measure_embedding_reference`, which doubles as the parity oracle for
@@ -297,25 +298,17 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
     """The batched edge kernel for the canonical embedding, or None.
 
     Returns None (caller falls back to the tuple walk) unless *embedding* is
-    a :class:`~repro.embedding.mesh_to_star.MeshToStarEmbedding` with an
-    adjacency source in reach: any degree at or below the table bound, or
-    any int64-rank degree when the table-free implicit source applies
-    (``REPRO_NEIGHBORS=implicit``, or ``auto`` past the table ceiling).  The
-    result is cached on the embedding instance -- safe because every source
-    yields bit-identical tallies.
+    a :class:`~repro.embedding.mesh_to_star.MeshToStarEmbedding` of an
+    int64-rank degree (``n <= 20``): tables serve it through the table
+    bound, the table-free implicit source past it.  The result is cached on
+    the embedding instance.
     """
-    from repro.backend import neighbor_mode
     from repro.embedding.mesh_to_star import MeshToStarEmbedding
-    from repro.permutations.ranking import (
-        within_int64_rank_degree,
-        within_table_degree,
-    )
+    from repro.permutations.ranking import within_int64_rank_degree
 
     if type(embedding) is not MeshToStarEmbedding:
         return None
-    if not within_table_degree(embedding.n) and (
-        neighbor_mode() == "table" or not within_int64_rank_degree(embedding.n)
-    ):
+    if not within_int64_rank_degree(embedding.n):
         return None
     cached = getattr(embedding, "_cached_fast_edge_data", None)
     if cached is None:
@@ -324,9 +317,9 @@ def _mesh_to_star_edge_data(embedding: Embedding) -> Optional[_MeshToStarEdgeDat
     return cached
 
 
-def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdgeData:
-    from repro.backend import resolve_chunk_nodes
+def _build_mesh_to_star_edge_data(embedding) -> _MeshToStarEdgeData:
     from repro.permutations.ranking import (
+        CHUNK_NODES,
         all_permutations_array,
         unrank_batch,
         within_table_degree,
@@ -341,7 +334,7 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
 
     ranks = _np.asarray(embedding.rank_vertex_map(), dtype=_np.int64)
     # Column j-1 = generator g_j, whether the source is a materialised table
-    # or the table-free implicit backend (REPRO_NEIGHBORS).
+    # or the table-free implicit source.
     neighbor_source = star.neighbor_source()
 
     injective = (
@@ -388,19 +381,17 @@ def _build_mesh_to_star_edge_data(embedding, chunk_nodes=None) -> _MeshToStarEdg
     one_hop_edges = 0
     three_hop_edges = 0
     consistent = True
-    chunk = resolve_chunk_nodes(chunk_nodes)
     with telemetry.span(
         "kernel.embedding_tally",
         degree=n,
         num_nodes=num_nodes,
         neighbor_source="table" if neighbor_source.table is not None else "implicit",
-        chunk_nodes=chunk,
     ) as sp:
         blocks = 0
         for _dim, u_indices, v_indices in mesh.dimension_edge_indices():
-            for start in range(0, len(u_indices), chunk):
-                u_ranks = ranks[u_indices[start : start + chunk]]
-                v_ranks = ranks[v_indices[start : start + chunk]]
+            for start in range(0, len(u_indices), CHUNK_NODES):
+                u_ranks = ranks[u_indices[start : start + CHUNK_NODES]]
+                v_ranks = ranks[v_indices[start : start + CHUNK_NODES]]
                 if u_ranks.size == 0:
                     continue
                 blocks += 1

@@ -24,7 +24,7 @@ bracket check vacuously -- there the sampled interval *is* the result.
 Pairs derive from ``(seed, "sampled-distance", "star", n, samples)``
 (:func:`repro.simulation.stats.derive_trial_seed`) and only the distance
 evaluation is chunked, so the artifact is a pure function of its parameters
-at every ``REPRO_CHUNK_NODES``.
+at every chunk size.
 """
 
 from __future__ import annotations

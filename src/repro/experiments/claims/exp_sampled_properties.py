@@ -18,7 +18,7 @@ the observed maximum distance never exceeds the closed-form diameter.
 
 Pairs derive from ``(seed, "sampled-distance", family, size, samples)``
 (:func:`repro.simulation.stats.derive_trial_seed`); the artifact is a pure
-function of its parameters at every ``REPRO_CHUNK_NODES``.
+function of its parameters at every chunk size.
 """
 
 from __future__ import annotations

@@ -467,10 +467,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Library modules log through the "repro" logger behind a NullHandler;
-    # the CLI is the one place the stderr handler is attached, so library
-    # diagnostics stay visible to terminal users.
-    telemetry.enable_stderr_logging()
 
     try:
         if args.command == "list":

@@ -30,8 +30,7 @@ This module is the substrate of the rank-indexed fast core:
   substrate of the chunked whole-graph kernels;
 * :func:`implicit_neighbor_block` -- neighbour ranks computed on the fly as
   ``unrank -> apply generator -> rank`` with **no table at all**, the
-  substrate of the implicit adjacency backend
-  (``REPRO_NEIGHBORS=implicit``, :mod:`repro.topology.routing`);
+  substrate of the implicit adjacency source (:mod:`repro.topology.routing`);
 * :func:`pack_permutations` / :func:`unpack_permutations` and
   :func:`ranks_to_keys` / :func:`keys_to_ranks` -- the packed-key space the
   bounded-ball kernel grows in: a permutation of degree ``n <= 16``
@@ -42,7 +41,8 @@ Tables are bounded by one guard
 (:func:`within_table_degree`/:func:`require_table_degree`): in-RAM tables
 through :data:`MAX_TABLE_DEGREE`.  The table-free batch helpers reach
 further, to the int64 rank ceiling (:func:`require_int64_rank_degree`,
-``n <= 20``): ``21!`` overflows int64.
+``n <= 20``): ``21!`` overflows int64.  Every streamed loop walks its
+blocks :data:`CHUNK_NODES` rows at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ __all__ = [
     "move_tables_for",
     "star_position_generators",
     "MAX_TABLE_DEGREE",
+    "CHUNK_NODES",
     "MAX_INT64_RANK_DEGREE",
     "within_table_degree",
     "require_table_degree",
@@ -96,6 +97,11 @@ __all__ = [
 # comparable working sets in the vectorised sweeps); larger graphs use the
 # table-free implicit adjacency instead.
 MAX_TABLE_DEGREE = 10
+
+# Rows per block of every streamed loop (~8 MB of int64 indices per gathered
+# column).  Chunking is exact, so the value changes memory and speed, never
+# results; kernels read it at call time.
+CHUNK_NODES = 1 << 20
 
 # int64 rank accumulation overflows at 21! - 1 > 2**63 - 1; beyond this the
 # vectorised path must defer to exact Python integers.
@@ -298,18 +304,14 @@ def require_table_degree(n: int) -> None:
         raise TableDegreeError(
             f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE}, "
             f"got {n}; beyond "
-            f"the table ceiling use the table-free implicit adjacency "
-            f"backend (REPRO_NEIGHBORS=implicit, selected automatically by "
-            f"Topology.neighbor_source), the sampled estimators in "
+            f"the table ceiling Topology.neighbor_source serves the "
+            f"table-free implicit adjacency source automatically; see also "
+            f"the sampled estimators in "
             f"repro.simulation.sampling (SAMPLED-DISTANCE / "
             f"SAMPLED-PROPERTIES experiments), or the bounded-ball sampled "
             f"campaigns in repro.simulation.sampled_campaign (SAMPLED-FAULT "
             f"/ SAMPLED-STRETCH experiments)"
         )
-
-
-# Retained internal alias (the public pair above is the PR-4 unification).
-_check_table_degree = require_table_degree
 
 
 def within_int64_rank_degree(n: int) -> bool:
@@ -352,7 +354,7 @@ def all_permutations_array(n: int):
     in RAM; chunked consumers use :func:`permutations_slice` instead, which
     reaches the int64 rank ceiling.
     """
-    _check_table_degree(n)
+    require_table_degree(n)
     if n == 1:
         out = _np.zeros((1, 1), dtype=_np.int8)
     else:
@@ -484,9 +486,7 @@ def _unrank_rows(ranks, n: int):
     return _np.ascontiguousarray(digits.T)
 
 
-def implicit_neighbor_block(
-    ranks, generators: Tuple[Tuple[int, ...], ...], n: int, *, chunk_nodes=None
-):
+def implicit_neighbor_block(ranks, generators: Tuple[Tuple[int, ...], ...], n: int):
     """Neighbour ranks of a rank block, computed with **no move table**.
 
     Entry ``(r, g)`` of the returned ``(m, len(generators))`` ``int64``
@@ -495,13 +495,12 @@ def implicit_neighbor_block(
     rows ``move_tables_for(generators, n)[g][ranks]`` would hold, but
     evaluated on the fly as ``unrank -> apply generator -> rank``
     (:func:`unrank_batch` / :func:`rank_batch`).  This is the substrate of
-    the implicit adjacency backend (``REPRO_NEIGHBORS=implicit``): the
-    whole-graph kernels stay exact past the table ceiling, bounded
-    only by the int64 rank degree (``n <= 20``).
+    the implicit adjacency source: the whole-graph kernels stay exact past
+    the table ceiling, bounded only by the int64 rank degree (``n <= 20``).
 
-    The block is processed in ``chunk_nodes`` sub-chunks (default
-    ``REPRO_CHUNK_NODES``) so the transient ``O(chunk * k * n)`` state
-    stays bounded; chunk size never changes the results.  Each sub-chunk is
+    The block is processed in :data:`CHUNK_NODES` sub-chunks so the
+    transient ``O(chunk * k * n)`` state stays bounded; chunk size never
+    changes the results.  Each sub-chunk is
     one unrank, one gather of all ``k`` generator images
     (``perms[:, generators]``) and one fused Lehmer encode of the
     ``chunk * k`` moved rows.  *generators* are validated exactly
@@ -513,24 +512,21 @@ def implicit_neighbor_block(
     _check_generators(generators, n)
     ranks = _check_rank_array(ranks, n, "implicit_neighbor_block")
     columns = _np.asarray(generators, dtype=_np.intp).reshape(len(generators), n)
-    return _neighbor_rank_rows(ranks, columns, chunk_nodes)
+    return _neighbor_rank_rows(ranks, columns)
 
 
-def _neighbor_rank_rows(ranks, columns, chunk_nodes=None):
+def _neighbor_rank_rows(ranks, columns):
     """The body of :func:`implicit_neighbor_block` for validated inputs.
 
     *ranks* is a 1-D ``int64`` array already known to lie in ``[0, n!)``
     and *columns* the ``(k, n)`` array of a checked generator set, so
     ``perms[:, columns]`` gathers every generator image at once.
     """
-    from repro.backend import resolve_chunk_nodes
-
     k, n = columns.shape
     m = ranks.shape[0]
     out = _np.empty((m, k), dtype=_np.int64)
-    chunk = resolve_chunk_nodes(chunk_nodes)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
+    for start in range(0, m, CHUNK_NODES):
+        stop = min(start + CHUNK_NODES, m)
         perms = _unrank_rows(ranks[start:stop], n)
         out[start:stop] = _rank_rows_numpy(
             perms[:, columns].reshape(-1, n)

@@ -3,8 +3,8 @@
 When nodes fail, the closed-form routes of the healthy topology (e.g. the
 star graph's cycle-structure paths) stop being available; survivors reroute
 by searching the *surviving* subgraph.  This module runs that search as
-frontier sweeps over ``topology.neighbor_source()`` (a materialised table or
-the table-free implicit source, per ``REPRO_NEIGHBORS``) restricted to an
+frontier sweeps over ``topology.neighbor_source()`` (a materialised table or,
+past the table ceiling, the table-free implicit source) restricted to an
 alive mask -- the same index-native pattern as
 :func:`repro.topology.routing.bfs_distances_from` and
 :func:`repro.topology.routing.connected_under_alive_mask`, so no tuple sets
@@ -43,7 +43,7 @@ def _check_alive_origin(alive, origin_index: int, num_nodes: int) -> None:
         )
 
 
-def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chunk_nodes=None):
+def masked_bfs_distances(topology: "Topology", origin_index: int, alive):
     """Distances from *origin_index* through alive nodes only.
 
     Parameters
@@ -56,9 +56,6 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chun
     alive : boolean mask
         Indexed by ``node_index``; dead nodes are impassable *and*
         unreachable.
-    chunk_nodes : int, optional
-        Frontier block size of the chunked sweep (default
-        ``REPRO_CHUNK_NODES``); any value yields bit-identical distances.
 
     Returns
     -------
@@ -70,18 +67,14 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chun
     This is the shared chunked frontier sweep
     :func:`repro.topology.routing.index_bfs_distances` restricted to the
     alive mask, fed by
-    ``topology.neighbor_source()`` -- a materialised table or the table-free
-    implicit source, per ``REPRO_NEIGHBORS``.
+    ``topology.neighbor_source()`` -- a materialised table or, past the
+    table ceiling, the table-free implicit source.
     """
     num_nodes = topology.num_nodes
     alive_mask = _np.asarray(alive, dtype=bool)
     _check_alive_origin(alive_mask, origin_index, num_nodes)
     return index_bfs_distances(
-        topology.neighbor_source(),
-        num_nodes,
-        origin_index,
-        alive_mask=alive_mask,
-        chunk_nodes=chunk_nodes,
+        topology.neighbor_source(), num_nodes, origin_index, alive_mask=alive_mask
     )
 
 

@@ -5,7 +5,7 @@ machine per trial, which ends where move tables end: a degree-13 star graph
 has 6.2 billion nodes and no whole-graph array fits anywhere.  This module
 re-derives the same degradation statistics from **bounded-depth BFS balls**
 (:func:`repro.topology.routing.bounded_bfs_ball`) over the implicit
-adjacency backend -- every sweep touches only the few thousand nodes within
+adjacency source -- every sweep touches only the few thousand nodes within
 ``depth`` hops of a sampled origin, so S_13 and S_14 are routine campaign
 sizes instead of demos.
 
@@ -43,7 +43,7 @@ fault tolerant) no trial can produce a disconnection proof.
 Determinism matches the PR 6 contract: each trial derives its own stream
 via ``derive_trial_seed(seed, label, fault_count, point_index, trial)``, so
 campaigns are pure functions of their parameters -- bit-identical across
-serial, sharded and restarted runs, at any ``chunk_nodes``.
+serial, sharded and restarted runs, at any chunk size.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 #: Families the sampled campaigns cover: the three permutation networks on
-#: ``n!`` nodes, i.e. exactly the families the implicit rank/unrank backend
+#: ``n!`` nodes, i.e. exactly the families the implicit rank/unrank source
 #: can expand without any adjacency table.  The hypercube is absent -- its
 #: matched-size instance (``Q_33`` against S_13) has no implicit
 #: ``NeighborSource`` and needs none of this machinery.
@@ -81,8 +81,8 @@ def sampled_campaign_instances(size: int) -> Dict[str, Tuple[str, Topology]]:
 
     All three instances share the ``size!`` node set and the maximal
     connectivity ``size - 1``; their adjacency comes from
-    ``topology.neighbor_source()``, which honours ``REPRO_NEIGHBORS`` and
-    goes implicit (table-free) past the table ceiling automatically.
+    ``topology.neighbor_source()``, which goes implicit (table-free) past
+    the table ceiling.
     """
     check_positive_int(size, "size", minimum=3)
     from repro.topology.cayley import BubbleSortGraph, PancakeGraph
@@ -151,7 +151,6 @@ def sampled_fault_campaign(
     seed: int,
     label: str,
     detour_slack: int = 1,
-    chunk_nodes=None,
 ) -> List[SampledFaultPoint]:
     """Ball-local fault/stretch degradation curve of one (huge) topology.
 
@@ -177,9 +176,6 @@ def sampled_fault_campaign(
     detour_slack : int, optional
         Targets sit at healthy distance ``<= depth - detour_slack``, giving
         detours that many spare hops before the cap truncates them.
-    chunk_nodes : int, optional
-        Sweep chunk size (default ``REPRO_CHUNK_NODES``); never changes the
-        result.
     """
     check_positive_int(trials, "trials", minimum=1)
     check_positive_int(pairs_per_trial, "pairs_per_trial", minimum=1)
@@ -215,9 +211,7 @@ def sampled_fault_campaign(
                     derive_trial_seed(seed, label, fault_count, point_index, trial)
                 )
                 origin = rng.randrange(num_nodes)
-                healthy = bounded_bfs_ball(
-                    source, origin, max_depth=depth, chunk_nodes=chunk_nodes
-                )
+                healthy = bounded_bfs_ball(source, origin, max_depth=depth)
                 # Only the drawn faults and targets are decoded to ranks; the
                 # rest of the ball stays in the source's key space.
                 distances = _np.asarray(healthy.distances)
@@ -256,11 +250,7 @@ def sampled_fault_campaign(
                     faulted = healthy
                 else:
                     faulted = bounded_bfs_ball(
-                        source,
-                        origin,
-                        max_depth=depth,
-                        excluded=faults,
-                        chunk_nodes=chunk_nodes,
+                        source, origin, max_depth=depth, excluded=faults
                     )
                 faulted_distances = _np.asarray(faulted.distance_of(targets))
                 for faulted_distance, healthy_distance in zip(

@@ -21,9 +21,10 @@ Determinism contract (same as the fault campaigns): all pairs are drawn up
 front from one :func:`numpy.random.default_rng` stream seeded by
 :func:`repro.simulation.stats.derive_trial_seed` of ``(seed, family, size,
 samples)``, and only the distance evaluation is chunked -- so every
-``chunk_nodes`` produces bit-identical estimates and reruns are pure
-functions of their parameters.  Distance sums and sums of squares accumulate
-as exact int64 integers, so the intervals are reproducible to the last ulp.
+:data:`~repro.permutations.ranking.CHUNK_NODES` produces bit-identical
+estimates and reruns are pure functions of their parameters.  Distance sums
+and sums of squares accumulate as exact int64 integers, so the intervals are
+reproducible to the last ulp.
 
 Small-``n`` anchors for the parity tests: :func:`exact_average_distance`
 returns the exact mean pairwise distance from one closed-form sweep (star,
@@ -167,16 +168,14 @@ def _pair_block_distances(family: str, size: int, sources, targets):
     return _kendall_tau_rows(source_rows, target_rows)
 
 
-def sampled_pair_distances(
-    family: str, size: int, samples: int, seed: int, *, chunk_nodes=None
-):
+def sampled_pair_distances(family: str, size: int, samples: int, seed: int):
     """Closed-form distances of *samples* seeded random distinct node pairs.
 
     All pairs are drawn up front from one seeded stream (targets use the
     shift trick -- draw in ``[0, num_nodes - 1)`` and step over the source --
     so pairs are uniform over *ordered distinct* pairs); only the distance
-    evaluation is chunked, so ``chunk_nodes`` (default ``REPRO_CHUNK_NODES``)
-    never changes the returned array.
+    evaluation is chunked, so the chunk size never changes the returned
+    array.
 
     Returns the int64 distance array of length *samples*.
     """
@@ -194,19 +193,18 @@ def sampled_pair_distances(
     targets = rng.integers(0, num_nodes - 1, size=samples, dtype=_np.int64)
     targets += targets >= sources  # uniform over targets != source
 
-    from repro.backend import resolve_chunk_nodes
+    from repro.permutations.ranking import CHUNK_NODES
 
-    chunk = resolve_chunk_nodes(chunk_nodes)
     distances = _np.empty(samples, dtype=_np.int64)
     with telemetry.span(
         "sampling.pairs",
         family=family,
         size=size,
         samples=samples,
-        chunks=-(-samples // chunk),
+        chunks=-(-samples // CHUNK_NODES),
     ) as sp:
-        for start in range(0, samples, chunk):
-            stop = min(start + chunk, samples)
+        for start in range(0, samples, CHUNK_NODES):
+            stop = min(start + CHUNK_NODES, samples)
             distances[start:stop] = _pair_block_distances(
                 family, size, sources[start:stop], targets[start:stop]
             )
@@ -263,7 +261,6 @@ def sampled_distance_estimate(
     samples: int,
     seed: int,
     *,
-    chunk_nodes=None,
     z: float = Z_95,
 ) -> SampledDistanceEstimate:
     """Estimate distance statistics of one family instance from seeded pairs.
@@ -273,11 +270,9 @@ def sampled_distance_estimate(
     int64 moments (:func:`~repro.simulation.stats.moments_interval`), each
     histogram bucket from a Wilson interval, and the diameter lower bound is
     the sample maximum.  Deterministic in ``(family, size, samples, seed)``
-    and invariant under ``chunk_nodes``.
+    and invariant under the chunk size.
     """
-    distances = sampled_pair_distances(
-        family, size, samples, seed, chunk_nodes=chunk_nodes
-    )
+    distances = sampled_pair_distances(family, size, samples, seed)
     total = int(distances.sum())
     total_squares = int((distances * distances).sum())
     mean, low, high = moments_interval(total, total_squares, samples, z)
@@ -332,23 +327,22 @@ def exact_average_distance(family: str, size: int) -> float:
     return int(_np.asarray(distances).sum()) / (num_nodes - 1)
 
 
-def pancake_relative_ranks(sources, targets, size: int, *, chunk_nodes=None):
+def pancake_relative_ranks(sources, targets, size: int):
     """Lehmer ranks of the relative permutations ``source^-1 o target``.
 
     The pancake graph is a Cayley graph under right multiplication, so
     ``d(source, target) = d(identity, source^-1 o target)`` -- one BFS from
     the identity (rank 0) answers every sampled pair through this relabeling.
-    Chunked over ``chunk_nodes`` without changing the result.
+    Chunked over :data:`~repro.permutations.ranking.CHUNK_NODES` without
+    changing the result.
     """
-    from repro.backend import resolve_chunk_nodes
-    from repro.permutations.ranking import rank_batch, unrank_batch
+    from repro.permutations.ranking import CHUNK_NODES, rank_batch, unrank_batch
 
     sources = _np.asarray(sources, dtype=_np.int64)
     targets = _np.asarray(targets, dtype=_np.int64)
-    chunk = resolve_chunk_nodes(chunk_nodes)
     out = _np.empty(sources.shape[0], dtype=_np.int64)
-    for start in range(0, sources.shape[0], chunk):
-        stop = min(start + chunk, sources.shape[0])
+    for start in range(0, sources.shape[0], CHUNK_NODES):
+        stop = min(start + CHUNK_NODES, sources.shape[0])
         source_rows = _np.asarray(unrank_batch(sources[start:stop], size))
         target_rows = _np.asarray(unrank_batch(targets[start:stop], size))
         positions = _np.argsort(source_rows, axis=1)
@@ -420,7 +414,6 @@ def sampled_pancake_estimate(
     seed: int,
     *,
     max_depth: Optional[int] = None,
-    chunk_nodes=None,
     z: float = Z_95,
 ) -> PancakeDistanceEstimate:
     """Estimate pancake-graph distance statistics from seeded random pairs.
@@ -443,7 +436,7 @@ def sampled_pancake_estimate(
     keyed by ``derive_trial_seed(seed, "sampled-pancake", size, samples)``,
     uniform over ordered distinct pairs) and does **not** depend on
     ``max_depth``: deepening the ball resolves more of the *same* pairs.
-    Deterministic in its parameters and invariant under ``chunk_nodes``.
+    Deterministic in its parameters and invariant under the chunk size.
     """
     check_positive_int(samples, "samples", minimum=1)
     from repro.permutations.ranking import (
@@ -477,16 +470,12 @@ def sampled_pancake_estimate(
         tier="exact" if exact else "truncated",
         max_depth=-1 if exact else int(max_depth),
     ) as sp:
-        relative = pancake_relative_ranks(
-            sources, targets, size, chunk_nodes=chunk_nodes
-        )
+        relative = pancake_relative_ranks(sources, targets, size)
         if exact:
             from repro.topology.routing import index_bfs_distances
 
             full = _np.asarray(
-                index_bfs_distances(
-                    graph.neighbor_source(), num_nodes, 0, chunk_nodes=chunk_nodes
-                )
+                index_bfs_distances(graph.neighbor_source(), num_nodes, 0)
             )
             distances = full[relative]
             resolved_mask = _np.ones(samples, dtype=bool)
@@ -494,10 +483,7 @@ def sampled_pancake_estimate(
         else:
             from repro.topology.routing import bounded_bfs_ball
 
-            ball = bounded_bfs_ball(
-                graph.neighbor_source(), 0, max_depth=max_depth,
-                chunk_nodes=chunk_nodes,
-            )
+            ball = bounded_bfs_ball(graph.neighbor_source(), 0, max_depth=max_depth)
             looked = _np.asarray(ball.distance_of(relative))
             resolved_mask = looked >= 0
             distances = _np.where(resolved_mask, looked, max_depth + 1)

@@ -16,21 +16,10 @@ Enabled -- ``REPRO_TRACE=<path>`` in the environment or ``repro-star run
 event schema and :mod:`repro.telemetry.summarize` for validation and
 aggregation; :doc:`docs/observability` documents the instrumented sites.
 
-The package also hosts the library's single logging shim
-(:mod:`repro.telemetry.logshim`): library modules log through the ``repro``
-logger (silent by default under a ``NullHandler``), the CLI attaches the
-stderr handler that makes their messages visible.
-
 Tracing never changes results: artifact payloads and keys are byte-identical
 with tracing on or off (the standing serial-parity contract).
 """
 
-from repro.telemetry.logshim import (
-    LOGGER_NAME,
-    disable_stderr_logging,
-    enable_stderr_logging,
-    get_logger,
-)
 from repro.telemetry.recorder import (
     NOOP_SPAN,
     TRACE_ENV,
@@ -56,7 +45,6 @@ from repro.telemetry.summarize import (
 __all__ = [
     "TRACE_ENV",
     "EVENT_TYPES",
-    "LOGGER_NAME",
     "NOOP_SPAN",
     "Recorder",
     "span",
@@ -72,7 +60,4 @@ __all__ = [
     "validate_trace_events",
     "summarize_trace",
     "render_summary",
-    "get_logger",
-    "enable_stderr_logging",
-    "disable_stderr_logging",
 ]

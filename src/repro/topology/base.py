@@ -202,10 +202,8 @@ class Topology(ABC):
 
         The base implementation wraps the cached :meth:`neighbor_index_table`
         in a :class:`~repro.topology.routing.TableNeighborSource`; the
-        permutation Cayley families override it to honour ``REPRO_NEIGHBORS``
-        and serve the table-free implicit source past the table ceiling.  Not
-        cached on the instance -- the mode knob is read at call time, so one
-        process can switch sources mid-campaign.
+        permutation Cayley families override it to serve the table-free
+        implicit source past the table ceiling.
         """
         from repro.topology.routing import TableNeighborSource
 

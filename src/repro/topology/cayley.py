@@ -372,11 +372,11 @@ class CayleyGraph(Topology):
         return move_tables_for(self._generators, self._n)
 
     def neighbor_source(self):
-        """Adjacency source honouring ``REPRO_NEIGHBORS``.
+        """Adjacency source chosen by the degree.
 
-        ``auto`` serves the cached table through the table degrees and the
-        table-free implicit source (``unrank -> generator -> rank``) beyond
-        them; see :func:`repro.topology.routing.permutation_neighbor_source`.
+        The cached table through the table degrees, the table-free implicit
+        source (``unrank -> generator -> rank``) beyond them; see
+        :func:`repro.topology.routing.permutation_neighbor_source`.
         """
         from repro.topology.routing import permutation_neighbor_source
 

@@ -34,7 +34,8 @@ over ``Topology.neighbor_index_table()`` (:func:`bfs_distances_from`,
 (:func:`star_distances_between`).  Every service is bit-identical to the
 retained tuple/dict BFS references (see ``tests/topology/test_index_services``).
 
-The NumPy sweeps process node-index blocks of ``REPRO_CHUNK_NODES`` at a time
+The NumPy sweeps process node-index blocks of
+:data:`~repro.permutations.ranking.CHUNK_NODES` at a time
 (:func:`index_bfs_distances`, the chunked :func:`star_distances_from`) so
 peak RSS stays bounded on large graphs -- exactly, with the unchunked sweep
 as the parity oracle (``tests/tables/``).
@@ -49,12 +50,12 @@ neighbour-index blocks either from an in-RAM table
 (:class:`ImplicitNeighborSource`, backed by
 :func:`repro.permutations.ranking.implicit_neighbor_block`).  For the
 permutation Cayley families :func:`permutation_neighbor_source` picks the
-source from ``REPRO_NEIGHBORS`` (``auto`` serves tables through
-``MAX_TABLE_DEGREE`` and goes implicit beyond it), and
-``Topology.neighbor_source()`` hands the right one to every sweep.  The seam
-is exact: implicit blocks are bit-identical to the table rows, so BFS,
-connectivity floods and embedding tallies return the same arrays from either
-source at every chunk size (``tests/tables/test_implicit_neighbors.py``).
+source from the degree alone (tables through ``MAX_TABLE_DEGREE``, implicit
+beyond it), and ``Topology.neighbor_source()`` hands the right one to every
+sweep.  The seam is exact: implicit blocks are bit-identical to the table
+rows, so BFS, connectivity floods and embedding tallies return the same
+arrays from either source at every chunk size
+(``tests/tables/test_implicit_neighbors.py``).
 :func:`bounded_bfs_ball` grows its balls in the source's key space
 (:meth:`NeighborSource.encode`): packed permutations on the implicit source
 through degree 16, node indices everywhere else.
@@ -169,7 +170,7 @@ def star_distance_profile(source: Sequence[int], target: Sequence[int]) -> Tuple
     return distance, len(cycles), displaced
 
 
-def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
+def star_distances_from(origin: Sequence[int]):
     """Distances from *origin* to every permutation of its degree, by rank.
 
     Entry ``r`` of the result is ``star_distance(origin, unrank(r))``.  The
@@ -183,7 +184,7 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
     gathered, displaced positions are counted with one comparison, and the
     non-trivial cycle count comes from pointer-doubling cycle-minima (a
     position is counted once per cycle, at the cycle's minimum).  Chunking is
-    exact -- every ``chunk_nodes`` (default ``REPRO_CHUNK_NODES``) produces
+    exact -- every :data:`~repro.permutations.ranking.CHUNK_NODES` produces
     bit-identical results -- and is what keeps peak RSS bounded above the
     table degree.  Degrees whose ranks overflow int64 (``n > 20``) raise the
     canonical :class:`~repro.exceptions.TableDegreeError`
@@ -194,8 +195,8 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
         raise InvalidParameterError(f"{source!r} is not a permutation")
     n = len(source)
 
-    from repro.backend import resolve_chunk_nodes
     from repro.permutations.ranking import (
+        CHUNK_NODES,
         all_permutations_array,
         factorials,
         permutations_slice,
@@ -219,18 +220,17 @@ def star_distances_from(origin: Sequence[int], *, chunk_nodes=None):
             return permutations_slice(start, stop, n)
 
     total = factorials(n)[n]
-    chunk = resolve_chunk_nodes(chunk_nodes)
     source_columns = list(source)
     distances = _np.empty(total, dtype=_np.int64)
     with telemetry.span(
         "kernel.distance_sweep",
         degree=n,
         num_nodes=total,
-        chunks=-(-total // chunk),
+        chunks=-(-total // CHUNK_NODES),
         tier="dense" if dense else "streamed",
     ):
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+        for start in range(0, total, CHUNK_NODES):
+            stop = min(start + CHUNK_NODES, total)
             perms = perm_block(start, stop)
             # positions[r, s] = index of symbol s in row r
             positions = _np.argsort(perms, axis=1)
@@ -585,7 +585,7 @@ class ImplicitNeighborSource(NeighborSource):
         return f"ImplicitNeighborSource(n={self._n}, width={self.width})"
 
 
-def as_neighbor_source(source, num_nodes=None) -> NeighborSource:
+def as_neighbor_source(source) -> NeighborSource:
     """Coerce *source* -- a :class:`NeighborSource` or a raw table -- to a source.
 
     The adapter that lets :func:`index_bfs_distances` keep accepting the bare
@@ -594,28 +594,22 @@ def as_neighbor_source(source, num_nodes=None) -> NeighborSource:
     """
     if isinstance(source, NeighborSource):
         return source
-    return TableNeighborSource(source, num_nodes)
+    return TableNeighborSource(source)
 
 
 def permutation_neighbor_source(generators, n: int, table_supplier) -> NeighborSource:
     """Select the adjacency source for a permutation Cayley graph.
 
-    ``REPRO_NEIGHBORS`` decides (read at call time): ``table`` always serves
-    the materialised table from *table_supplier* (raising the usual
-    :class:`~repro.exceptions.TableDegreeError` past the table ceiling),
-    ``implicit`` always computes blocks on the fly, and ``auto`` -- the
-    default -- uses tables through
-    :data:`~repro.permutations.ranking.MAX_TABLE_DEGREE` and switches to the
-    implicit source beyond it, which is what makes degree-11+ sweeps possible
-    with no table at all.
+    The degree decides: the materialised table from *table_supplier*
+    through :data:`~repro.permutations.ranking.MAX_TABLE_DEGREE`, the
+    implicit source beyond it, which is what makes degree-11+ sweeps
+    possible with no table at all.  Both serve identical blocks.
     """
-    from repro.backend import neighbor_mode
     from repro.permutations.ranking import within_table_degree
 
-    mode = neighbor_mode()
-    if mode == "implicit" or (mode == "auto" and not within_table_degree(n)):
-        return ImplicitNeighborSource(generators, n)
-    return TableNeighborSource(table_supplier())
+    if within_table_degree(n):
+        return TableNeighborSource(table_supplier())
+    return ImplicitNeighborSource(generators, n)
 
 
 # ------------------------------------------------------ whole-graph services
@@ -625,15 +619,13 @@ def _is_star(topology: "Topology") -> bool:
     return isinstance(topology, StarGraph)
 
 
-def index_bfs_distances(
-    table, num_nodes: int, origin_index: int, *, alive_mask=None, chunk_nodes=None
-):
+def index_bfs_distances(table, num_nodes: int, origin_index: int, *, alive_mask=None):
     """Frontier-sweep BFS over an adjacency source.
 
     The one chunked sweep behind :func:`bfs_distances_from`,
     :func:`connected_under_alive_mask` and the masked rerouting floods
     (:mod:`repro.simulation.rerouting`): each frontier is processed in
-    ``chunk_nodes`` blocks (default ``REPRO_CHUNK_NODES``), newly reached
+    :data:`~repro.permutations.ranking.CHUNK_NODES` blocks, newly reached
     nodes are marked at the current level and the next frontier is recovered
     as ``flatnonzero(distances == level)`` -- the same sorted node set the
     unchunked ``np.unique`` sweep produced, so chunking is bit-exact while
@@ -643,17 +635,26 @@ def index_bfs_distances(
 
     ``alive_mask`` (boolean, indexed by node) restricts the sweep to
     surviving nodes; dead nodes are impassable and keep distance ``-1``.
+    *num_nodes* must equal the source's node count and *origin_index* lie
+    in ``[0, num_nodes)``.
     """
-    from repro.backend import resolve_chunk_nodes
+    from repro.permutations.ranking import CHUNK_NODES
 
-    source = as_neighbor_source(table, num_nodes)
-    chunk = resolve_chunk_nodes(chunk_nodes)
+    source = as_neighbor_source(table)
+    if num_nodes != source.num_nodes:
+        raise InvalidParameterError(
+            f"num_nodes {num_nodes!r} does not match the source's "
+            f"{source.num_nodes} nodes"
+        )
+    if not 0 <= origin_index < num_nodes:
+        raise InvalidParameterError(
+            f"origin index {origin_index!r} outside [0, {num_nodes})"
+        )
     with telemetry.span(
         "kernel.bfs",
         num_nodes=int(num_nodes),
         neighbor_source="table" if source.table is not None else "implicit",
         masked=alive_mask is not None,
-        chunk_nodes=chunk,
     ) as sp:
         blocks = 0
         distances = _np.full(num_nodes, -1, dtype=_np.int64)
@@ -663,8 +664,8 @@ def index_bfs_distances(
         while frontier.size:
             level += 1
             found = False
-            for start in range(0, frontier.size, chunk):
-                block = frontier[start : start + chunk]
+            for start in range(0, frontier.size, CHUNK_NODES):
+                block = frontier[start : start + CHUNK_NODES]
                 blocks += 1
                 candidates = source.neighbor_block(block).reshape(-1)
                 candidates = candidates[candidates >= 0]
@@ -829,7 +830,6 @@ def bounded_bfs_ball(
     *,
     max_depth: int,
     excluded=None,
-    chunk_nodes=None,
 ) -> BoundedBall:
     """Truncated frontier BFS: the depth-capped ball around *origin_index*.
 
@@ -847,7 +847,8 @@ def bounded_bfs_ball(
     neither unranks nor ranks; the returned ball decodes its nodes only
     when they are read.
 
-    Each level expands the frontier in ``chunk_nodes`` blocks, dedupes the
+    Each level expands the frontier in
+    :data:`~repro.permutations.ranking.CHUNK_NODES` blocks, dedupes the
     candidates with one sort plus an adjacent-difference mask and drops the
     visited and excluded ones by ``searchsorted``.  When the depth cap is
     reached with a live frontier, ``truncated`` needs only one escaping
@@ -873,9 +874,6 @@ def bounded_bfs_ball(
         exactly the alive-mask semantics of :func:`index_bfs_distances`,
         expressed sparsely because a boolean mask over ``n!`` nodes cannot
         exist at S_13+.
-    chunk_nodes : int, optional
-        Frontier block size (default ``REPRO_CHUNK_NODES``); any value
-        yields a bit-identical ball.
 
     Returns
     -------
@@ -888,7 +886,7 @@ def bounded_bfs_ball(
     """
     if max_depth < 0:
         raise InvalidParameterError(f"max_depth must be >= 0, got {max_depth!r}")
-    from repro.backend import resolve_chunk_nodes
+    from repro.permutations.ranking import CHUNK_NODES
 
     neighbor_source = as_neighbor_source(source)
     num_nodes = neighbor_source.num_nodes
@@ -908,7 +906,6 @@ def bounded_bfs_ball(
         raise InvalidParameterError(
             f"origin index {origin_index} is excluded; balls grow from survivors"
         )
-    chunk = resolve_chunk_nodes(chunk_nodes)
     with telemetry.span(
         "kernel.bounded_bfs",
         num_nodes=int(num_nodes),
@@ -927,9 +924,9 @@ def bounded_bfs_ball(
         def unseen(rows):
             # Sorted distinct neighbours of *rows* that are not blocked.
             blocks = []
-            for start in range(0, rows.size, chunk):
+            for start in range(0, rows.size, CHUNK_NODES):
                 candidates = neighbor_source.neighbor_keys(
-                    rows[start : start + chunk]
+                    rows[start : start + CHUNK_NODES]
                 ).reshape(-1)
                 if candidates.dtype.kind == "i":  # index keys: drop -1 padding
                     candidates = candidates[candidates >= 0]
@@ -959,7 +956,7 @@ def bounded_bfs_ball(
             while start < frontier.size and not truncated:
                 stop = min(start + width, frontier.size)
                 truncated = bool(unseen(frontier[start:stop]).size)
-                start, width = stop, min(8 * width, chunk)
+                start, width = stop, min(8 * width, CHUNK_NODES)
         keys = _np.concatenate(level_arrays)
         distances = _np.repeat(
             _np.arange(len(level_sizes), dtype=_np.int64), level_sizes

@@ -186,11 +186,11 @@ class StarGraph(Topology):
         return move_tables(self._n)
 
     def neighbor_source(self):
-        """Adjacency source honouring ``REPRO_NEIGHBORS``.
+        """Adjacency source chosen by the degree.
 
-        ``auto`` serves the cached table through the table degrees and the
-        table-free implicit source (``unrank -> g_j -> rank``) beyond
-        them; see :func:`repro.topology.routing.permutation_neighbor_source`.
+        The cached table through the table degrees, the table-free implicit
+        source (``unrank -> g_j -> rank``) beyond them; see
+        :func:`repro.topology.routing.permutation_neighbor_source`.
         """
         from repro.permutations.ranking import star_position_generators
         from repro.topology.routing import permutation_neighbor_source

@@ -130,15 +130,16 @@ class TestTableDegreeGuard:
                 call()
             messages.add(str(excinfo.value))
         # Above the absolute ceiling every entry point names it identically,
-        # and the message points past the dead end: the table-free implicit
-        # backend and the sampled estimators.
+        # and the message points past the dead end: the automatic table-free
+        # implicit source and the sampled estimators.
         assert len(messages) == 1
         (message,) = messages
         assert message.startswith(
             f"per-degree move tables are limited to n <= {MAX_TABLE_DEGREE}, "
             f"got {over}"
         )
-        assert "REPRO_NEIGHBORS=implicit" in message
+        assert "Topology.neighbor_source serves the table-free implicit" in message
+        assert "REPRO_NEIGHBORS" not in message
         assert "repro.simulation.sampling" in message
         assert "SAMPLED-DISTANCE" in message
         # ... including the sampled-campaign remedy added with the S_13+

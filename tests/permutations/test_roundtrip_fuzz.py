@@ -22,6 +22,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.permutations import ranking
 from repro.permutations.ranking import (
     factorials,
     implicit_neighbor_block,
@@ -116,16 +117,14 @@ class TestImplicitVsTableParity:
             assert np.array_equal(implicit, expected), (family, n)
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_every_chunk_size_is_bit_identical(self, chunk):
+    def test_every_chunk_size_is_bit_identical(self, chunk, monkeypatch):
         n = 7
         ranks = _fuzz_ranks(n, f"chunk-{chunk}")
         for family, generators in generator_families(n).items():
-            reference = np.asarray(
-                implicit_neighbor_block(ranks, generators, n, chunk_nodes=10**9)
-            )
-            chunked = np.asarray(
-                implicit_neighbor_block(ranks, generators, n, chunk_nodes=chunk)
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", 10**9)
+            reference = np.asarray(implicit_neighbor_block(ranks, generators, n))
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            chunked = np.asarray(implicit_neighbor_block(ranks, generators, n))
             assert np.array_equal(chunked, reference), (family, chunk)
 
     @pytest.mark.parametrize("n", DEGREES)

@@ -20,6 +20,7 @@ import networkx as nx
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.permutations import ranking
 from repro.simulation import (
     CAMPAIGN_FAMILIES,
     campaign_instances,
@@ -149,7 +150,7 @@ class TestMaskedBfsOracle:
             masked_bfs_distances(topology, topology.num_nodes, alive)
 
 
-#: Swept under ``REPRO_NEIGHBORS=implicit``: routes walk back over
+#: Swept under a lowered ``MAX_TABLE_DEGREE``: routes walk back over
 #: neighbour blocks computed on the fly, with no adjacency table.
 IMPLICIT_STAR = StarGraph(5)
 
@@ -162,17 +163,17 @@ class TestMaskedRoute:
     def test_routes_witness_distances(self, topology, monkeypatch):
         """Every finite detour distance is realised by an explicit path of
         alive-to-alive edges of exactly that many hops."""
+        neighbor_sets = {
+            i: {int(j) for j in topology.neighbor_index_table()[i] if j >= 0}
+            for i in range(topology.num_nodes)
+        }
         if topology is IMPLICIT_STAR:
-            monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+            monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 4)
             assert isinstance(topology.neighbor_source(), ImplicitNeighborSource)
         rng = random.Random(0x207E)
         alive = _random_alive(rng, topology)
         alive[0] = True
         distances = masked_bfs_distances(topology, 0, alive)
-        neighbor_sets = {
-            i: {int(j) for j in topology.neighbor_index_table()[i] if j >= 0}
-            for i in range(topology.num_nodes)
-        }
         for target in range(topology.num_nodes):
             path = masked_route(topology, 0, target, alive)
             if distances[target] < 0:

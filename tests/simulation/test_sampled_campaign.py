@@ -11,8 +11,8 @@ Three layers, each held against an exact small-degree oracle:
   verdicts for every truncated-tier classification;
 * :func:`repro.simulation.sampled_campaign.sampled_fault_campaign` and the
   SAMPLED-FAULT / SAMPLED-STRETCH / RANKING experiments: accounting
-  identity, zero-fault oracles, sub-connectivity oracle, chunk and backend
-  invariance, registry wiring.
+  identity, zero-fault oracles, sub-connectivity oracle, chunk and
+  adjacency-source invariance, registry wiring.
 """
 
 import os
@@ -33,6 +33,7 @@ from repro.simulation.sampling import (
     pancake_relative_ranks,
     sampled_pancake_estimate,
 )
+from repro.permutations import ranking
 from repro.permutations.ranking import (
     permutation_unrank,
     star_position_generators,
@@ -140,13 +141,12 @@ class TestBoundedBall:
         assert np.array_equal(dense, masked)
         assert not ball.truncated
 
-    def test_chunk_size_never_changes_the_ball(self):
+    def test_chunk_size_never_changes_the_ball(self, monkeypatch):
         star = StarGraph(6)
         reference = bounded_bfs_ball(star.neighbor_source(), 3, max_depth=3)
         for chunk in (1, 7, 64, 10**9):
-            ball = bounded_bfs_ball(
-                star.neighbor_source(), 3, max_depth=3, chunk_nodes=chunk
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            ball = bounded_bfs_ball(star.neighbor_source(), 3, max_depth=3)
             assert np.array_equal(np.asarray(ball.nodes), np.asarray(reference.nodes))
             assert np.array_equal(
                 np.asarray(ball.distances), np.asarray(reference.distances)
@@ -180,7 +180,7 @@ class TestBoundedBall:
             assert np.array_equal(out, np.unique(values))
 
     @pytest.mark.parametrize("escape", [True, False])
-    def test_probe_against_adversarial_exclusions(self, escape):
+    def test_probe_against_adversarial_exclusions(self, escape, monkeypatch):
         # Exclude every level-(d+1) node except (escape=True) one whose only
         # level-d neighbour is the highest-index level-d node -- the last row
         # the probe reaches -- or (escape=False) all of them, so the last
@@ -212,13 +212,10 @@ class TestBoundedBall:
         )
         assert oracle.truncated is escape
         assert oracle.levels == depth
-        for chunk in (1, 2, 7, None):
+        for chunk in (1, 2, 7, ranking.CHUNK_NODES):
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             ball = bounded_bfs_ball(
-                star.neighbor_source(),
-                0,
-                max_depth=depth,
-                excluded=excluded,
-                chunk_nodes=chunk,
+                star.neighbor_source(), 0, max_depth=depth, excluded=excluded
             )
             _assert_same_ball(ball, oracle)
 
@@ -238,13 +235,8 @@ class TestBoundedBall:
     def test_implicit_backend_matches_table_backend(self):
         star = StarGraph(7)
         table_ball = bounded_bfs_ball(star.neighbor_source(), 11, max_depth=3)
-        os.environ["REPRO_NEIGHBORS"] = "implicit"
-        try:
-            implicit_source = StarGraph(7).neighbor_source()
-            assert implicit_source.table is None
-            implicit_ball = bounded_bfs_ball(implicit_source, 11, max_depth=3)
-        finally:
-            del os.environ["REPRO_NEIGHBORS"]
+        implicit_source = ImplicitNeighborSource(star_position_generators(7), 7)
+        implicit_ball = bounded_bfs_ball(implicit_source, 11, max_depth=3)
         assert np.array_equal(
             np.asarray(implicit_ball.nodes), np.asarray(table_ball.nodes)
         )
@@ -264,7 +256,7 @@ class TestPackedKeyBalls:
     ):
         table_source = sampled_campaign_instances(n)[family][1].neighbor_source()
         assert table_source.table is not None
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+        monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", n - 1)
         packed_source = sampled_campaign_instances(n)[family][1].neighbor_source()
         assert packed_source.table is None
         rng = np.random.default_rng(31 * n + len(family))
@@ -272,12 +264,13 @@ class TestPackedKeyBalls:
         healthy = bounded_bfs_ball(table_source, origin, max_depth=3)
         inner = np.flatnonzero(np.asarray(healthy.distances) >= 1)
         excluded = np.sort(healthy.nodes[rng.choice(inner, size=2 * n, replace=False)])
-        for chunk in (1, 2, 7, None):
+        for chunk in (1, 2, 7, ranking.CHUNK_NODES):
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             oracle = bounded_bfs_ball(
-                table_source, origin, max_depth=3, excluded=excluded, chunk_nodes=chunk
+                table_source, origin, max_depth=3, excluded=excluded
             )
             ball = bounded_bfs_ball(
-                packed_source, origin, max_depth=3, excluded=excluded, chunk_nodes=chunk
+                packed_source, origin, max_depth=3, excluded=excluded
             )
             assert ball.keys.dtype == np.uint64
             _assert_same_ball(ball, oracle)
@@ -391,12 +384,11 @@ class TestPancakeEstimator:
         for distance, count in shallow.histogram.items():
             assert deep.histogram.get(distance) == count
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         reference = sampled_pancake_estimate(7, 200, seed=5, max_depth=4)
         for chunk in (1, 7, 64, 10**9):
-            estimate = sampled_pancake_estimate(
-                7, 200, seed=5, max_depth=4, chunk_nodes=chunk
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            estimate = sampled_pancake_estimate(7, 200, seed=5, max_depth=4)
             assert estimate == reference
 
     def test_default_depth_grows_with_budget(self):
@@ -434,7 +426,7 @@ class TestSampledFaultCampaign:
             if point.reached:
                 assert point.mean_stretch >= 1.0
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         _name, topology = sampled_campaign_instances(6)["star"]
         kwargs = dict(
             fault_counts=(0, 3),
@@ -446,7 +438,8 @@ class TestSampledFaultCampaign:
         )
         reference = sampled_fault_campaign(topology, **kwargs)
         assert sampled_fault_campaign(topology, **kwargs) == reference
-        assert sampled_fault_campaign(topology, chunk_nodes=13, **kwargs) == reference
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 13)
+        assert sampled_fault_campaign(topology, **kwargs) == reference
 
     def test_disconnection_is_provable_when_faults_cut_the_origin(self):
         # Kill every neighbour of the origin: the faulted ball collapses to
@@ -523,10 +516,7 @@ class TestExperiments:
 
     @pytest.mark.skipif(not HEAVY, reason="S_13 acceptance run is heavy-gated")
     def test_s13_fast_profile_runs_table_free(self):
-        os.environ["REPRO_NEIGHBORS"] = "implicit"
-        try:
-            result = run_experiment("SAMPLED-FAULT", profile="fast")
-        finally:
-            del os.environ["REPRO_NEIGHBORS"]
+        assert StarGraph(13).neighbor_source().table is None
+        result = run_experiment("SAMPLED-FAULT", profile="fast")
         assert result.summary["claim_holds"] is True
         assert any(row[0] == 13 for row in result.rows)

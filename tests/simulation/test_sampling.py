@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, TableDegreeError
+from repro.permutations import ranking
 from repro.simulation.sampling import (
     SAMPLING_FAMILIES,
     exact_average_distance,
@@ -76,15 +77,11 @@ class TestPairSampling:
     @pytest.mark.parametrize("family,size", INSTANCES)
     def test_chunk_size_never_changes_the_distances(self, family, size, monkeypatch):
         reference = sampled_pair_distances(family, size, 400, 7)
-        for chunk in (1, 13, 10**9):
+        for chunk in (1, 13, 37, 10**9):
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             assert np.array_equal(
-                sampled_pair_distances(family, size, 400, 7, chunk_nodes=chunk),
-                reference,
+                sampled_pair_distances(family, size, 400, 7), reference
             )
-        monkeypatch.setenv("REPRO_CHUNK_NODES", "37")
-        assert np.array_equal(
-            sampled_pair_distances(family, size, 400, 7), reference
-        )
 
     @pytest.mark.parametrize("family,size", INSTANCES)
     def test_distances_are_in_range(self, family, size):
@@ -197,9 +194,10 @@ class TestEstimate:
             )
         assert estimate.diameter_lower_bound == max(estimate.histogram)
 
-    def test_estimate_is_chunk_invariant_and_deterministic(self):
+    def test_estimate_is_chunk_invariant_and_deterministic(self, monkeypatch):
         reference = sampled_distance_estimate("star", 6, 1_000, 77)
-        again = sampled_distance_estimate("star", 6, 1_000, 77, chunk_nodes=17)
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 17)
+        again = sampled_distance_estimate("star", 6, 1_000, 77)
         assert again == reference
 
     def test_moments_interval_agrees_with_mean_interval(self):

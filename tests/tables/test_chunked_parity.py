@@ -1,23 +1,22 @@
 """Chunked streaming kernels are exact: every chunk size is bit-identical.
 
-``REPRO_CHUNK_NODES`` (or the ``chunk_nodes=`` keyword) only trades memory
-against throughput -- these tests sweep pathological chunk sizes (1, a small
-prime, larger than the whole graph) over every streamed kernel and demand
-array equality with the unchunked result, plus unit coverage of the
-``REPRO_CHUNK_NODES`` knob itself.
+:data:`repro.permutations.ranking.CHUNK_NODES` only trades memory against
+throughput -- these tests monkeypatch pathological chunk sizes (1, a small
+prime, larger than the whole graph) into every streamed kernel and demand
+array equality with the default-chunk result.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import DEFAULT_CHUNK_NODES, resolve_chunk_nodes
 from repro.embedding.metrics import (
     _build_mesh_to_star_edge_data,
     measure_embedding,
     measure_embedding_reference,
 )
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
-from repro.exceptions import InvalidParameterError, TableDegreeError
+from repro.exceptions import TableDegreeError
+from repro.permutations import ranking
 from repro.simulation.rerouting import masked_bfs_distances
 from repro.topology.routing import (
     bfs_distances_from,
@@ -37,31 +36,30 @@ def _alive_mask(num_nodes, dead):
 
 
 class TestStarDistancesChunks:
-    def test_kwarg_chunks_match_default(self, star5):
+    def test_chunks_match_default(self, star5, monkeypatch):
         reference = np.asarray(star_distances_from(star5.identity))
         for chunk in CHUNK_SIZES:
-            chunked = np.asarray(
-                star_distances_from(star5.identity, chunk_nodes=chunk)
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            chunked = np.asarray(star_distances_from(star5.identity))
             assert np.array_equal(chunked, reference)
         # 21! overflows int64 ranks, so no sweep exists at that degree.
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 7)
         with pytest.raises(TableDegreeError):
-            star_distances_from(tuple(range(21)), chunk_nodes=7)
+            star_distances_from(tuple(range(21)))
 
-    def test_env_chunks_match_default(self, star5, monkeypatch):
+    def test_odd_chunks_match_default(self, star5, monkeypatch):
         reference = np.asarray(star_distances_from(star5.identity))
         for chunk in (3, 50):
-            monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             assert np.array_equal(
                 np.asarray(star_distances_from(star5.identity)), reference
             )
 
-    def test_non_identity_origin(self, star5):
+    def test_non_identity_origin(self, star5, monkeypatch):
         origin = (2, 0, 4, 1, 3)
         reference = np.asarray(star_distances_from(origin))
-        assert np.array_equal(
-            np.asarray(star_distances_from(origin, chunk_nodes=11)), reference
-        )
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 11)
+        assert np.array_equal(np.asarray(star_distances_from(origin)), reference)
         # Cross-check against the BFS sweep (no closed form at all).
         swept = np.asarray(
             bfs_distances_from(star5, origin, use_closed_form=False)
@@ -70,16 +68,15 @@ class TestStarDistancesChunks:
 
 
 class TestBfsChunks:
-    def test_index_bfs_chunks_match(self, star5):
+    def test_index_bfs_chunks_match(self, star5, monkeypatch):
         table = star5.neighbor_index_table()
         reference = np.asarray(index_bfs_distances(table, star5.num_nodes, 0))
         for chunk in CHUNK_SIZES:
-            chunked = np.asarray(
-                index_bfs_distances(table, star5.num_nodes, 0, chunk_nodes=chunk)
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            chunked = np.asarray(index_bfs_distances(table, star5.num_nodes, 0))
             assert np.array_equal(chunked, reference)
 
-    def test_masked_index_bfs_chunks_match(self, star5):
+    def test_masked_index_bfs_chunks_match(self, star5, monkeypatch):
         table = star5.neighbor_index_table()
         alive = _alive_mask(star5.num_nodes, dead=(3, 17, 44, 90))
         reference = np.asarray(
@@ -87,25 +84,24 @@ class TestBfsChunks:
         )
         assert int(reference[3]) == -1  # dead nodes stay unreached
         for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             chunked = np.asarray(
-                index_bfs_distances(
-                    table, star5.num_nodes, 0, alive_mask=alive, chunk_nodes=chunk
-                )
+                index_bfs_distances(table, star5.num_nodes, 0, alive_mask=alive)
             )
             assert np.array_equal(chunked, reference)
 
-    def test_masked_bfs_distances_chunks_match(self, star5):
+    def test_masked_bfs_distances_chunks_match(self, star5, monkeypatch):
         alive = _alive_mask(star5.num_nodes, dead=(5, 6, 7, 100, 111))
         reference = np.asarray(masked_bfs_distances(star5, 0, alive))
         for chunk in CHUNK_SIZES:
-            chunked = np.asarray(
-                masked_bfs_distances(star5, 0, alive, chunk_nodes=chunk)
-            )
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            chunked = np.asarray(masked_bfs_distances(star5, 0, alive))
             assert np.array_equal(chunked, reference)
 
-    def test_all_alive_masked_bfs_equals_plain_bfs(self, star5):
+    def test_all_alive_masked_bfs_equals_plain_bfs(self, star5, monkeypatch):
         alive = np.ones(star5.num_nodes, dtype=bool)
-        masked = np.asarray(masked_bfs_distances(star5, 0, alive, chunk_nodes=13))
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 13)
+        masked = np.asarray(masked_bfs_distances(star5, 0, alive))
         plain = np.asarray(
             bfs_distances_from(star5, star5.identity, use_closed_form=False)
         )
@@ -120,45 +116,24 @@ class TestConnectivityChunks:
         disconnected = _alive_mask(star5.num_nodes, dead=neighbor_ranks)
         still_connected = _alive_mask(star5.num_nodes, dead=neighbor_ranks[:-1])
         for chunk in (1, 9, 10**9):
-            monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             assert not connected_under_alive_mask(star5, disconnected)
             assert connected_under_alive_mask(star5, still_connected)
 
 
 class TestEmbeddingChunks:
-    def test_edge_data_metrics_are_chunk_invariant(self):
+    def test_edge_data_metrics_are_chunk_invariant(self, monkeypatch):
         embedding = MeshToStarEmbedding(5)
         reference = _build_mesh_to_star_edge_data(embedding).metrics()
         for chunk in CHUNK_SIZES:
-            chunked = _build_mesh_to_star_edge_data(
-                embedding, chunk_nodes=chunk
-            ).metrics()
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+            chunked = _build_mesh_to_star_edge_data(embedding).metrics()
             assert chunked == reference
 
-    def test_env_chunked_measure_matches_reference_oracle(self, monkeypatch):
+    def test_chunked_measure_matches_reference_oracle(self, monkeypatch):
         for n in (4, 5):
             oracle = measure_embedding_reference(MeshToStarEmbedding(n))
             for chunk in (1, 17):
-                monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+                monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
                 # Fresh instance: the edge data is cached per embedding.
                 assert measure_embedding(MeshToStarEmbedding(n)) == oracle
-
-
-class TestResolveChunkNodes:
-    def test_precedence_explicit_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_NODES", raising=False)
-        assert resolve_chunk_nodes() == DEFAULT_CHUNK_NODES
-        monkeypatch.setenv("REPRO_CHUNK_NODES", "4096")
-        assert resolve_chunk_nodes() == 4096
-        assert resolve_chunk_nodes(128) == 128  # explicit beats env
-
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, "many"])
-    def test_rejects_non_positive_ints(self, bad):
-        with pytest.raises(InvalidParameterError):
-            resolve_chunk_nodes(bad)
-
-    @pytest.mark.parametrize("raw", ["zero", "1.5", "-3", "0"])
-    def test_rejects_bad_env_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_CHUNK_NODES", raw)
-        with pytest.raises(InvalidParameterError):
-            resolve_chunk_nodes()

@@ -4,8 +4,10 @@ The contract under test: ``implicit_neighbor_block`` computes exactly the
 rows the move tables would hold (``unrank -> apply generator -> rank``), the
 ``NeighborSource`` seam serves bit-identical adjacency from either side, and
 the whole-graph kernels -- BFS, connectivity floods, masked BFS, the batched
-embedding tally -- return the same results under ``REPRO_NEIGHBORS=implicit``
-as from the tables, at every chunk size.  The vectorised ``rank_batch``
+embedding tally -- return the same results from the implicit source as from
+the tables, at every chunk size.  The implicit source is reached either by
+building it directly or by lowering ``MAX_TABLE_DEGREE`` so that the degree
+rule selects it.  The vectorised ``rank_batch``
 round-trips ``unrank_batch`` at degrees past the table ceiling, and the
 int64 rank guard (``21!`` overflows int64) raises the canonical
 :class:`~repro.exceptions.TableDegreeError` on every batch entry point.
@@ -17,8 +19,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.backend import NEIGHBOR_MODES, neighbor_mode
 from repro.exceptions import InvalidParameterError, TableDegreeError
+from repro.permutations import ranking
 from repro.permutations.ranking import (
     MAX_INT64_RANK_DEGREE,
     MAX_TABLE_DEGREE,
@@ -202,20 +204,20 @@ class TestImplicitBlockParity:
             assert block.dtype == np.int64
             assert np.array_equal(block, stacked), name
 
-    def test_chunk_size_never_changes_the_block(self):
+    def test_chunk_size_never_changes_the_block(self, monkeypatch):
         generators = star_position_generators(5)
         ranks = _rng(7).integers(0, 120, size=64, dtype=np.int64)
         reference = implicit_neighbor_block(ranks, generators, 5)
         for chunk in (1, 3, 17, 10**9):
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             assert np.array_equal(
-                implicit_neighbor_block(ranks, generators, 5, chunk_nodes=chunk),
-                reference,
+                implicit_neighbor_block(ranks, generators, 5), reference
             )
 
-    def test_respects_chunk_env(self, monkeypatch):
+    def test_respects_the_chunk_constant(self, monkeypatch):
         generators = star_position_generators(4)
         reference = implicit_neighbor_block(np.arange(24), generators, 4)
-        monkeypatch.setenv("REPRO_CHUNK_NODES", "5")
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 5)
         assert np.array_equal(
             implicit_neighbor_block(np.arange(24), generators, 4), reference
         )
@@ -317,24 +319,11 @@ class TestNeighborSourceSeam:
         assert as_neighbor_source(implicit) is implicit
 
 
-class TestModeSelection:
-    """``REPRO_NEIGHBORS`` decides which source a permutation graph serves."""
+class TestSourceSelection:
+    """The degree alone decides which source a permutation graph serves."""
 
     def _fail_supplier(self):
-        raise AssertionError("table_supplier must not be called in implicit mode")
-
-    def test_mode_values(self, monkeypatch):
-        assert neighbor_mode() == "auto"
-        for mode in NEIGHBOR_MODES:
-            monkeypatch.setenv("REPRO_NEIGHBORS", mode)
-            assert neighbor_mode() == mode
-        monkeypatch.setenv("REPRO_NEIGHBORS", "IMPLICIT")
-        assert neighbor_mode() == "implicit"  # case-insensitive, like backend
-
-    def test_invalid_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "magic")
-        with pytest.raises(InvalidParameterError):
-            neighbor_mode()
+        raise AssertionError("table_supplier must not be called past the bound")
 
     def test_auto_serves_tables_in_range(self):
         source = permutation_neighbor_source(
@@ -350,34 +339,20 @@ class TestModeSelection:
         assert isinstance(source, ImplicitNeighborSource)
         assert source.num_nodes == math.factorial(n)
 
-    def test_implicit_mode_never_touches_the_supplier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+    def test_implicit_source_never_touches_the_supplier(self, monkeypatch):
+        monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 4)
         source = permutation_neighbor_source(
             star_position_generators(5), 5, self._fail_supplier
         )
         assert isinstance(source, ImplicitNeighborSource)
 
-    def test_table_mode_is_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "table")
-        source = permutation_neighbor_source(
-            star_position_generators(5), 5, StarGraph(5).neighbor_index_table
-        )
-        assert isinstance(source, TableNeighborSource)
-        # Past the table bound a forced table raises instead of going implicit.
-        with pytest.raises(TableDegreeError):
-            permutation_neighbor_source(
-                star_position_generators(11),
-                11,
-                StarGraph(11).neighbor_index_table,
-            )
-
     def test_topology_entry_points(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+        monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 3)
         for topology in (StarGraph(4), PancakeGraph(4), BubbleSortGraph(4)):
             assert isinstance(topology.neighbor_source(), ImplicitNeighborSource)
         # Non-permutation topologies have no implicit form: always the table.
         assert isinstance(Hypercube(3).neighbor_source(), TableNeighborSource)
-        monkeypatch.delenv("REPRO_NEIGHBORS")
+        monkeypatch.undo()
         assert isinstance(StarGraph(4).neighbor_source(), TableNeighborSource)
 
 
@@ -386,23 +361,19 @@ class TestWholeGraphParityUnderImplicit:
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_bfs_distances(self, n, monkeypatch):
-        for name, topology, _generators in _family_instances(n):
+        for name, topology, generators in _family_instances(n):
             table = topology.neighbor_index_table()
             reference = np.asarray(
                 index_bfs_distances(table, topology.num_nodes, 1)
             )
-            monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
-            source = topology.neighbor_source()
-            assert source.table is None
+            source = ImplicitNeighborSource(generators, n)
             for chunk in (1, 97, 10**9) if n == 5 else (97, 10**9):
-                monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+                monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
                 got = np.asarray(
                     index_bfs_distances(source, topology.num_nodes, 1)
                 )
                 assert got.dtype == reference.dtype
                 assert np.array_equal(got, reference), name
-            monkeypatch.delenv("REPRO_CHUNK_NODES")
-            monkeypatch.delenv("REPRO_NEIGHBORS")
 
     def test_connectivity_flood(self, monkeypatch):
         star = StarGraph(5)
@@ -411,20 +382,24 @@ class TestWholeGraphParityUnderImplicit:
             alive = np.ones(star.num_nodes, dtype=bool)
             alive[list(dead)] = False
             reference = connected_under_alive_mask(star, alive)
-            monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
-            assert connected_under_alive_mask(star, alive) == reference
-            monkeypatch.delenv("REPRO_NEIGHBORS")
+            monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 4)
+            implicit_star = StarGraph(5)
+            assert implicit_star.neighbor_source().table is None
+            assert connected_under_alive_mask(implicit_star, alive) == reference
+            monkeypatch.undo()
 
     def test_masked_bfs(self, monkeypatch):
         star = StarGraph(5)
         alive = np.ones(star.num_nodes, dtype=bool)
         alive[[3, 17, 44, 90]] = False
         reference = np.asarray(masked_bfs_distances(star, 0, alive))
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+        monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 4)
+        implicit_star = StarGraph(5)
+        assert implicit_star.neighbor_source().table is None
         for chunk in (13, 10**9):
-            monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             assert np.array_equal(
-                np.asarray(masked_bfs_distances(star, 0, alive)), reference
+                np.asarray(masked_bfs_distances(implicit_star, 0, alive)), reference
             )
 
     def test_embedding_tally(self, monkeypatch):
@@ -436,9 +411,9 @@ class TestWholeGraphParityUnderImplicit:
 
         for n in (3, 4, 5):
             reference = measure_embedding(MeshToStarEmbedding(n))
-            monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
+            monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", n - 1)
             implicit = measure_embedding(MeshToStarEmbedding(n))
-            monkeypatch.delenv("REPRO_NEIGHBORS")
+            monkeypatch.undo()
             assert implicit == reference
             assert implicit == measure_embedding_reference(MeshToStarEmbedding(n))
 
@@ -452,10 +427,8 @@ class TestWholeGraphParityUnderImplicit:
         reference = np.asarray(
             index_bfs_distances(star.neighbor_index_table(), star.num_nodes, 0)
         )
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
-        source = star.neighbor_source()
-        assert source.table is None
+        source = ImplicitNeighborSource(star_position_generators(n), n)
         for chunk in (4096, 10**9):
-            monkeypatch.setenv("REPRO_CHUNK_NODES", str(chunk))
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
             got = np.asarray(index_bfs_distances(source, star.num_nodes, 0))
             assert np.array_equal(got, reference)

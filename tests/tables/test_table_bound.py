@@ -2,20 +2,25 @@
 
 Move tables exist through :data:`repro.permutations.ranking.MAX_TABLE_DEGREE`
 (``n <= 10``).  Past that bound every permutation-graph kernel must run with
-no table at all -- ``auto`` adjacency goes implicit, the closed-form distance
-sweep unranks its blocks on the fly, the embedding tally unranks its endpoint
-rows -- and produce exactly the bytes the table-backed paths produce.
+no table at all -- adjacency goes implicit, the closed-form distance sweep
+unranks its blocks on the fly, the embedding tally unranks its endpoint rows
+-- and produce exactly the bytes the table-backed paths produce.  The degree
+is the only input to that choice: no environment variable or keyword
+selects a source or a chunk size.
 
-Two kinds of test pin that contract:
+Three kinds of test pin that contract:
 
 * at the real boundary (degree 11) the cheap entry points -- building a
   topology, picking its adjacency source, answering a neighbour block --
-  switch over without touching a table;
+  switch over without touching a table, and the source switches exactly at
+  the bound for every family;
 * the past-the-bound branches are run end to end at test-sized degrees by
   lowering ``MAX_TABLE_DEGREE`` (read at call time by
   :func:`~repro.permutations.ranking.within_table_degree`), and compared with
   the table-backed results computed under the real bound, at several
-  ``chunk_nodes`` block sizes.
+  :data:`~repro.permutations.ranking.CHUNK_NODES` block sizes;
+* the retired ``REPRO_NEIGHBORS`` / ``REPRO_CHUNK_NODES`` variables are
+  inert: setting them changes nothing and raises nothing.
 """
 
 import math
@@ -55,12 +60,6 @@ FAMILIES = {
 PAST = 5
 
 
-@pytest.fixture(autouse=True)
-def _auto_neighbors(monkeypatch):
-    """Every test here starts from the default ``auto`` adjacency mode."""
-    monkeypatch.delenv("REPRO_NEIGHBORS", raising=False)
-
-
 @pytest.fixture
 def lowered_bound(monkeypatch):
     """Lower the table bound below :data:`PAST` for the duration of a test."""
@@ -91,12 +90,6 @@ class TestAtTheRealBound:
             node = graph.node_from_index(int(rank))
             expected = [graph.node_index(v) for v in graph.neighbors(node)]
             assert [int(r) for r in row] == expected
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_forced_table_source_is_refused(self, family, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "table")
-        with pytest.raises(TableDegreeError):
-            FAMILIES[family](OVER).neighbor_source()
 
     def test_bounded_ball_runs_on_the_implicit_source(self):
         star = StarGraph(OVER)
@@ -134,7 +127,9 @@ class TestPastTheBound:
     def test_distance_sweep_unranks_bit_identically(self, chunk, monkeypatch):
         reference = np.asarray(star_distances_from(self.ORIGIN))
         monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", PAST - 1)
-        streamed = np.asarray(star_distances_from(self.ORIGIN, chunk_nodes=chunk))
+        if chunk is not None:
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+        streamed = np.asarray(star_distances_from(self.ORIGIN))
         assert streamed.dtype == reference.dtype
         assert np.array_equal(streamed, reference)
 
@@ -171,7 +166,7 @@ class TestPastTheBound:
                 swept, np.asarray(star_distances_from(graph.identity))
             )
 
-    @pytest.mark.parametrize("chunk", ["1", "7", None])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_connectivity_and_masked_bfs_match_the_table(self, chunk, monkeypatch):
         dead = [3, 17, 44, 90]
         alive = np.ones(math.factorial(PAST), dtype=bool)
@@ -181,20 +176,20 @@ class TestPastTheBound:
         expected_verdict = connected_under_alive_mask(table_star, alive)
         monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", PAST - 1)
         if chunk is not None:
-            monkeypatch.setenv("REPRO_CHUNK_NODES", chunk)
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
         star = StarGraph(PAST)
         assert np.array_equal(
             np.asarray(masked_bfs_distances(star, 0, alive)), expected_flood
         )
         assert connected_under_alive_mask(star, alive) == expected_verdict
 
-    @pytest.mark.parametrize("chunk", ["1", None])
+    @pytest.mark.parametrize("chunk", [1, None])
     @pytest.mark.parametrize("n", [PAST, PAST + 1])
     def test_embedding_tally_matches_the_tuple_walk(
         self, n, chunk, lowered_bound, monkeypatch
     ):
         if chunk is not None:
-            monkeypatch.setenv("REPRO_CHUNK_NODES", chunk)
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
         assert measure_embedding(MeshToStarEmbedding(n)) == (
             measure_embedding_reference(MeshToStarEmbedding(n))
         )
@@ -204,6 +199,71 @@ class TestPastTheBound:
         reference = sampled_pancake_estimate(PAST, 400, 2206)
         assert reference.exact
         monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", PAST - 1)
-        assert sampled_pancake_estimate(
-            PAST, 400, 2206, chunk_nodes=chunk
-        ) == reference
+        if chunk is not None:
+            monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
+        assert sampled_pancake_estimate(PAST, 400, 2206) == reference
+
+
+class TestTheDegreeAloneSelects:
+    """The source flips exactly between the bound and the next degree."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_switch_sits_at_the_bound(self, family, offset):
+        n = MAX_TABLE_DEGREE + offset
+        graph = FAMILIES[family](n)
+        calls = []
+        # A stand-in table: the real degree-10 tables are too large to build
+        # per test, and only whether the supplier is asked for one matters.
+        stand_in = np.zeros((1, n - 1), dtype=np.int64)
+
+        def supplier():
+            calls.append(n)
+            return stand_in
+
+        graph.neighbor_index_table = supplier
+        source = graph.neighbor_source()
+        if offset <= 0:
+            assert isinstance(source, TableNeighborSource)
+            assert source.table is stand_in
+            assert calls == [n]
+        else:
+            assert isinstance(source, ImplicitNeighborSource)
+            assert source.num_nodes == math.factorial(n)
+            assert calls == []
+
+
+class TestRetiredVariablesAreInert:
+    """``REPRO_NEIGHBORS`` and ``REPRO_CHUNK_NODES`` are read by nothing."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("REPRO_NEIGHBORS", "magic"),
+            ("REPRO_NEIGHBORS", "implicit"),
+            ("REPRO_NEIGHBORS", "table"),
+            ("REPRO_CHUNK_NODES", "0"),
+            ("REPRO_CHUNK_NODES", "many"),
+        ],
+    )
+    def test_setting_one_changes_nothing(self, name, value, monkeypatch):
+        origin = (2, 0, 4, 1, 3)
+
+        def results():
+            star = StarGraph(PAST)
+            alive = np.ones(star.num_nodes, dtype=bool)
+            alive[[3, 17]] = False
+            ball = bounded_bfs_ball(star.neighbor_source(), 0, max_depth=2)
+            return (
+                type(star.neighbor_source()),
+                type(StarGraph(OVER).neighbor_source()),
+                np.asarray(star_distances_from(origin)).tolist(),
+                np.asarray(masked_bfs_distances(star, 0, alive)).tolist(),
+                measure_embedding(MeshToStarEmbedding(4)),
+                np.asarray(ball.nodes).tolist(),
+            )
+
+        reference = results()
+        assert reference[:2] == (TableNeighborSource, ImplicitNeighborSource)
+        monkeypatch.setenv(name, value)
+        assert results() == reference

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry recorder, summariser and logging shim.
+"""Unit tests for the telemetry recorder and summariser.
 
 The recorder is process-global, so every test runs under an autouse fixture
 that strips ``REPRO_TRACE`` and disables the recorder afterwards -- no test
@@ -6,7 +6,6 @@ may leak an enabled recorder into the rest of the suite.
 """
 
 import json
-import logging
 import time
 
 import numpy as np
@@ -330,39 +329,3 @@ class TestSummarize:
     def test_summary_is_json_safe(self):
         summary = telemetry.summarize_trace([self._span("op", 0.5)])
         json.dumps(summary)  # must not raise
-
-
-class TestLogshim:
-    def test_get_logger_namespacing(self):
-        logger = telemetry.get_logger("store")
-        assert logger.name == "repro.store"
-
-    def test_root_logger_has_null_handler(self):
-        root = logging.getLogger(telemetry.LOGGER_NAME)
-        assert any(
-            isinstance(handler, logging.NullHandler) for handler in root.handlers
-        )
-
-    def test_enable_stderr_logging_idempotent(self):
-        first = telemetry.enable_stderr_logging()
-        second = telemetry.enable_stderr_logging()
-        try:
-            assert first is second
-            root = logging.getLogger(telemetry.LOGGER_NAME)
-            stream_handlers = [
-                handler
-                for handler in root.handlers
-                if isinstance(handler, logging.StreamHandler)
-                and not isinstance(handler, logging.NullHandler)
-            ]
-            assert len(stream_handlers) == 1
-        finally:
-            telemetry.disable_stderr_logging()
-
-    def test_handler_formats_with_logger_name(self, capsys):
-        handler = telemetry.enable_stderr_logging()
-        try:
-            telemetry.get_logger("store").info("writing something")
-            assert "[repro.store] writing something" in capsys.readouterr().err
-        finally:
-            telemetry.disable_stderr_logging()

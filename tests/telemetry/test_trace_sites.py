@@ -23,7 +23,12 @@ from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.runner import plan_shards, run_shards
 from repro.simulation.campaign import connectivity_campaign, stretch_campaign
 from repro.simulation.sampling import sampled_pair_distances
-from repro.topology.routing import index_bfs_distances, star_distances_from
+from repro.permutations.ranking import star_position_generators
+from repro.topology.routing import (
+    ImplicitNeighborSource,
+    index_bfs_distances,
+    star_distances_from,
+)
 from repro.topology.star import StarGraph
 
 
@@ -75,15 +80,13 @@ class TestKernelSites:
         assert attrs["neighbor_source"] == "table"
         assert attrs["masked"] is False
         assert "backend" not in attrs and "mode" not in attrs
+        assert "chunk_nodes" not in attrs
         assert attrs["reached"] == 24
         assert attrs["chunks"] >= 1 and attrs["levels"] >= 1
 
-    def test_bfs_span_implicit_source(self, trace, monkeypatch):
-        monkeypatch.setenv("REPRO_NEIGHBORS", "implicit")
-        star = StarGraph(4)
-        source = star.neighbor_source()
-        assert source.table is None
-        index_bfs_distances(source, star.num_nodes, 0)
+    def test_bfs_span_implicit_source(self, trace):
+        source = ImplicitNeighborSource(star_position_generators(4), 4)
+        index_bfs_distances(source, source.num_nodes, 0)
         (event,) = _by_name(trace(), "kernel.bfs")
         assert event["attrs"]["neighbor_source"] == "implicit"
 
@@ -108,7 +111,7 @@ class TestKernelSites:
         assert attrs["neighbor_source"] in ("table", "implicit")
         assert attrs["guest_edges"] > 0
         assert attrs["chunks"] >= 1
-        assert "backend" not in attrs
+        assert "backend" not in attrs and "chunk_nodes" not in attrs
 
 
 class TestRunnerSites:

@@ -23,6 +23,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.permutations.ranking import move_tables
 from repro.topology.cayley import (
     BubbleSortGraph,
@@ -187,6 +188,26 @@ class TestBfsParity:
         assert summary.diameter == diameter
         assert summary.average_distance == pytest.approx(total / pairs)
         assert summary.connected
+
+
+class TestIndexBfsValidation:
+    """A bad origin or node count is refused, never answered from elsewhere."""
+
+    @pytest.mark.parametrize("origin", [-1, 24])
+    def test_origin_outside_the_graph(self, origin):
+        star = StarGraph(4)
+        with pytest.raises(InvalidParameterError, match=r"outside \[0, 24\)"):
+            index_bfs_distances(star.neighbor_source(), 24, origin)
+
+    def test_num_nodes_must_match_the_source(self):
+        star = StarGraph(4)
+        with pytest.raises(InvalidParameterError, match="does not match"):
+            index_bfs_distances(star.neighbor_source(), 25, 0)
+
+    def test_num_nodes_must_match_a_raw_table(self):
+        table = StarGraph(4).neighbor_index_table()
+        with pytest.raises(InvalidParameterError, match="does not match"):
+            index_bfs_distances(table, 23, 0)
 
 
 @pytest.mark.parametrize("topology", small_topologies(), ids=repr)
