@@ -21,7 +21,12 @@ Ablation pairs quantify the PR-10 design decisions:
   ``unpack -> gather -> pack`` rows the bounded ball now grows with (the
   same neighbours, decoded);
 * the **P_13 depth-6 estimate** — the truncated pancake estimator, whose
-  1.18 M-node identity ball is grown in key space and never ranked.
+  1.18 M-node identity ball is grown in key space and never ranked;
+* **relabelled vs swept** healthy S_13 depth-4 balls, per family — the
+  cached identity ball left-multiplied by the origin's permutation against
+  the frontier sweep it replaces (identical balls).  Since healthy balls on
+  the implicit source are relabelled, the S_7 implicit and S_13 depth-3 /
+  depth-4 rows above time the relabel after their first round.
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
 S_13 on the implicit source — the acceptance-scale campaign.
@@ -31,10 +36,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.registry import run_experiment
-from repro.simulation.sampled_campaign import sampled_fault_campaign
+from repro.simulation.sampled_campaign import (
+    SAMPLED_CAMPAIGN_FAMILIES,
+    sampled_campaign_instances,
+    sampled_fault_campaign,
+)
 from repro.simulation.sampling import sampled_pancake_estimate
 from repro.topology.routing import (
     ImplicitNeighborSource,
+    _sweep_ball,
     bounded_bfs_ball,
     index_bfs_distances,
 )
@@ -142,6 +152,35 @@ def test_neighbor_block_s13_packed_keys(benchmark, s13_block, s13_source):
     block = benchmark(s13_source.neighbor_keys, keys)
     decoded = s13_source.decode(block.reshape(-1)).reshape(block.shape)
     assert np.array_equal(decoded, s13_source.neighbor_block(ranks))
+
+
+# ----------------------------------------- relabelled vs swept healthy balls
+@pytest.fixture(scope="module")
+def s13_family_sources():
+    return {
+        family: topology.neighbor_source()
+        for family, (_, topology) in sampled_campaign_instances(13).items()
+    }
+
+
+@pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+def test_healthy_ball_s13_depth4_relabelled(benchmark, s13_family_sources, family):
+    """Ablation (a): the cached identity ball relabelled to origin 12345."""
+    source = s13_family_sources[family]
+    bounded_bfs_ball(source, 0, max_depth=BALL_DEPTH)  # cache the identity ball
+    ball = benchmark(bounded_bfs_ball, source, 12345, max_depth=BALL_DEPTH)
+    swept = _sweep_ball(source, 12345, BALL_DEPTH)
+    assert np.array_equal(ball.keys, swept.keys)
+    assert np.array_equal(ball.distances, swept.distances)
+    assert ball.truncated and ball.levels == BALL_DEPTH
+
+
+@pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+def test_healthy_ball_s13_depth4_swept(benchmark, s13_family_sources, family):
+    """Ablation (b): the same ball from the frontier sweep."""
+    source = s13_family_sources[family]
+    ball = benchmark(_sweep_ball, source, 12345, BALL_DEPTH)
+    assert ball.truncated and ball.levels == BALL_DEPTH
 
 
 def test_sampled_fault_point_s7(benchmark, star7):

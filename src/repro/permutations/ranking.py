@@ -35,7 +35,8 @@ This module is the substrate of the rank-indexed fast core:
   :func:`ranks_to_keys` / :func:`keys_to_ranks` -- the packed-key space the
   bounded-ball kernel grows in: a permutation of degree ``n <= 16``
   (:data:`MAX_PACKED_DEGREE`) packs 4 bits per symbol into one ``uint64``
-  whose order is lexicographic, i.e. rank order.
+  whose order is lexicographic, i.e. rank order; :func:`translate_packed_keys`
+  left-multiplies packed keys by a permutation with one table per key byte.
 
 Tables are bounded by one guard
 (:func:`within_table_degree`/:func:`require_table_degree`): in-RAM tables
@@ -78,6 +79,7 @@ __all__ = [
     "unpack_permutations",
     "ranks_to_keys",
     "keys_to_ranks",
+    "translate_packed_keys",
     "MAX_PACKED_DEGREE",
     "within_packed_degree",
     "move_tables",
@@ -651,6 +653,50 @@ def keys_to_ranks(keys, n: int):
     if within_packed_degree(n):
         return rank_batch(_unpack_nibbles(keys)[:n].T)
     return _np.asarray(keys, dtype=_np.int64)
+
+
+def _key_byte_columns(keys, n: int):
+    """The ``ceil(n / 2)`` leading bytes of packed *keys*: one ``uint8`` array each.
+
+    Byte ``b`` holds positions ``2b`` and ``2b + 1``; the bytes past them
+    hold only the unused positions ``n .. 15``, which are zero.
+    """
+    packed = _np.asarray(keys, dtype=_np.uint64).astype(_KEY_BYTES)
+    packed = packed.view(_np.uint8).reshape(-1, 8)
+    return tuple(_np.ascontiguousarray(packed[:, b]) for b in range((n + 1) // 2))
+
+
+def translate_packed_keys(byte_columns, perm):
+    """Packed keys of ``perm o tau`` for packed permutations ``tau`` given by bytes.
+
+    *byte_columns* holds the ``ceil(n / 2)`` leading key bytes of every
+    ``tau`` (one ``uint8`` array per byte, as ``_key_byte_columns`` splits
+    them) and *perm* is a degree-``n`` permutation.  Left multiplication
+    substitutes symbols, ``(perm o tau)[p] = perm[tau[p]]``, so each byte
+    maps through one 256-entry ``uint64`` table with its two substituted
+    nibbles already shifted into place, and the images are OR'd together.
+    The unused low nibbles (positions ``n .. 15``) stay zero, free for a
+    caller's tags.  In a Cayley graph grown by right multiplication this maps the identity's
+    ball onto ``perm``'s, with the same distances.
+    """
+    perm = _np.asarray(perm)
+    n = perm.shape[0]
+    _require_packed_degree(n)
+    symbols = _np.zeros(16, dtype=_np.uint64)
+    symbols[:n] = perm
+    byte = _np.arange(256)
+    high = symbols[byte >> 4] << _np.uint64(4)
+    both = high | symbols[byte & 15]
+    out = None
+    for b, column in enumerate(byte_columns):
+        # A byte whose low nibble is position n or past it keeps that nibble 0.
+        table = (both if 2 * b + 1 < n else high) << _np.uint64(8 * (7 - b))
+        image = table.take(column)
+        if out is None:
+            out = image
+        else:
+            out |= image
+    return out
 
 
 @lru_cache(maxsize=None)

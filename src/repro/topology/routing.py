@@ -58,12 +58,16 @@ arrays from either source at every chunk size
 (``tests/tables/test_implicit_neighbors.py``).
 :func:`bounded_bfs_ball` grows its balls in the source's key space
 (:meth:`NeighborSource.encode`): packed permutations on the implicit source
-through degree 16, node indices everywhere else.
+through degree 16, node indices everywhere else.  Its exclusion-free balls on
+the implicit source through degree 15 are not swept at all: the graph is
+vertex-symmetric, so each is one cached identity ball relabelled by the
+origin's permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -858,6 +862,18 @@ def bounded_bfs_ball(
     expansion would give; only the work depends on where the first escape
     sits.
 
+    **Healthy balls by symmetry.**  A permutation Cayley graph is
+    vertex-symmetric: left multiplication by the origin's permutation maps
+    the identity's ball onto the origin's, distances, ``truncated`` and
+    ``levels`` included.  So with no exclusions, on an
+    :class:`ImplicitNeighborSource` in packed-key space whose spare low
+    nibbles hold ``max_depth`` (``n <= 15``), the ball is the identity's --
+    swept once per ``(generators, n, max_depth)`` and cached compactly --
+    relabelled by :func:`~repro.permutations.ranking.translate_packed_keys`.
+    Every other call (exclusions, tables, ``n = 16``, rank keys, sources
+    that override ``neighbor_block``, ``neighbor_keys`` or ``encode``)
+    sweeps.  Both paths return the same ball, bit for bit.
+
     Parameters
     ----------
     source : NeighborSource or adjacency table
@@ -868,9 +884,9 @@ def bounded_bfs_ball(
     max_depth : int
         Inclusive BFS depth cap; level ``max_depth`` nodes are still
         reported, the frontier is simply not expanded past them.
-    excluded : sorted int64 array, optional
-        Impassable node indices (the campaign's fault set), **sorted
-        ascending**.  Excluded nodes are never visited nor traversed --
+    excluded : int64 array, optional
+        Impassable node indices (the campaign's fault set), in any order.
+        Excluded nodes are never visited nor traversed --
         exactly the alive-mask semantics of :func:`index_bfs_distances`,
         expressed sparsely because a boolean mask over ``n!`` nodes cannot
         exist at S_13+.
@@ -886,92 +902,181 @@ def bounded_bfs_ball(
     """
     if max_depth < 0:
         raise InvalidParameterError(f"max_depth must be >= 0, got {max_depth!r}")
-    from repro.permutations.ranking import CHUNK_NODES
-
     neighbor_source = as_neighbor_source(source)
     num_nodes = neighbor_source.num_nodes
     if not 0 <= origin_index < num_nodes:
         raise InvalidParameterError(
             f"origin index {origin_index!r} outside [0, {num_nodes})"
         )
-    if excluded is None:
-        excluded = _np.empty(0, dtype=_np.int64)
-    # One encode for both; key order is index order, so sorted exclusions
-    # encode to sorted keys.
-    keys = neighbor_source.encode(
-        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
-    )
-    origin, excluded = keys[:1], keys[1:]
-    if _in_sorted(origin, excluded)[0]:
-        raise InvalidParameterError(
-            f"origin index {origin_index} is excluded; balls grow from survivors"
-        )
+    excluded = _np.asarray([] if excluded is None else excluded, dtype=_np.int64)
+    translated = not excluded.size and _translates(neighbor_source, max_depth)
     with telemetry.span(
         "kernel.bounded_bfs",
         num_nodes=int(num_nodes),
         neighbor_source="table" if neighbor_source.table is not None else "implicit",
         max_depth=int(max_depth),
         excluded=int(excluded.size),
+        translated=translated,
     ) as sp:
-        # What a level may not add: the ball so far and the exclusions.
-        blocked = _np.sort(keys, kind="stable")
-        level_arrays = [origin]
-        level_sizes = [1]
-        frontier = origin
-        truncated = False
-        level = 0
-
-        def unseen(rows):
-            # Sorted distinct neighbours of *rows* that are not blocked.
-            blocks = []
-            for start in range(0, rows.size, CHUNK_NODES):
-                candidates = neighbor_source.neighbor_keys(
-                    rows[start : start + CHUNK_NODES]
-                ).reshape(-1)
-                if candidates.dtype.kind == "i":  # index keys: drop -1 padding
-                    candidates = candidates[candidates >= 0]
-                blocks.append(candidates)
-            return _drop_members(_sorted_unique(_np.concatenate(blocks)), blocked)
-
-        while frontier.size and level < max_depth:
-            level += 1
-            frontier = unseen(frontier)
-            if frontier.size:
-                level_arrays.append(frontier)
-                level_sizes.append(int(frontier.size))
-                # Two sorted runs: the stable sort merges them in O(n).
-                blocked = _np.sort(
-                    _np.concatenate([blocked, frontier]), kind="stable"
-                )
-            else:
-                level -= 1
-                break
-        if level == max_depth and frontier.size:
-            # The cap stopped the sweep, not the graph: probe one level past
-            # it to learn whether anything lies beyond.  One escaping node
-            # settles the bit, so the last frontier is expanded in growing
-            # prefix blocks (1, 8, 64, ... rows, each at most one chunk) and
-            # the probe stops at the first block that escapes.
-            start, width = 0, 1
-            while start < frontier.size and not truncated:
-                stop = min(start + width, frontier.size)
-                truncated = bool(unseen(frontier[start:stop]).size)
-                start, width = stop, min(8 * width, CHUNK_NODES)
-        keys = _np.concatenate(level_arrays)
-        distances = _np.repeat(
-            _np.arange(len(level_sizes), dtype=_np.int64), level_sizes
-        )
-        order = _np.argsort(keys, kind="stable")  # merges the sorted levels
-        ball = BoundedBall(
-            keys=keys[order],
-            distances=distances[order],
-            truncated=truncated,
-            levels=level,
-            source=neighbor_source,
-        )
+        if translated:
+            ball = _translated_ball(neighbor_source, origin_index, max_depth)
+        else:
+            ball = _sweep_ball(neighbor_source, origin_index, max_depth, excluded)
         if telemetry.trace_enabled():
-            sp.add(reached=ball.size, levels=level, truncated=truncated)
+            sp.add(reached=ball.size, levels=ball.levels, truncated=ball.truncated)
         return ball
+
+
+def _translates(source, max_depth: int) -> bool:
+    """True when *source*'s healthy balls are translates of the identity's.
+
+    The implicit source's own packed-key adjacency (a subclass that
+    overrides how neighbours or keys are computed keeps sweeping), with a
+    spare low nibble below the ``n`` symbols wide enough for ``max_depth``.
+    """
+    from repro.permutations.ranking import MAX_PACKED_DEGREE
+
+    if not isinstance(source, ImplicitNeighborSource):
+        return False
+    kind = type(source)
+    return (
+        all(
+            getattr(kind, name) is getattr(ImplicitNeighborSource, name)
+            for name in ("neighbor_block", "neighbor_keys", "encode")
+        )
+        and source.n < MAX_PACKED_DEGREE
+        and max_depth < 1 << 4 * (MAX_PACKED_DEGREE - source.n)
+    )
+
+
+@lru_cache(maxsize=8)
+def _identity_ball(generators, n: int, max_depth: int):
+    """The identity's depth-*max_depth* ball, compact and read-only.
+
+    ``(byte_columns, levels, truncated, deepest level)``: the ``ceil(n/2)``
+    leading key bytes of every node (``uint8``, key order) and its distance
+    in the narrowest unsigned type -- ``ceil(n/2) + 1`` bytes a node, half
+    of the ball it was swept as.
+    """
+    from repro.permutations.ranking import _key_byte_columns
+
+    ball = _sweep_ball(ImplicitNeighborSource(generators, n), 0, max_depth)
+    columns = _key_byte_columns(ball.keys, n)
+    levels = ball.distances.astype(_np.min_scalar_type(ball.levels))
+    for array in (*columns, levels):
+        array.setflags(write=False)
+    return columns, levels, ball.truncated, ball.levels
+
+
+def _translated_ball(source, origin_index: int, max_depth: int) -> BoundedBall:
+    """The healthy ball of *origin_index*: the identity's, left-multiplied.
+
+    Each identity key is relabelled by the origin's permutation with its
+    level folded into the spare low nibbles, so one ``np.sort`` orders the
+    new keys and carries their distances along; masks split them again.
+    """
+    from repro.permutations.ranking import (
+        MAX_PACKED_DEGREE,
+        permutation_unrank,
+        translate_packed_keys,
+    )
+
+    n = source.n
+    columns, levels, truncated, deepest = _identity_ball(
+        source.generators, n, max_depth
+    )
+    # One permutation: the scalar unrank is ~10x cheaper than a batch of one.
+    perm = permutation_unrank(origin_index, n)
+    tagged = translate_packed_keys(columns, perm)
+    tagged |= levels
+    tagged.sort()
+    spare = _np.uint64((1 << 4 * (MAX_PACKED_DEGREE - n)) - 1)
+    return BoundedBall(
+        keys=tagged & ~spare,
+        distances=(tagged & spare).astype(_np.int64),
+        truncated=truncated,
+        levels=deepest,
+        source=source,
+    )
+
+
+def _sweep_ball(neighbor_source, origin_index: int, max_depth: int, excluded=None):
+    """The frontier sweep behind :func:`bounded_bfs_ball` -- its one BFS engine.
+
+    Grows every excluded, table-backed, rank-keyed or ``n = 16`` ball and
+    the cached identity balls the healthy ones are translated from; the
+    parity oracle of the translated path.  *neighbor_source* is a
+    :class:`NeighborSource`; *excluded* node indices may come in any order.
+    """
+    from repro.permutations.ranking import CHUNK_NODES
+
+    if excluded is None:
+        excluded = _np.empty(0, dtype=_np.int64)
+    # One encode for both; the exclusions may come in any order.
+    keys = neighbor_source.encode(
+        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
+    )
+    origin = keys[:1]
+    if (keys[1:] == origin[0]).any():
+        raise InvalidParameterError(
+            f"origin index {origin_index} is excluded; balls grow from survivors"
+        )
+    # What a level may not add: the ball so far and the exclusions.
+    blocked = _np.sort(keys)
+    level_arrays = [origin]
+    level_sizes = [1]
+    frontier = origin
+    truncated = False
+    level = 0
+
+    def unseen(rows):
+        # Sorted distinct neighbours of *rows* that are not blocked.
+        blocks = []
+        for start in range(0, rows.size, CHUNK_NODES):
+            candidates = neighbor_source.neighbor_keys(
+                rows[start : start + CHUNK_NODES]
+            ).reshape(-1)
+            if candidates.dtype.kind == "i":  # index keys: drop -1 padding
+                candidates = candidates[candidates >= 0]
+            blocks.append(candidates)
+        return _drop_members(_sorted_unique(_np.concatenate(blocks)), blocked)
+
+    while frontier.size and level < max_depth:
+        level += 1
+        frontier = unseen(frontier)
+        if frontier.size:
+            level_arrays.append(frontier)
+            level_sizes.append(int(frontier.size))
+            # Two sorted runs: the stable sort merges them in O(n).
+            blocked = _np.sort(
+                _np.concatenate([blocked, frontier]), kind="stable"
+            )
+        else:
+            level -= 1
+            break
+    if level == max_depth and frontier.size:
+        # The cap stopped the sweep, not the graph: probe one level past
+        # it to learn whether anything lies beyond.  One escaping node
+        # settles the bit, so the last frontier is expanded in growing
+        # prefix blocks (1, 8, 64, ... rows, each at most one chunk) and
+        # the probe stops at the first block that escapes.
+        start, width = 0, 1
+        while start < frontier.size and not truncated:
+            stop = min(start + width, frontier.size)
+            truncated = bool(unseen(frontier[start:stop]).size)
+            start, width = stop, min(8 * width, CHUNK_NODES)
+    keys = _np.concatenate(level_arrays)
+    distances = _np.repeat(
+        _np.arange(len(level_sizes), dtype=_np.int64), level_sizes
+    )
+    order = _np.argsort(keys, kind="stable")  # merges the sorted levels
+    return BoundedBall(
+        keys=keys[order],
+        distances=distances[order],
+        truncated=truncated,
+        levels=level,
+        source=neighbor_source,
+    )
 
 
 def bfs_distances_from(topology: "Topology", origin, *, use_closed_form: bool = True):

@@ -1,0 +1,318 @@
+"""Healthy bounded balls by vertex symmetry, held against the sweep.
+
+Star, pancake, bubble-sort and transposition-tree graphs are Cayley graphs,
+so :func:`repro.topology.routing.bounded_bfs_ball` answers an exclusion-free
+call on the implicit packed-key source by relabelling one cached identity
+ball with the origin's permutation.  These tests hold that path against the
+table-backed sweep (n = 5..9, up to whole-graph balls) and against the
+private frontier sweep ``_sweep_ball`` (n = 11..15), field by field, and pin
+down which calls must keep sweeping: exclusions, tables, n = 16, a depth the
+spare nibbles cannot hold and sources that override their adjacency.  The
+exclusion-order cases cover the sweep's refusal of an excluded origin.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.exceptions import InvalidParameterError
+from repro.permutations.ranking import (
+    _key_byte_columns,
+    pack_permutations,
+    star_position_generators,
+    translate_packed_keys,
+)
+from repro.simulation.sampled_campaign import (
+    SAMPLED_CAMPAIGN_FAMILIES,
+    sampled_campaign_instances,
+    sampled_fault_campaign,
+)
+from repro.topology import routing
+from repro.topology.cayley import (
+    BubbleSortGraph,
+    PancakeGraph,
+    TranspositionTreeGraph,
+)
+from repro.topology.routing import (
+    ImplicitNeighborSource,
+    _identity_ball,
+    _sweep_ball,
+    _translates,
+    bounded_bfs_ball,
+    index_bfs_distances,
+)
+from repro.topology.star import StarGraph
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return TranspositionTreeGraph(
+        n, tuple((int(rng.integers(0, i)), i) for i in range(1, n))
+    )
+
+
+def _graph(family, n):
+    if family == "star":
+        return StarGraph(n)
+    if family == "pancake":
+        return PancakeGraph(n)
+    if family == "bubble-sort":
+        return BubbleSortGraph(n)
+    return _random_tree(n, seed=n)
+
+
+def _generators(family, n):
+    if family == "star":
+        return star_position_generators(n)
+    return _graph(family, n).generators
+
+
+def _assert_identical(ball, oracle, same_source=True):
+    if same_source:  # a table ball's keys are node indices, not packed keys
+        assert ball.keys.dtype == oracle.keys.dtype
+        assert np.array_equal(ball.keys, oracle.keys)
+    assert np.array_equal(ball.nodes, oracle.nodes)
+    assert ball.distances.dtype == np.int64 == oracle.distances.dtype
+    assert np.array_equal(ball.distances, oracle.distances)
+    assert ball.truncated is oracle.truncated
+    assert ball.levels == oracle.levels
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Record every ``_sweep_ball`` call as ``(origin, excluded count)``."""
+    calls = []
+
+    def counting(source, origin_index, max_depth, excluded=None):
+        calls.append((origin_index, 0 if excluded is None else len(excluded)))
+        return _sweep_ball(source, origin_index, max_depth, excluded)
+
+    monkeypatch.setattr(routing, "_sweep_ball", counting)
+    _identity_ball.cache_clear()
+    yield calls
+    _identity_ball.cache_clear()
+
+
+class TestTranslatePackedKeys:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 13, 15, 16])
+    def test_left_multiplication_of_packed_keys(self, n):
+        rng = np.random.default_rng(n)
+        taus = np.array([rng.permutation(n) for _ in range(50)], dtype=np.int8)
+        perm = rng.permutation(n)
+        keys = pack_permutations(taus)
+        columns = _key_byte_columns(keys, n)
+        assert len(columns) == (n + 1) // 2
+        assert all(column.dtype == np.uint8 for column in columns)
+        expected = pack_permutations(perm[taus])
+        assert np.array_equal(translate_packed_keys(columns, perm), expected)
+
+
+class TestAgainstTableBalls:
+    """Relabelled balls equal table-swept balls, up to the whole graph."""
+
+    @pytest.mark.parametrize(
+        "family", SAMPLED_CAMPAIGN_FAMILIES + ("transposition-tree",)
+    )
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_every_depth_through_the_whole_graph(self, family, n, sweeps):
+        graph = _graph(family, n)
+        table_source = graph.neighbor_source()
+        assert table_source.table is not None
+        implicit = ImplicitNeighborSource(_generators(family, n), n)
+        rng = np.random.default_rng(97 * n + len(family))
+        origins = [int(o) for o in rng.integers(graph.num_nodes, size=2)]
+        eccentricity = int(
+            index_bfs_distances(table_source, graph.num_nodes, origins[0]).max()
+        )
+        # Whole-graph balls at n = 9 are costly; there the shallow depths
+        # and the two around the eccentricity cover every branch.
+        depths = range(eccentricity + 2)
+        if n == 9:
+            depths = sorted({0, 1, 2, 3, eccentricity, eccentricity + 1})
+        for depth in depths:
+            for origin in origins:
+                oracle = bounded_bfs_ball(table_source, origin, max_depth=depth)
+                ball = bounded_bfs_ball(implicit, origin, max_depth=depth)
+                assert ball.keys.dtype == np.uint64
+                _assert_identical(ball, oracle, same_source=False)
+            assert oracle.truncated == (depth < eccentricity)
+        assert not oracle.truncated and oracle.size == graph.num_nodes
+        # The table balls swept; the implicit ones swept the identity once
+        # per depth and translated it to both origins.
+        assert len(sweeps) == len(depths) * (len(origins) + 1)
+        assert _identity_ball.cache_info().misses == len(depths)
+
+
+class TestAgainstTheSweep:
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    @pytest.mark.parametrize("n", [11, 12, 13, 14, 15])
+    def test_seeded_origins_depths_0_to_4(self, family, n):
+        source = ImplicitNeighborSource(_generators(family, n), n)
+        rng = np.random.default_rng(n * 7 + len(family))
+        origins = [0, source.num_nodes - 1] + [
+            int(o) for o in rng.integers(source.num_nodes, size=2)
+        ]
+        for depth in range(5):
+            assert _translates(source, depth)
+            for origin in origins:
+                _assert_identical(
+                    bounded_bfs_ball(source, origin, max_depth=depth),
+                    _sweep_ball(source, origin, depth),
+                )
+
+
+class TestWhoKeepsSweeping:
+    def test_degree_16_sweeps(self, sweeps):
+        source = ImplicitNeighborSource(star_position_generators(16), 16)
+        assert not _translates(source, 0)
+        ball = bounded_bfs_ball(source, 10**12, max_depth=2)
+        assert sweeps == [(10**12, 0)]
+        assert ball.size == 1 + 15 + 15 * 14 and ball.truncated
+
+    def test_spare_nibbles_must_hold_the_depth(self):
+        fifteen = ImplicitNeighborSource(star_position_generators(15), 15)
+        assert _translates(fifteen, 15) and not _translates(fifteen, 16)
+        fourteen = ImplicitNeighborSource(star_position_generators(14), 14)
+        assert _translates(fourteen, 255) and not _translates(fourteen, 256)
+
+    def test_rank_keyed_degrees_sweep(self, sweeps):
+        source = ImplicitNeighborSource(star_position_generators(17), 17)
+        assert not _translates(source, 1)
+        bounded_bfs_ball(source, 5, max_depth=1)
+        assert sweeps == [(5, 0)]
+
+    def test_exclusions_sweep(self, sweeps):
+        source = ImplicitNeighborSource(star_position_generators(13), 13)
+        healthy = bounded_bfs_ball(source, 4242, max_depth=2)
+        faults = healthy.nodes_at(np.flatnonzero(healthy.distances == 2)[:3])
+        faulted = bounded_bfs_ball(source, 4242, max_depth=2, excluded=faults)
+        assert sweeps == [(0, 0), (4242, 3)]
+        assert faulted.size == healthy.size - 3
+        assert np.array_equal(faulted.distance_of(faults), [-1, -1, -1])
+        # An empty exclusion array is no exclusion at all.
+        bounded_bfs_ball(source, 4242, max_depth=2, excluded=np.empty(0, np.int64))
+        assert len(sweeps) == 2
+
+    def test_table_sources_sweep(self, sweeps):
+        bounded_bfs_ball(StarGraph(6).neighbor_source(), 17, max_depth=3)
+        assert sweeps == [(17, 0)]
+
+    @pytest.mark.parametrize("method", ["neighbor_block", "neighbor_keys", "encode"])
+    def test_sources_that_override_adjacency_sweep(self, method, sweeps):
+        parent = getattr(ImplicitNeighborSource, method)
+
+        def override(self, *args, **kwargs):
+            return parent(self, *args, **kwargs)
+
+        kind = type("Overriding", (ImplicitNeighborSource,), {method: override})
+        source = kind(star_position_generators(11), 11)
+        assert not _translates(source, 3)
+        ball = bounded_bfs_ball(source, 99, max_depth=3)
+        assert sweeps == [(99, 0)]
+        plain = ImplicitNeighborSource(star_position_generators(11), 11)
+        _assert_identical(ball, bounded_bfs_ball(plain, 99, max_depth=3))
+
+    def test_subclass_that_only_observes_decoding_translates(self, sweeps):
+        class Decoding(ImplicitNeighborSource):
+            def decode(self, keys):
+                return super().decode(keys)
+
+        source = Decoding(star_position_generators(11), 11)
+        assert _translates(source, 3)
+        bounded_bfs_ball(source, 99, max_depth=3)
+        assert sweeps == [(0, 0)]
+
+
+class TestIdentityCache:
+    def test_cached_arrays_are_compact_and_read_only(self, sweeps):
+        n = 13
+        source = ImplicitNeighborSource(star_position_generators(n), n)
+        bounded_bfs_ball(source, 12345, max_depth=4)
+        columns, levels, truncated, deepest = _identity_ball(
+            source.generators, n, 4
+        )
+        assert len(columns) == 7 and levels.dtype == np.uint8
+        assert truncated is True and deepest == 4
+        assert all(c.dtype == np.uint8 and c.size == 14511 for c in columns)
+        for array in (*columns, levels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # Mutating a returned ball leaves the cache and later balls intact.
+        ball = bounded_bfs_ball(source, 12345, max_depth=4)
+        reference = ball.keys.copy()
+        ball.keys[:] = 0
+        ball.distances[:] = 0
+        _assert_identical(
+            bounded_bfs_ball(source, 12345, max_depth=4),
+            _sweep_ball(source, 12345, 4),
+        )
+        assert np.array_equal(
+            bounded_bfs_ball(source, 12345, max_depth=4).keys, reference
+        )
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_a_campaign_sweeps_each_identity_once(self, depth, sweeps):
+        trials = 5
+        for family, (_, topology) in sampled_campaign_instances(11).items():
+            assert topology.neighbor_source().table is None
+            sampled_fault_campaign(
+                topology,
+                fault_counts=(0, 4),
+                trials=trials,
+                pairs_per_trial=3,
+                depth=depth,
+                seed=7,
+                label=f"{family}/11",
+            )
+        # Per family: one identity sweep, then only the faulted balls sweep.
+        assert sweeps.count((0, 0)) == len(SAMPLED_CAMPAIGN_FAMILIES)
+        assert len(sweeps) == len(SAMPLED_CAMPAIGN_FAMILIES) * (1 + trials)
+        assert all(excluded == 4 for _, excluded in sweeps if excluded)
+        info = _identity_ball.cache_info()
+        assert info.misses == len(SAMPLED_CAMPAIGN_FAMILIES)
+        assert info.hits == len(SAMPLED_CAMPAIGN_FAMILIES) * (2 * trials - 1)
+
+
+class TestExclusionOrder:
+    """An excluded origin is refused whatever order the exclusions come in."""
+
+    @staticmethod
+    def _sources():
+        return (
+            ImplicitNeighborSource(star_position_generators(13), 13),
+            StarGraph(6).neighbor_source(),
+        )
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_excluded_origin_is_refused_in_every_order(self, which):
+        source = self._sources()[which]
+        origin = 5
+        for order in itertools.permutations([100, origin, 3, 77]):
+            with pytest.raises(InvalidParameterError, match="excluded"):
+                bounded_bfs_ball(
+                    source, origin, max_depth=2, excluded=np.array(order)
+                )
+        with pytest.raises(InvalidParameterError, match="excluded"):
+            bounded_bfs_ball(source, origin, max_depth=2, excluded=np.array([100, 5]))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_shuffled_exclusions_give_the_identical_ball(self, which):
+        source = self._sources()[which]
+        origin = 321
+        healthy = bounded_bfs_ball(source, origin, max_depth=3)
+        rng = np.random.default_rng(13 + which)
+        inner = np.flatnonzero(healthy.distances >= 1)
+        faults = healthy.nodes_at(rng.choice(inner, size=20, replace=False))
+        reference = bounded_bfs_ball(
+            source, origin, max_depth=3, excluded=np.sort(faults)
+        )
+        assert reference.size < healthy.size
+        for _ in range(4):
+            shuffled = rng.permutation(faults)
+            assert not np.array_equal(shuffled, np.sort(faults))
+            _assert_identical(
+                bounded_bfs_ball(source, origin, max_depth=3, excluded=shuffled),
+                reference,
+            )
