@@ -40,6 +40,7 @@ from repro.permutations.ranking import within_table_degree
 from repro.simd import kernels as _kernels
 from repro.simd.masks import Mask
 from repro.topology.base import Node, Topology
+from repro.topology.cayley import CayleyGraph
 from repro.topology.routing import bfs_distances_from
 
 __all__ = [
@@ -88,12 +89,8 @@ class GeneratorTreePlan:
 
 
 def _tree_supported(topology: Topology) -> bool:
-    """True when *topology* carries the dense generator tables the plan needs."""
-    return (
-        hasattr(topology, "move_tables")
-        and hasattr(topology, "n")
-        and within_table_degree(topology.n)
-    )
+    """True when *topology* is a Cayley graph within the dense-table degrees."""
+    return isinstance(topology, CayleyGraph) and within_table_degree(topology.n)
 
 
 @lru_cache(maxsize=64)
@@ -111,7 +108,8 @@ def generator_tree_plan(topology: Topology, root_index: int) -> GeneratorTreePla
     Parameters
     ----------
     topology : Topology
-        A permutation Cayley topology exposing dense ``move_tables()``.
+        A :class:`~repro.topology.cayley.CayleyGraph` (the star graph
+        included) within the dense move-table degrees.
     root_index : int
         Dense node id of the tree root.
 
@@ -123,7 +121,7 @@ def generator_tree_plan(topology: Topology, root_index: int) -> GeneratorTreePla
     Raises
     ------
     InvalidParameterError
-        If the topology has no dense move tables or is not connected.
+        If the topology is not a table-degree Cayley graph or is not connected.
     """
     if not _tree_supported(topology):
         raise InvalidParameterError(

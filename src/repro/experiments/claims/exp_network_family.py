@@ -17,8 +17,8 @@ with exactly the same index-native services:
 * **tree broadcast** -- the generator-scheduled SIMD-A broadcast of
   :mod:`repro.algorithms.cayley` replayed on a
   :class:`~repro.simd.cayley_machine.CayleyMachine` per permutation family
-  (the same program on every family; the star graph runs as its
-  transposition-tree instance), reporting measured unit routes next to the
+  (the same program on every family; ``StarGraph`` is itself the star-tree
+  Cayley graph), reporting measured unit routes next to the
   BFS-depth lower bound.
 
 The claim: at equal degree the three permutation families connect the same
@@ -41,7 +41,6 @@ from repro.analysis.comparison import (
 from repro.experiments.report import ExperimentResult
 from repro.experiments.schemas import SCHEMAS
 from repro.simd.cayley_machine import CayleyMachine
-from repro.topology.cayley import TranspositionTreeGraph
 from repro.topology.properties import connectivity_after_faults, verify_regular
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
@@ -71,11 +70,6 @@ def run(degrees=(3, 4, 5), fault_trials: int = 5, seed: int = 9) -> ExperimentRe
         instances = measured_instances(degree)
         for family in MEASURED_FAMILIES:
             name, graph, _formula = instances[family]
-            if family == "star":
-                # Run the star graph as the star-tree instance of the
-                # transposition family: same nodes, neighbours and cached
-                # tables, but served by the generic Cayley machinery.
-                graph = TranspositionTreeGraph.star(degree + 1)
             row = measured[(degree, family)]
             regular = verify_regular(graph, degree)
 

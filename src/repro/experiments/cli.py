@@ -256,6 +256,8 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--jobs must be >= 1")
     if args.force and args.out is None:
         parser.error("--force requires --out")
+    if args.shard_timeout is not None and args.jobs < 2:
+        parser.error("--shard-timeout requires --jobs >= 2")
     profile = args.profile or ("fast" if args.fast else "default")
 
     if args.trace is None:

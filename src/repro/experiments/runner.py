@@ -96,6 +96,7 @@ __all__ = [
     "ShardFailure",
     "RunReport",
     "MAX_WORKER_DEATHS",
+    "RETRY_BACKOFF_S",
     "plan_shards",
     "execute_shard",
     "run_shards",
@@ -118,6 +119,10 @@ WarnFn = Callable[[str], None]
 #: only exists to stop a shard that reliably kills its worker from respawning
 #: pools forever.
 MAX_WORKER_DEATHS = 3
+
+#: Base of the exponential backoff between attempts of one shard: attempt
+#: ``k`` (1-based) is delayed ``RETRY_BACKOFF_S * 2**(k-1)`` seconds.
+RETRY_BACKOFF_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -377,7 +382,6 @@ def run_shards(
     progress: Optional[ProgressFn] = None,
     max_retries: int = 1,
     shard_timeout: Optional[float] = None,
-    retry_backoff: float = 0.1,
     warn: Optional[WarnFn] = None,
 ) -> RunReport:
     """Execute *shards*, optionally in parallel and against a store.
@@ -407,16 +411,15 @@ def run_shards(
         order.
     max_retries : int, optional
         Failed execution attempts (exceptions, timeouts) a shard may retry
-        before it is reported on :attr:`RunReport.failed` (default 1).  Pool
-        deaths are budgeted separately (:data:`MAX_WORKER_DEATHS`).
+        before it is reported on :attr:`RunReport.failed` (default 1), after
+        an exponential backoff (:data:`RETRY_BACKOFF_S`).  Pool deaths are
+        budgeted separately (:data:`MAX_WORKER_DEATHS`).
     shard_timeout : float, optional
         Wall-clock seconds one shard attempt may run in a worker before its
         worker is killed and the attempt counts as failed.  ``None`` (the
         default) disables the limit.  Only enforceable with worker processes;
-        the in-process engine cannot preempt itself and ignores it.
-    retry_backoff : float, optional
-        Base of the exponential backoff between attempts: attempt ``k``
-        (1-based) is delayed ``retry_backoff * 2**(k-1)`` seconds.
+        the in-process engine cannot preempt itself and ignores it, so with
+        ``jobs > 1`` even a single pending shard runs in a worker.
     warn : callable, optional
         Receives non-fatal diagnostics (quarantines, retries); everything is
         also collected on :attr:`RunReport.warnings`.
@@ -432,8 +435,7 @@ def run_shards(
     Raises
     ------
     InvalidParameterError
-        If *jobs*, *max_retries*, *shard_timeout* or *retry_backoff* is
-        outside its domain.
+        If *jobs*, *max_retries* or *shard_timeout* is outside its domain.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, got {jobs!r}")
@@ -444,10 +446,6 @@ def run_shards(
     if shard_timeout is not None and not shard_timeout > 0:
         raise InvalidParameterError(
             f"shard_timeout must be positive (or None), got {shard_timeout!r}"
-        )
-    if retry_backoff < 0:
-        raise InvalidParameterError(
-            f"retry_backoff must be non-negative, got {retry_backoff!r}"
         )
     started = time.perf_counter()
     records: List[Optional[Dict[str, object]]] = [None] * len(shards)
@@ -582,7 +580,7 @@ def run_shards(
             )
 
     def _backoff_delay(work: _Work) -> float:
-        return retry_backoff * (2 ** max(0, work.attempts - 1))
+        return RETRY_BACKOFF_S * (2 ** max(0, work.attempts - 1))
 
     def _run_serial(work: _Work, environment: Optional[Mapping[str, object]]) -> None:
         """In-process attempt loop: retries with backoff, no preemption."""
@@ -733,9 +731,10 @@ def run_shards(
                 _serve_cached(index, shard, record)
             else:
                 pending.append(_Work(index=index, shard=shard))
-        if len(pending) == 1:
+        if len(pending) == 1 and shard_timeout is None:
             # One missing shard does not justify pool startup; the in-process
-            # fast path keeps the retry budget (timeouts need a worker).
+            # fast path keeps the retry budget.  A timeout needs a worker to
+            # kill, so with one set even a lone shard goes to the pool.
             _run_serial(pending.popleft(), None)
         elif pending:
             _run_pool(pending)

@@ -1,19 +1,20 @@
 """SIMD machine over an arbitrary permutation Cayley network.
 
-:class:`CayleyMachine` is the generic sibling of
-:class:`~repro.simd.star_machine.StarMachine`: one PE per permutation of
-``0..n-1`` (dense register index = Lehmer rank) connected by the generator
-set of any :class:`~repro.topology.cayley.CayleyGraph` -- pancake,
+:class:`CayleyMachine` places one PE per permutation of ``0..n-1`` (dense
+register index = Lehmer rank) connected by the generator set of any
+:class:`~repro.topology.cayley.CayleyGraph` -- the star graph, pancake,
 bubble-sort, any transposition tree.  Its :meth:`CayleyMachine.route_generator`
-is the same one-gather fast path the star machine uses
+is a one-gather fast path
 (:meth:`~repro.simd.machine.SIMDMachine.route_matching_table`): the
-per-generator move table is validated once as a perfect matching
-(:mod:`repro.simd.generator_routes`) and every route, masked or not, replays
-as integer gathers with no per-move conflict bookkeeping.
+per-generator move table is validated once as a perfect matching and every
+route, masked or not, replays as integer gathers with no per-move conflict
+bookkeeping.
 
-Because the machine interface is identical, the generator-scheduled
+Generator indices are 0-based, in ``graph.generators`` order;
+:class:`~repro.simd.star_machine.StarMachine` is the star-graph subclass
+that keeps the paper's 1-based ``g_j``.  The generator-scheduled
 broadcast/reduction programs in :mod:`repro.algorithms.cayley` run unchanged
-on every family; the star graph is just the star-tree instance.
+on every family.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Optional
 
 from repro.exceptions import InvalidParameterError
 from repro.permutations.ranking import within_table_degree
-from repro.simd.generator_routes import validated_matching
 from repro.simd.machine import SIMDMachine
 from repro.simd.masks import Mask, MaskSource
 from repro.topology.cayley import CayleyGraph
@@ -55,13 +55,23 @@ class CayleyMachine(SIMDMachine):
         return self.graph.n
 
     def _generator_table(self, generator: int) -> list:
-        """Move table for one generator as a plain int list, validated once."""
+        """Move table for one generator as a plain int list, validated once.
+
+        The table must be a fixed-point-free involution (``table[table[i]] ==
+        i`` and ``table[i] != i``), i.e. a perfect matching of the PEs.  The
+        check runs once per machine and generator and replaces the per-call
+        conflict check of the generic route path: any subset of a perfect
+        matching is a valid unit route.
+        """
         table = self._generator_moves.get(generator)
         if table is None:
-            table = validated_matching(
-                self.graph.move_tables()[generator],
-                f"move table for generator {self.graph.generator_names[generator]}",
-            )
+            table = self.graph.move_tables()[generator].tolist()
+            if any(table[table[index]] != index or table[index] == index
+                   for index in range(len(table))):  # pragma: no cover - structural
+                raise AssertionError(
+                    f"move table for generator {self.graph.generator_names[generator]}"
+                    " is not a perfect matching"
+                )
             self._generator_moves[generator] = table
         return table
 
@@ -79,16 +89,17 @@ class CayleyMachine(SIMDMachine):
         *generator* is the 0-based index into ``graph.generators`` (the same
         order as ``neighbors()`` and the move-table columns); PE ``pi``
         transmits the value of *source_register* to PE ``pi o g`` where it is
-        stored in *destination_register*.
+        stored in *destination_register*.  Degrees beyond
+        :data:`~repro.permutations.ranking.MAX_TABLE_DEGREE` have no dense
+        tables and route the same moves through the conflict-checked tuple
+        path.
         """
         check_in_range(generator, "generator", 0, self.graph.num_generators - 1)
         label = label or f"generator-{self.graph.generator_names[generator]}"
         if not within_table_degree(self.n):
-            # No dense tables at this degree: route through the validated
-            # tuple-based generic path, mirroring StarMachine's fallback.
             mask = Mask.coerce(self.topology, where)
             moves = [
-                (node, self.graph.neighbor_along(node, generator))
+                (node, self.graph.apply_generator(node, generator))
                 for node in self._nodes
                 if mask.is_active(node)
             ]

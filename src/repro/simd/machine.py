@@ -324,17 +324,17 @@ class SIMDMachine:
         *table* maps every PE index to its partner's index and must be a
         fixed-point-free involution of the PE ids whose pairs are topology
         links -- validated once by the caller (see
-        :func:`repro.simd.generator_routes.validated_matching`), which is
-        what lets every masked subset skip the per-move conflict check: any
+        :meth:`repro.simd.cayley_machine.CayleyMachine._generator_table`),
+        which is what lets every masked subset skip the per-move conflict check: any
         subset of a perfect matching is a valid unit route.  Unmasked, the
         route is a single whole-register gather (receiver ``i`` hears from
         sender ``table[i]``); ledger entries are identical to routing the
         same moves through :meth:`route_moves`.
 
         This is the fast path of the Cayley generator routes
-        (:meth:`~repro.simd.star_machine.StarMachine.route_generator`,
-        :meth:`~repro.simd.cayley_machine.CayleyMachine.route_generator`),
-        whose canonical node order matches the table's rank order.
+        (:meth:`~repro.simd.cayley_machine.CayleyMachine.route_generator`,
+        which :class:`~repro.simd.star_machine.StarMachine` inherits), whose
+        canonical node order matches the table's rank order.
         """
         if len(table) != len(self._nodes):
             raise SimulationError(

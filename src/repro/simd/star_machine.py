@@ -1,74 +1,44 @@
 """SIMD machine over the star graph.
 
-Adds the star graph's natural unit routes on top of
-:class:`~repro.simd.machine.SIMDMachine`:
+:class:`StarMachine` is the :class:`~repro.simd.cayley_machine.CayleyMachine`
+over :class:`~repro.topology.star.StarGraph`; it adds only the paper's
+1-based generator numbering:
 
 * :meth:`StarMachine.route_generator` -- the SIMD-A route "every active PE
-  transmits along generator ``g_j``" (the paper's ``B(i^(2)) <- B(i)``);
+  transmits along generator ``g_j``" (the paper's ``B(i^(2)) <- B(i)``),
+  ``j = 1 .. n-1``, forwarded to the 0-based Cayley route ``j - 1``; ledger
+  labels stay ``generator-j``;
 * :meth:`StarMachine.route_paths` (inherited) -- the SIMD-B capability used to
   replay mesh unit routes through the embedding.
 
-A generator route is a single gather through the per-degree move table
-(:func:`repro.permutations.ranking.move_tables`): PE ``rank`` sends to PE
-``table[rank]``.  Because a generator move is an involution (applying ``g_j``
-twice returns to the start), the table is a perfect matching of the PEs and a
-generator route can never conflict.  That invariant is not taken on faith:
-each table is validated as a fixed-point-free involution the first time it is
-used (:meth:`StarMachine._generator_table`), which replaces the per-route
-conflict check of the generic path.  Degrees beyond
-:data:`repro.permutations.ranking.MAX_TABLE_DEGREE` fall back to the
-tuple-based generic route, preserving the original behaviour at any ``n``.
+A generator route is a single gather through the per-degree move table: PE
+``rank`` sends to PE ``table[rank]``, a perfect matching validated once per
+generator, so a generator route can never conflict.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.permutations.ranking import within_table_degree
-from repro.simd.generator_routes import validated_matching
-from repro.simd.machine import SIMDMachine
-from repro.simd.masks import Mask, MaskSource
+from repro.simd.cayley_machine import CayleyMachine
+from repro.simd.masks import MaskSource
 from repro.topology.star import StarGraph
 from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = ["StarMachine"]
 
 
-class StarMachine(SIMDMachine):
+class StarMachine(CayleyMachine):
     """An SIMD multicomputer whose interconnection network is ``S_n``."""
 
     def __init__(self, n: int, *, check_conflicts: bool = True):
         check_positive_int(n, "n", minimum=2)
         super().__init__(StarGraph(n), check_conflicts=check_conflicts)
-        # Node order is rank order (lexicographic), so the dense register
-        # index of a node IS its Lehmer rank and the move tables apply as-is.
-        self._generator_moves: dict = {}
-
-    def _generator_table(self, generator: int) -> list:
-        """Move table for ``g_generator`` as a plain int list, validated once.
-
-        The validation (the table is a fixed-point-free involution, i.e. a
-        perfect matching) replaces the per-call conflict check of the generic
-        route path: a subset of a perfect matching can never conflict.
-        """
-        table = self._generator_moves.get(generator)
-        if table is None:
-            table = validated_matching(
-                self.star.move_tables()[generator - 1],
-                f"move table for generator {generator}",
-            )
-            self._generator_moves[generator] = table
-        return table
 
     @property
     def star(self) -> StarGraph:
         """The underlying star graph."""
         return self.topology  # type: ignore[return-value]
-
-    @property
-    def n(self) -> int:
-        """Degree parameter of the star graph."""
-        return self.star.n
 
     def route_generator(
         self,
@@ -81,27 +51,16 @@ class StarMachine(SIMDMachine):
     ) -> None:
         """One SIMD-A unit route: every active PE sends along generator ``g_j``.
 
-        PE ``pi`` transmits the value of *source_register* to PE
-        ``pi`` with tuple positions 0 and *generator* exchanged; the value is
-        stored in *destination_register* at the receiver.
+        *generator* is the paper's 1-based ``j``; PE ``pi`` transmits the
+        value of *source_register* to PE ``pi`` with tuple positions 0 and
+        ``j`` exchanged; the value is stored in *destination_register* at the
+        receiver.
         """
         check_in_range(generator, "generator", 1, self.n - 1)
-        label = label or f"generator-{generator}"
-        if not within_table_degree(self.n):
-            # No dense tables at this degree: route through the validated
-            # tuple-based generic path, as the pre-fast-core machine did.
-            mask = Mask.coerce(self.topology, where)
-            moves = [
-                (node, self.star.neighbor_along(node, generator))
-                for node in self._nodes
-                if mask.is_active(node)
-            ]
-            self.route_moves(source_register, destination_register, moves, label=label)
-            return
-        self.route_matching_table(
-            self._generator_table(generator),
+        super().route_generator(
             source_register,
             destination_register,
+            generator - 1,
             where=where,
             label=label,
         )

@@ -25,15 +25,22 @@ Concrete families:
 * :class:`BubbleSortGraph` -- the path-tree instance, with the Kendall-tau
   (inversion) closed form for distances and the ``n(n-1)/2`` diameter.
 
-:class:`~repro.topology.star.StarGraph` predates this module and keeps its
-hand-written closed forms (cycle-structure distances, greedy routing); the
-star *tree* instance here shares its cached move tables bit for bit, which the
-tests assert.
+:class:`~repro.topology.star.StarGraph` is the star-tree member as a
+subclass: it adds the cycle-structure closed forms (distances, greedy
+routing) on top of this class.  Generator indices here are **0-based**
+(:meth:`CayleyGraph.apply_generator`, ``move_tables()[g]``,
+:meth:`repro.simd.cayley_machine.CayleyMachine.route_generator`); only
+``StarGraph``/``StarMachine`` keep the paper's 1-based ``g_j`` as public API,
+so generic code must never call their ``neighbor_along``.
+:meth:`TranspositionTreeGraph.star` stays as the named parity oracle the
+star graph is compared against (same nodes, neighbour order and move tables
+bit for bit).
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
@@ -227,6 +234,9 @@ class CayleyGraph(Topology):
         self._generator_index = {
             generator: i for i, generator in enumerate(self._generators)
         }
+        # One C-level gather per generator: ``neighbors()`` is the tuple
+        # hot path of every dict walk and reference oracle.
+        self._neighbor_getters = tuple(itemgetter(*g) for g in self._generators)
 
     # ------------------------------------------------------------ properties
     @property
@@ -300,9 +310,7 @@ class CayleyGraph(Topology):
     def neighbors(self, node: Node) -> List[Node]:
         """One neighbour per generator, in generator (table-column) order."""
         node = self.validate_node(node)
-        return [
-            tuple(node[p] for p in generator) for generator in self._generators
-        ]
+        return [get(node) for get in self._neighbor_getters]
 
     def _relative_generator(self, u: Node, v: Node) -> Optional[Generator]:
         """The position permutation ``g`` with ``v = u o g``, if it is a generator."""

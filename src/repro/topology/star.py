@@ -13,30 +13,35 @@ Key closed-form properties used by the paper (Section 2):
 * the distance between two permutations has a closed form in terms of the
   cycle structure of their relative permutation (implemented in
   :meth:`StarGraph.distance`, cross-checked against BFS in the tests).
+
+:class:`StarGraph` is the star-tree member of the permutation Cayley family:
+a :class:`~repro.topology.cayley.CayleyGraph` over
+:func:`~repro.permutations.ranking.star_position_generators`, whose generator
+``k`` (0-based) is the paper's ``g_{k+1}`` and is named ``"k+1"``.  Nodes,
+ranks, neighbours and the adjacency source are inherited; this class adds
+the closed forms and keeps the paper's **1-based** ``g_j`` as its public API
+(:meth:`~StarGraph.neighbor_along`, :meth:`~StarGraph.generator_between`,
+:meth:`~StarGraph.neighbor_ranks`).  Cayley-generic code uses only the
+0-based indices: ``apply_generator(node, j - 1)`` and
+``move_tables()[j - 1]`` are ``g_j``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import InvalidParameterError
-from repro.permutations.generators import apply_star_generator, star_neighbors
-from repro.permutations.permutation import identity_permutation, is_permutation
-from repro.permutations.ranking import (
-    all_permutations,
-    move_tables,
-    permutation_rank,
-    permutation_unrank,
-)
-from repro.topology.base import Node, Topology, _column_stack
+from repro.permutations.generators import apply_star_generator
+from repro.permutations.ranking import move_tables, star_position_generators
+from repro.topology.base import Node
+from repro.topology.cayley import CayleyGraph
 from repro.topology.routing import star_distance, star_distances_from, star_route
 from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = ["StarGraph"]
 
 
-class StarGraph(Topology):
+class StarGraph(CayleyGraph):
     """The ``n``-star graph ``S_n`` on ``n!`` permutation nodes.
 
     Parameters
@@ -59,47 +64,16 @@ class StarGraph(Topology):
 
     def __init__(self, n: int):
         check_positive_int(n, "n", minimum=2)
-        self._n = n
-
-    # ------------------------------------------------------------ properties
-    @property
-    def n(self) -> int:
-        """The degree parameter ``n`` (number of symbols)."""
-        return self._n
-
-    @property
-    def num_nodes(self) -> int:
-        """``n!`` nodes."""
-        return math.factorial(self._n)
-
-    @property
-    def node_degree(self) -> int:
-        """Every node has degree ``n - 1`` (the graph is regular)."""
-        return self._n - 1
-
-    @property
-    def identity(self) -> Node:
-        """The identity permutation, the conventional 'origin' node."""
-        return identity_permutation(self._n)
+        super().__init__(
+            n,
+            star_position_generators(n),
+            generator_names=tuple(str(j) for j in range(1, n)),
+        )
 
     @property
     def paper_origin(self) -> Node:
         """The node the paper maps mesh node ``(0, ..., 0)`` to: ``(n-1, n-2, ..., 1, 0)``."""
         return tuple(range(self._n - 1, -1, -1))
-
-    # -------------------------------------------------------------- structure
-    def nodes(self) -> Iterator[Node]:
-        """All permutations of ``0..n-1`` in lexicographic order."""
-        return all_permutations(self._n)
-
-    def is_node(self, node: Sequence[int]) -> bool:
-        node = tuple(node)
-        return len(node) == self._n and is_permutation(node)
-
-    def neighbors(self, node: Node) -> List[Node]:
-        """The ``n - 1`` nodes reachable by one generator move (g_1 .. g_{n-1})."""
-        node = self.validate_node(node)
-        return star_neighbors(node)
 
     def _adjacent(self, u: Node, v: Node) -> bool:
         """Closed form: adjacent iff the tuples differ exactly at positions 0
@@ -114,17 +88,19 @@ class StarGraph(Topology):
                 j = p
         return j != 0 and u[0] == v[j] and v[0] == u[j]
 
+    # ------------------------------------------------- paper's 1-based g_j
     def neighbor_along(self, node: Node, j: int) -> Node:
         """Apply generator ``g_j`` (exchange tuple positions 0 and ``j``).
 
         This is the paper's notation ``pi^(i)`` with the paper's right-based
-        dimension ``i = n - 1 - j``.
+        dimension ``i = n - 1 - j``.  ``j`` is 1-based; the 0-based
+        Cayley-generic equivalent is ``apply_generator(node, j - 1)``.
         """
         node = self.validate_node(node)
         return apply_star_generator(node, j)
 
     def generator_between(self, u: Node, v: Node) -> int:
-        """The generator index ``j`` with ``neighbor_along(u, j) == v``.
+        """The 1-based generator index ``j`` with ``neighbor_along(u, j) == v``.
 
         Adjacent nodes differ exactly at tuple positions 0 and ``j`` with the
         two symbols exchanged, so ``j`` is simply the position in *u* of *v*'s
@@ -146,67 +122,26 @@ class StarGraph(Topology):
                 return j
         raise InvalidParameterError(f"{u!r} and {v!r} are not adjacent in S_{self._n}")
 
-    @property
-    def num_edges(self) -> int:
-        """``n! * (n - 1) / 2`` edges."""
-        return math.factorial(self._n) * (self._n - 1) // 2
-
-    # --------------------------------------------------------------- indexing
-    def node_index(self, node: Node) -> int:
-        """Dense id: the lexicographic rank of the permutation (Lehmer code)."""
-        node = self.validate_node(node)
-        return permutation_rank(node)
-
-    def node_from_index(self, index: int) -> Node:
-        """Inverse of :meth:`node_index` (lexicographic unranking)."""
-        if not (0 <= index < self.num_nodes):
-            raise InvalidParameterError(
-                f"index must be in [0, {self.num_nodes}), got {index}"
-            )
-        return permutation_unrank(index, self._n)
-
-    # ------------------------------------------------------------- fast core
-    def _build_neighbor_index_table(self):
-        """Closed-form adjacency index: the generator move tables as columns.
-
-        Column ``j - 1`` of the ``(n!, n - 1)`` table is ``move_tables()[j-1]``,
-        so row ``rank`` lists the neighbour ranks along ``g_1 .. g_{n-1}`` --
-        exactly the order of :meth:`neighbors`.  The graph is regular, so no
-        ``-1`` padding ever appears.
-        """
-        return _column_stack(move_tables(self._n))
-
-    def move_tables(self) -> Tuple:
-        """The per-degree generator move tables (cached, shared across instances).
-
-        ``move_tables()[j - 1][rank]`` is the rank of
-        ``neighbor_along(node_from_index(rank), j)``; see
-        :func:`repro.permutations.ranking.move_tables`.
-        """
-        return move_tables(self._n)
-
-    def neighbor_source(self):
-        """Adjacency source chosen by the degree.
-
-        The cached table through the table degrees, the table-free implicit
-        source (``unrank -> g_j -> rank``) beyond them; see
-        :func:`repro.topology.routing.permutation_neighbor_source`.
-        """
-        from repro.permutations.ranking import star_position_generators
-        from repro.topology.routing import permutation_neighbor_source
-
-        return permutation_neighbor_source(
-            star_position_generators(self._n), self._n, self.neighbor_index_table
-        )
-
     def neighbor_ranks(self, index: int, j: int) -> int:
-        """Rank of the neighbour of node *index* along generator ``g_j``."""
+        """Rank of the neighbour of node *index* along generator ``g_j`` (1-based)."""
         check_in_range(j, "j", 1, self._n - 1)
         if not (0 <= index < self.num_nodes):
             raise InvalidParameterError(
                 f"index must be in [0, {self.num_nodes}), got {index}"
             )
         return int(move_tables(self._n)[j - 1][index])
+
+    # ------------------------------------------------------------- fast core
+    def move_tables(self) -> Tuple:
+        """The per-degree generator move tables (cached, shared across instances).
+
+        ``move_tables()[j - 1][rank]`` is the rank of
+        ``neighbor_along(node_from_index(rank), j)``.  Served from the
+        unbounded per-degree :func:`repro.permutations.ranking.move_tables`
+        cache rather than the LRU-bounded generic one, so the star's tables
+        are built once per degree however many other generator sets churn.
+        """
+        return move_tables(self._n)
 
     def distances_from(self, origin: Node):
         """Distances from *origin* to every node, indexed by rank.
@@ -240,14 +175,5 @@ class StarGraph(Topology):
         self.validate_node(node)
         return self.diameter()
 
-    # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:
         return f"StarGraph(n={self._n})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StarGraph):
-            return NotImplemented
-        return self._n == other._n
-
-    def __hash__(self) -> int:
-        return hash(("StarGraph", self._n))

@@ -38,6 +38,7 @@ from repro.experiments.report import (
     render_markdown_report,
     result_from_payload,
 )
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     Shard,
     execute_shard,
@@ -48,6 +49,12 @@ from repro.experiments.runner import (
 
 #: Cheap experiments used where the whole registry would be overkill.
 CHEAP_IDS = ["FIG4", "FIG7", "TAB1", "LEM1"]
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once: these tests exercise the retry budget, not its delay."""
+    monkeypatch.setattr(runner_module, "RETRY_BACKOFF_S", 0.0)
 
 
 class TestArtifactKey:
@@ -533,7 +540,9 @@ class TestCorruptVsStale:
 class TestRunnerRetries:
     """Bounded retry with backoff; permanent failures degrade gracefully."""
 
-    def test_forced_failure_exhausts_budget_serial(self, tmp_path, monkeypatch):
+    def test_forced_failure_exhausts_budget_serial(
+        self, tmp_path, monkeypatch, no_backoff
+    ):
         monkeypatch.setenv("REPRO_CHAOS_FAIL", "TAB1")
         store = ArtifactStore(tmp_path)
         shards = plan_shards(CHEAP_IDS, profile="fast")
@@ -542,7 +551,6 @@ class TestRunnerRetries:
             shards,
             store=store,
             max_retries=1,
-            retry_backoff=0.0,
             progress=lambda s, status, e, r: events.append((s.experiment_id, status)),
         )
         assert not report.ok
@@ -561,18 +569,16 @@ class TestRunnerRetries:
             s.key for s in shards if s.experiment_id == "TAB1"
         ]
 
-    def test_forced_failure_degrades_parallel(self, tmp_path, monkeypatch):
+    def test_forced_failure_degrades_parallel(self, tmp_path, monkeypatch, no_backoff):
         monkeypatch.setenv("REPRO_CHAOS_FAIL", "LEM1")
         store = ArtifactStore(tmp_path)
         shards = plan_shards(CHEAP_IDS, profile="fast")
-        report = run_shards(
-            shards, jobs=2, store=store, max_retries=0, retry_backoff=0.0
-        )
+        report = run_shards(shards, jobs=2, store=store, max_retries=0)
         assert [f.shard.experiment_id for f in report.failed] == ["LEM1"]
         assert len(report.records) == len(CHEAP_IDS) - 1
         assert len(report.records) + len(report.failed) == len(shards)
 
-    def test_retry_succeeds_within_budget(self, tmp_path, monkeypatch):
+    def test_retry_succeeds_within_budget(self, tmp_path, monkeypatch, no_backoff):
         # The hang hook with a flag file fires exactly once; with zero hang
         # seconds it is a benign no-op marker, so use FAIL semantics instead:
         # a shard that fails once then succeeds must not surface as failed.
@@ -589,7 +595,7 @@ class TestRunnerRetries:
 
         monkeypatch.setattr(runner_mod, "execute_shard", flaky)
         shards = plan_shards(["FIG4"], profile="fast")
-        report = runner_mod.run_shards(shards, max_retries=1, retry_backoff=0.0)
+        report = runner_mod.run_shards(shards, max_retries=1)
         assert report.ok and len(report.records) == 1
         assert any("retrying" in w for w in report.warnings)
 
@@ -599,14 +605,14 @@ class TestRunnerRetries:
             run_shards(shards, max_retries=-1)
         with pytest.raises(InvalidParameterError):
             run_shards(shards, shard_timeout=0.0)
-        with pytest.raises(InvalidParameterError):
-            run_shards(shards, retry_backoff=-0.5)
 
 
 class TestRunnerChaos:
     """Worker death and hangs: the campaign survives and stays bit-exact."""
 
-    def test_sigkill_mid_campaign_resumes_bit_identical(self, tmp_path, monkeypatch):
+    def test_sigkill_mid_campaign_resumes_bit_identical(
+        self, tmp_path, monkeypatch, no_backoff
+    ):
         """Acceptance: a SIGKILLed worker neither loses completed shards nor
         corrupts the store; the victim retries and the final aggregate equals
         the all-serial run bit for bit."""
@@ -618,7 +624,7 @@ class TestRunnerChaos:
         monkeypatch.setenv("REPRO_CHAOS_KILL", "TAB1")
         monkeypatch.setenv("REPRO_CHAOS_KILL_FLAG", str(flag))
         store = ArtifactStore(tmp_path / "chaos")
-        report = run_shards(shards, jobs=2, store=store, retry_backoff=0.0)
+        report = run_shards(shards, jobs=2, store=store)
         assert flag.exists()  # the kill actually fired
         assert report.ok, [f.error for f in report.failed]
         assert any("worker process died" in w for w in report.warnings)
@@ -629,26 +635,35 @@ class TestRunnerChaos:
         assert resumed.executed == [] and len(resumed.cached) == len(shards)
         assert json.dumps(resumed.payloads()) == json.dumps(serial.payloads())
 
-    def test_repeated_worker_death_bounded(self, tmp_path, monkeypatch):
+    def test_repeated_worker_death_bounded(self, tmp_path, monkeypatch, no_backoff):
         """A shard that reliably kills its worker fails after the death
         budget instead of respawning pools forever."""
         monkeypatch.setenv("REPRO_CHAOS_KILL", "TAB1")  # no flag: every time
         shards = plan_shards(["TAB1", "FIG4"], profile="fast")
-        report = run_shards(shards, jobs=2, retry_backoff=0.0)
+        report = run_shards(shards, jobs=2)
         assert [f.shard.experiment_id for f in report.failed] == ["TAB1"]
         assert "worker process died" in report.failed[0].error
         assert [r["payload"]["experiment_id"] for r in report.records] == ["FIG4"]
 
-    def test_hang_times_out_and_fails(self, tmp_path, monkeypatch):
+    def test_hang_times_out_and_fails(self, tmp_path, monkeypatch, no_backoff):
         monkeypatch.setenv("REPRO_CHAOS_HANG", "TAB1")
         monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", "30")
         shards = plan_shards(["TAB1", "FIG4"], profile="fast")
-        report = run_shards(
-            shards, jobs=2, max_retries=0, shard_timeout=1.0, retry_backoff=0.0
-        )
+        report = run_shards(shards, jobs=2, max_retries=0, shard_timeout=1.0)
         assert [f.shard.experiment_id for f in report.failed] == ["TAB1"]
         assert "timed out" in report.failed[0].error
         assert [r["payload"]["experiment_id"] for r in report.records] == ["FIG4"]
+        # A lone pending shard must still run in a worker the timeout can
+        # kill, not on the in-process fast path that cannot preempt itself.
+        lone = run_shards(
+            plan_shards(["TAB1"], profile="fast"),
+            jobs=2,
+            max_retries=0,
+            shard_timeout=1.0,
+        )
+        assert [f.shard.experiment_id for f in lone.failed] == ["TAB1"]
+        assert "timed out" in lone.failed[0].error
+        assert lone.records == []
 
     def test_serial_engine_ignores_kill_hook(self, monkeypatch):
         """The kill hook is worker-only: the in-process engine must survive."""
@@ -680,7 +695,7 @@ class TestSampledCampaignChaos:
         monkeypatch.setenv("REPRO_CHAOS_KILL", "SAMPLED-FAULT")
         monkeypatch.setenv("REPRO_CHAOS_KILL_FLAG", str(flag))
         store = ArtifactStore(tmp_path / "chaos")
-        report = run_shards(shards, jobs=2, store=store, retry_backoff=0.0)
+        report = run_shards(shards, jobs=2, store=store)
         assert flag.exists()
         assert report.ok, [f.error for f in report.failed]
         assert any("worker process died" in w for w in report.warnings)

@@ -250,6 +250,16 @@ class TestCliSharded:
         with pytest.raises(SystemExit):
             main(["run", "FIG4", "--jobs", "0"])
 
+    def test_shard_timeout_without_workers_rejected(self, capsys):
+        # The in-process engine cannot preempt itself, so the timeout could
+        # never fire; refuse it instead of silently ignoring it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "FIG4", "--shard-timeout", "5"])
+        assert excinfo.value.code == 2
+        assert "--shard-timeout requires --jobs >= 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["run", "FIG4", "--jobs", "1", "--shard-timeout", "5"])
+
     def test_out_with_json_aggregate_matches_serial(self, tmp_path, capsys):
         store = tmp_path / "results"
         out = tmp_path / "agg.json"

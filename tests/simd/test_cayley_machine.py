@@ -3,13 +3,17 @@
 The fast-core contract, extended to the whole Cayley family: the one-gather
 ``route_generator`` must be bit-identical -- registers and ledger -- to
 routing the same moves through the generic validated tuple path
-(``route_moves``), and the star-tree instance must behave exactly like the
-hand-written :class:`~repro.simd.star_machine.StarMachine`.
+(``route_moves``), and the star-tree instance must behave exactly like
+:class:`~repro.simd.star_machine.StarMachine`.  The star graph is the one
+family whose public API numbers generators from 1 (the paper's ``g_j``);
+:class:`TestGeneratorIndexSeam` pins the seam to the 0-based generic code.
 """
 
 import pytest
 
+from repro.algorithms.cayley import generator_tree_plan
 from repro.exceptions import InvalidParameterError
+from repro.permutations import ranking
 from repro.simd.cayley_machine import CayleyMachine
 from repro.simd.masks import Mask
 from repro.simd.star_machine import StarMachine
@@ -18,6 +22,7 @@ from repro.topology.cayley import (
     PancakeGraph,
     TranspositionTreeGraph,
 )
+from repro.topology.star import StarGraph
 
 
 def fresh_machine(graph):
@@ -132,3 +137,82 @@ class TestStarTreeMatchesStarMachine:
         star.route_generator("A", "B", 2, where=predicate)
         assert cayley.register_values("B") == star.register_values("B")
         assert cayley.stats.snapshot() == star.stats.snapshot()
+
+
+def _route_all(machine, generators, *, where=None, labels=None):
+    """Route ``A -> B_k`` along each given generator index; return the registers."""
+    init = {node: index for index, node in enumerate(machine.nodes)}
+    machine.define_register("A", init)
+    for k, generator in enumerate(generators):
+        label = labels[k] if labels else None
+        machine.route_generator("A", f"B{k}", generator, where=where, label=label)
+    return [machine.register_values(f"B{k}") for k in range(len(generators))]
+
+
+def _ledgers(machine):
+    """The counter ledger and the per-label route ledger."""
+    return machine.stats.snapshot(), dict(machine.stats.by_label)
+
+
+class TestGeneratorIndexSeam:
+    """``StarGraph``/``StarMachine`` keep 1-based ``g_j``; generic code is 0-based.
+
+    Generator ``k`` of the Cayley view of ``S_n`` is the paper's
+    ``g_{k+1}``, so every path that crosses between the two numberings must
+    land on the same routes, registers and ledgers.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cayley_machine_over_star_graph_is_the_star_tree(self, n):
+        zero_based = list(range(n - 1))
+        over_star = CayleyMachine(StarGraph(n))
+        over_tree = CayleyMachine(TranspositionTreeGraph.star(n))
+        star_registers = _route_all(over_star, zero_based)
+        tree_registers = _route_all(
+            over_tree, zero_based, labels=[f"generator-{j}" for j in range(1, n)]
+        )
+        assert star_registers == tree_registers
+        assert _ledgers(over_star) == _ledgers(over_tree)
+        assert set(over_star.stats.by_label) == {f"generator-{j}" for j in range(1, n)}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_star_machine_forwards_j_to_j_minus_one(self, n):
+        predicate = lambda node: node[-1] % 2 == 0  # noqa: E731
+        for where in (None, predicate):
+            star = StarMachine(n)
+            cayley = CayleyMachine(StarGraph(n))
+            one_based = _route_all(star, list(range(1, n)), where=where)
+            zero_based = _route_all(cayley, list(range(n - 1)), where=where)
+            assert one_based == zero_based
+            assert _ledgers(star) == _ledgers(cayley)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tree_plan_over_star_graph_is_the_star_tree_plan(self, n):
+        assert generator_tree_plan(StarGraph(n), 0) == generator_tree_plan(
+            TranspositionTreeGraph.star(n), 0
+        )
+
+    @pytest.mark.parametrize(
+        "make, generators",
+        [
+            (lambda: StarMachine(4), [1, 2, 3]),
+            (lambda: CayleyMachine(StarGraph(4)), [0, 1, 2]),
+            (lambda: CayleyMachine(PancakeGraph(4)), [0, 1, 2]),
+        ],
+        ids=["StarMachine", "CayleyMachine(StarGraph)", "CayleyMachine(PancakeGraph)"],
+    )
+    def test_beyond_table_fallback_matches_table_route(
+        self, monkeypatch, make, generators
+    ):
+        predicate = lambda node: node[1] < 2  # noqa: E731
+        for where in (None, predicate):
+            table = make()
+            table_registers = _route_all(table, generators, where=where)
+            # Below the degree: no dense tables, the tuple fallback routes.
+            monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 3)
+            fallback = make()
+            fallback_registers = _route_all(fallback, generators, where=where)
+            monkeypatch.undo()
+            assert fallback._generator_moves == {}  # no table was loaded
+            assert fallback_registers == table_registers
+            assert _ledgers(fallback) == _ledgers(table)

@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * structural: generator sets are validated, the families have the documented
   degrees/node counts, and the star-*tree* instance is identical (tables and
-  all) to the hand-written :class:`~repro.topology.star.StarGraph`;
+  all) to :class:`~repro.topology.star.StarGraph`, the closed-form
+  star-tree subclass;
 * closed forms: bubble-sort distances are Kendall-tau inversion counts
   (BFS-verified), diameters match the known pancake numbers and the
   ``n(n-1)/2`` bubble-sort formula;
@@ -142,6 +143,17 @@ class TestFamilyShapes:
 
 class TestStarTreeIsTheStarGraph:
     """Star = the star-tree instance of the transposition family."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_star_graph_is_the_star_tree_cayley_graph(self, n):
+        star = StarGraph(n)
+        assert isinstance(star, CayleyGraph)
+        assert star.generators == TranspositionTreeGraph.star(n).generators
+        assert star.generator_names == tuple(str(j) for j in range(1, n))
+        # Generic 0-based generator k is the paper's 1-based g_{k+1}.
+        node = star.node_from_index(star.num_nodes - 1)
+        for j in range(1, n):
+            assert star.apply_generator(node, j - 1) == star.neighbor_along(node, j)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_same_adjacency_and_tables(self, n):
