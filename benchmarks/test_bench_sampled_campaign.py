@@ -85,9 +85,7 @@ def test_bounded_ball_s7_implicit(benchmark, star7):
 # ------------------------------------------------ ball-local vs whole-graph
 def test_whole_graph_sweep_s7(benchmark, star7):
     """Ablation (a): the full S_7 sweep the bounded ball replaces."""
-    distances = benchmark(
-        index_bfs_distances, star7.neighbor_index_table(), star7.num_nodes, 0
-    )
+    distances = benchmark(index_bfs_distances, star7.neighbor_index_table(), 0)
     assert int(np.asarray(distances).max()) == 9
 
 

@@ -65,16 +65,14 @@ def test_neighbor_block_s7_implicit(benchmark, star7):
 
 def test_index_bfs_s7_table_source(benchmark, star7):
     """Ablation (a): the full S_7 BFS sweep over the materialised table."""
-    distances = benchmark(
-        index_bfs_distances, star7.neighbor_index_table(), star7.num_nodes, 0
-    )
+    distances = benchmark(index_bfs_distances, star7.neighbor_index_table(), 0)
     assert int(np.asarray(distances).max()) == 9
 
 
 def test_index_bfs_s7_implicit_source(benchmark, star7):
     """Ablation (b): the same BFS with every frontier block computed on the fly."""
     source = ImplicitNeighborSource(star_position_generators(7), 7)
-    distances = benchmark(index_bfs_distances, source, star7.num_nodes, 0)
+    distances = benchmark(index_bfs_distances, source, 0)
     assert int(np.asarray(distances).max()) == 9
 
 

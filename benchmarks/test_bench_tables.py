@@ -53,7 +53,7 @@ def test_star_distances_s7_chunked(benchmark, monkeypatch):
 def test_index_bfs_s7_numpy(benchmark, star7_table):
     """Frontier BFS over the S_7 adjacency table."""
     star, table = star7_table
-    distances = benchmark(index_bfs_distances, table, star.num_nodes, 0)
+    distances = benchmark(index_bfs_distances, table, 0)
     assert int(np.asarray(distances).max()) == 9
 
 

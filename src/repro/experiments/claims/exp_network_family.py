@@ -8,9 +8,10 @@ with exactly the same index-native services:
 
 * **degree / regularity** -- one reduction over the adjacency index table;
 * **diameter and average distance** -- one bit-parallel all-sources BFS sweep
-  (``use_closed_form=False``: the sweep is the measurement), held against the
-  closed forms where they exist (star ``floor(3(n-1)/2)``, bubble-sort
-  ``n(n-1)/2``, hypercube ``n``) and against the known pancake numbers;
+  (:func:`~repro.topology.routing.distance_summary` always measures; no
+  family answers from a formula there), held against the closed forms where
+  they exist (star ``floor(3(n-1)/2)``, bubble-sort ``n(n-1)/2``, hypercube
+  ``n``) and against the known pancake numbers;
 * **fault tolerance** -- random ``degree - 1`` node-fault injections through
   the alive-mask flood (all four families have maximal connectivity, so no
   trial may disconnect them);

@@ -52,9 +52,7 @@ def _exact_pancake_mean(size: int) -> float:
     from repro.topology.routing import index_bfs_distances
 
     graph = PancakeGraph(size)
-    distances = index_bfs_distances(
-        graph.neighbor_source(), graph.num_nodes, 0
-    )
+    distances = index_bfs_distances(graph.neighbor_source(), 0)
     return int(distances.sum()) / (graph.num_nodes - 1)
 
 

@@ -45,7 +45,7 @@ ARTIFACT_SCHEMA = SCHEMAS["PROP-D"]
 
 def _bfs_diameter(star: StarGraph) -> int:
     """Eccentricity of the identity via an actual BFS sweep (not the closed form)."""
-    distances = bfs_distances_from(star, star.identity, use_closed_form=False)
+    distances = bfs_distances_from(star, star.identity)
     return int(max(distances))
 
 

@@ -661,7 +661,18 @@ def run_shards(
                     work = pending.popleft()
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=jobs)
-                    future = pool.submit(execute_shard, work.shard)
+                    try:
+                        future = pool.submit(execute_shard, work.shard)
+                    except BrokenProcessPool:
+                        # A worker died since the last submit.  This shard
+                        # never ran: put it back uncharged.  The dead
+                        # in-flight futures below respawn the pool; with
+                        # none left, drop it here.
+                        pending.appendleft(work)
+                        if not in_flight:
+                            pool.shutdown(wait=False, cancel_futures=True)
+                            pool = None
+                        break
                     work.deadline = (
                         time.monotonic() + shard_timeout
                         if shard_timeout is not None

@@ -108,7 +108,6 @@ CHUNK_NODES = 1 << 20
 # int64 rank accumulation overflows at 21! - 1 > 2**63 - 1; beyond this the
 # vectorised path must defer to exact Python integers.
 MAX_INT64_RANK_DEGREE = 20
-_MAX_INT64_RANK_DEGREE = MAX_INT64_RANK_DEGREE  # retained pre-PR-8 alias
 
 # A packed key spends 4 bits per symbol, so 16 symbols fill one uint64.  A
 # representation limit like MAX_INT64_RANK_DEGREE, not a tuning knob.

@@ -70,11 +70,8 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive):
     ``topology.neighbor_source()`` -- a materialised table or, past the
     table ceiling, the table-free implicit source.
     """
-    num_nodes = topology.num_nodes
-    alive_mask = _np.asarray(alive, dtype=bool)
-    _check_alive_origin(alive_mask, origin_index, num_nodes)
     return index_bfs_distances(
-        topology.neighbor_source(), num_nodes, origin_index, alive_mask=alive_mask
+        topology.neighbor_source(), origin_index, alive_mask=alive
     )
 
 
@@ -102,7 +99,7 @@ def masked_route(
     if not alive_mask[target_index]:
         return None
     distances = index_bfs_distances(
-        neighbor_source, num_nodes, source_index, alive_mask=alive_mask
+        neighbor_source, source_index, alive_mask=alive_mask
     )
     if distances[target_index] < 0:
         return None

@@ -45,7 +45,6 @@ import numpy as _np
 from repro import telemetry
 from repro.exceptions import InvalidParameterError
 from repro.simulation.stats import (
-    Z_95,
     derive_trial_seed,
     moments_interval,
     wilson_interval,
@@ -260,8 +259,6 @@ def sampled_distance_estimate(
     size: int,
     samples: int,
     seed: int,
-    *,
-    z: float = Z_95,
 ) -> SampledDistanceEstimate:
     """Estimate distance statistics of one family instance from seeded pairs.
 
@@ -275,13 +272,13 @@ def sampled_distance_estimate(
     distances = sampled_pair_distances(family, size, samples, seed)
     total = int(distances.sum())
     total_squares = int((distances * distances).sum())
-    mean, low, high = moments_interval(total, total_squares, samples, z)
+    mean, low, high = moments_interval(total, total_squares, samples)
     counts = _np.bincount(distances)
     histogram = {
         int(d): int(count) for d, count in enumerate(counts) if count
     }
     intervals = {
-        d: wilson_interval(count, samples, z) for d, count in histogram.items()
+        d: wilson_interval(count, samples) for d, count in histogram.items()
     }
     return SampledDistanceEstimate(
         family=family,
@@ -414,7 +411,6 @@ def sampled_pancake_estimate(
     seed: int,
     *,
     max_depth: Optional[int] = None,
-    z: float = Z_95,
 ) -> PancakeDistanceEstimate:
     """Estimate pancake-graph distance statistics from seeded random pairs.
 
@@ -474,9 +470,7 @@ def sampled_pancake_estimate(
         if exact:
             from repro.topology.routing import index_bfs_distances
 
-            full = _np.asarray(
-                index_bfs_distances(graph.neighbor_source(), num_nodes, 0)
-            )
+            full = index_bfs_distances(graph.neighbor_source(), 0)
             distances = full[relative]
             resolved_mask = _np.ones(samples, dtype=bool)
             depth_used = int(full.max())
@@ -495,11 +489,11 @@ def sampled_pancake_estimate(
     truncated = samples - resolved
     total = int(distances.sum())
     total_squares = int((distances * distances).sum())
-    mean, low, high = moments_interval(total, total_squares, samples, z)
+    mean, low, high = moments_interval(total, total_squares, samples)
     counts = _np.bincount(distances[resolved_mask], minlength=0)
     histogram = {int(d): int(count) for d, count in enumerate(counts) if count}
     intervals = {
-        d: wilson_interval(count, samples, z) for d, count in histogram.items()
+        d: wilson_interval(count, samples) for d, count in histogram.items()
     }
     observed_max = int(distances[resolved_mask].max()) if resolved else 0
     diameter_lower_bound = max(

@@ -5,7 +5,9 @@ binomial proportions reported with Wilson score intervals (well-behaved at
 the boundary -- most fault points see *zero* disconnections, where the naive
 normal interval collapses to a meaningless ``0 +/- 0``), and mean route
 stretch is reported with a normal-approximation interval over the per-pair
-stretch samples.
+stretch samples.  Every per-statistic interval is 95% (:data:`Z_95`); the joint
+cross-family intervals (:func:`simultaneous_intervals`,
+:func:`rank_intervals`) are Bonferroni and Holm at the requested confidence.
 
 Trial seeding lives here too: :func:`derive_trial_seed` hashes the campaign
 seed together with the trial's coordinates so that every trial draws from an
@@ -56,10 +58,8 @@ def derive_trial_seed(seed: int, *coordinates: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = Z_95
-) -> Tuple[float, float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Parameters
     ----------
@@ -67,15 +67,14 @@ def wilson_interval(
         Observed successes (``0 <= successes <= trials``).
     trials : int
         Number of Bernoulli trials (positive).
-    z : float, optional
-        Two-sided normal critical value (default 95%).
 
     Returns
     -------
     (p_hat, low, high)
         The point estimate and the interval bounds, each in ``[0, 1]``.
         Unlike the naive normal interval, the bounds stay informative at the
-        boundary: ``successes = 0`` yields ``(0, 0, z^2 / (n + z^2))``.
+        boundary: ``successes = 0`` yields ``(0, 0, z^2 / (n + z^2))`` with
+        ``z =`` :data:`Z_95`.
     """
     if trials <= 0:
         raise InvalidParameterError(f"trials must be positive, got {trials!r}")
@@ -84,6 +83,7 @@ def wilson_interval(
             f"successes must be in [0, {trials}], got {successes!r}"
         )
     p_hat = successes / trials
+    z = Z_95
     z2 = z * z
     denominator = 1.0 + z2 / trials
     centre = (p_hat + z2 / (2 * trials)) / denominator
@@ -95,10 +95,8 @@ def wilson_interval(
     return p_hat, max(0.0, centre - margin), min(1.0, centre + margin)
 
 
-def mean_interval(
-    values: Sequence[float], z: float = Z_95
-) -> Tuple[float, float, float]:
-    """Normal-approximation confidence interval for a sample mean.
+def mean_interval(values: Sequence[float]) -> Tuple[float, float, float]:
+    """95% normal-approximation confidence interval for a sample mean.
 
     Returns ``(mean, low, high)``; with fewer than two samples the interval
     degenerates to the point estimate (there is no spread to estimate).
@@ -113,12 +111,12 @@ def mean_interval(
     if n == 1:
         return mean, mean, mean
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    margin = z * math.sqrt(variance / n)
+    margin = Z_95 * math.sqrt(variance / n)
     return mean, mean - margin, mean + margin
 
 
 def moments_interval(
-    total: int, total_squares: int, count: int, z: float = Z_95
+    total: int, total_squares: int, count: int
 ) -> Tuple[float, float, float]:
     """:func:`mean_interval` from exact integer moments instead of samples.
 
@@ -127,7 +125,7 @@ def moments_interval(
     totals over millions of integer distance samples -- exact, chunk-order
     independent, and never materialising the sample array.  This helper turns
     those moments into the same normal-approximation interval
-    ``mean +/- z * sqrt(s^2 / n)`` with the ``n - 1`` sample variance, so
+    ``mean +/- Z_95 * sqrt(s^2 / n)`` with the ``n - 1`` sample variance, so
     ``moments_interval(sum(xs), sum(x*x for x in xs), len(xs))`` agrees with
     ``mean_interval(xs)`` (the cross-check lives in the sampling tests).
 
@@ -146,7 +144,7 @@ def moments_interval(
     # n * sum(x^2) - sum(x)^2 is an exact integer (no catastrophic
     # cancellation); divide once at the end.
     variance = (count * total_squares - total * total) / (count * (count - 1))
-    margin = z * math.sqrt(max(0.0, variance) / count)
+    margin = Z_95 * math.sqrt(max(0.0, variance) / count)
     return mean, mean - margin, mean + margin
 
 
@@ -233,16 +231,15 @@ def simultaneous_intervals(
     estimates: Sequence[Tuple[float, float]],
     *,
     confidence: float = 0.95,
-    method: str = "bonferroni",
 ) -> List[Tuple[float, float, float]]:
-    """Joint normal intervals covering **all** K estimates at once.
+    """Joint Bonferroni normal intervals covering **all** K estimates at once.
 
     Per-statistic 95% intervals cover each estimate alone; a table of K such
     intervals covers the whole row only at ``~0.95**K``.  Following the
     csranks methodology (Chetverikov et al., arXiv:2401.15205), cross-family
     comparison tables widen every interval to the ``1 - alpha / K``
-    (Bonferroni) or ``(1 - alpha)**(1/K)`` (Sidak) per-statistic level so the
-    *joint* coverage is at least ``confidence``.
+    (Bonferroni) per-statistic level so the *joint* coverage is at least
+    ``confidence`` under any dependence between the K statistics.
 
     Parameters
     ----------
@@ -251,9 +248,6 @@ def simultaneous_intervals(
         exact statistic passes 0 and gets a degenerate interval).
     confidence : float
         Target joint coverage in ``(0, 1)``.
-    method : {"bonferroni", "sidak"}
-        Sidak is marginally tighter but assumes independence across the K
-        statistics; Bonferroni is the safe default.
 
     Returns
     -------
@@ -264,18 +258,9 @@ def simultaneous_intervals(
         raise InvalidParameterError(
             f"confidence must be in (0, 1), got {confidence!r}"
         )
-    if method not in ("bonferroni", "sidak"):
-        raise InvalidParameterError(
-            f"method must be 'bonferroni' or 'sidak', got {method!r}"
-        )
     if not estimates:
         return []
-    count = len(estimates)
-    alpha = 1.0 - confidence
-    if method == "bonferroni":
-        per_statistic = alpha / count
-    else:
-        per_statistic = 1.0 - (1.0 - alpha) ** (1.0 / count)
+    per_statistic = (1.0 - confidence) / len(estimates)
     z = normal_quantile(1.0 - per_statistic / 2.0)
     out = []
     for mean, std_err in estimates:
@@ -345,7 +330,6 @@ def rank_intervals(
     estimates: Sequence[Tuple[float, float]],
     *,
     confidence: float = 0.95,
-    smaller_is_better: bool = True,
 ) -> List[RankInterval]:
     """Simultaneous confidence intervals for the **ranks** of K estimates.
 
@@ -370,9 +354,9 @@ def rank_intervals(
         error from :func:`moments_interval` moments.
     confidence : float
         Joint coverage target.
-    smaller_is_better : bool
-        Rank 1 is the smallest value when True (distances, disconnection
-        probabilities), the largest when False (throughput-style metrics).
+
+    Rank 1 is the smallest value: every ranked statistic (distances,
+    disconnection probabilities) is better when smaller.
     """
     if not 0.0 < confidence < 1.0:
         raise InvalidParameterError(
@@ -408,9 +392,7 @@ def rank_intervals(
     for (j, k), significant in zip(pairs, rejected):
         if not significant:
             continue
-        value_j, value_k = estimates[j][0], estimates[k][0]
-        j_better = (value_j < value_k) == smaller_is_better
-        if j_better:
+        if estimates[j][0] < estimates[k][0]:
             better_than[k] += 1
             worse_than[j] += 1
         else:

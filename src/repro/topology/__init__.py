@@ -53,7 +53,6 @@ _EXPORTS = {
                 "hypercube_route",
                 "hypercube_distance",
                 "bfs_distances_from",
-                "distance_matrix",
                 "DistanceSummary",
                 "distance_summary",
                 "connected_under_alive_mask",

@@ -104,10 +104,8 @@ def is_vertex_transitive_sample(
 
 def _index_eccentricity(topology: Topology, index: int) -> int:
     """Eccentricity of the node at *index* via one BFS frontier sweep."""
-    distances = bfs_distances_from(
-        topology, topology.node_from_index(index), use_closed_form=False
-    )
-    return int(_np.asarray(distances).max())
+    distances = bfs_distances_from(topology, topology.node_from_index(index))
+    return int(distances.max())
 
 
 def connectivity_after_faults(

@@ -27,12 +27,17 @@ Whole-graph index services
 --------------------------
 On top of the point-to-point closed forms this module hosts the vectorised
 whole-graph services of the adjacency-index backend (PR 3): frontier-sweep BFS
-over ``Topology.neighbor_index_table()`` (:func:`bfs_distances_from`,
-:func:`distance_matrix`), the bit-parallel all-sources sweep behind
-:func:`distance_summary`, alive-mask connectivity
-(:func:`connected_under_alive_mask`) and batched pairwise star distances
-(:func:`star_distances_between`).  Every service is bit-identical to the
-retained tuple/dict BFS references (see ``tests/topology/test_index_services``).
+over ``Topology.neighbor_source()`` (:func:`bfs_distances_from`), the
+bit-parallel all-sources sweep behind :func:`distance_summary`, alive-mask
+connectivity (:func:`connected_under_alive_mask`) and batched pairwise star
+distances (:func:`star_distances_between`).  Every service is bit-identical to
+the retained tuple/dict BFS references (see
+``tests/topology/test_index_services``).
+
+:func:`bfs_distances_from` and :func:`distance_summary` always measure: they
+sweep the graph whatever its type, which is what lets PROP-D, CMP and
+NETWORK-FAMILY hold a measured BFS against a formula.  A closed form is a
+method called by name (``StarGraph.distances_from``, ``StarGraph.diameter``).
 
 The NumPy sweeps process node-index blocks of
 :data:`~repro.permutations.ranking.CHUNK_NODES` at a time
@@ -100,7 +105,6 @@ __all__ = [
     "bounded_bfs_ball",
     "index_bfs_distances",
     "bfs_distances_from",
-    "distance_matrix",
     "DistanceSummary",
     "SWEEP_SOURCE_BLOCK",
     "all_sources_level_counts",
@@ -147,14 +151,7 @@ def _check_star_pair(source: Sequence[int], target: Sequence[int]) -> Tuple[Node
 
 def star_distance(source: Sequence[int], target: Sequence[int]) -> int:
     """Shortest-path length between two star-graph nodes (closed form)."""
-    source, target = _check_star_pair(source, target)
-    total = 0
-    for cycle in _relative_cycles(source, target):
-        if 0 in cycle:
-            total += len(cycle) - 1
-        else:
-            total += len(cycle) + 1
-    return total
+    return star_distance_profile(source, target)[0]
 
 
 def star_distance_profile(source: Sequence[int], target: Sequence[int]) -> Tuple[int, int, int]:
@@ -617,13 +614,7 @@ def permutation_neighbor_source(generators, n: int, table_supplier) -> NeighborS
 
 
 # ------------------------------------------------------ whole-graph services
-def _is_star(topology: "Topology") -> bool:
-    from repro.topology.star import StarGraph
-
-    return isinstance(topology, StarGraph)
-
-
-def index_bfs_distances(table, num_nodes: int, origin_index: int, *, alive_mask=None):
+def index_bfs_distances(source, origin_index: int, *, alive_mask=None):
     """Frontier-sweep BFS over an adjacency source.
 
     The one chunked sweep behind :func:`bfs_distances_from`,
@@ -633,27 +624,33 @@ def index_bfs_distances(table, num_nodes: int, origin_index: int, *, alive_mask=
     nodes are marked at the current level and the next frontier is recovered
     as ``flatnonzero(distances == level)`` -- the same sorted node set the
     unchunked ``np.unique`` sweep produced, so chunking is bit-exact while
-    per-level gathers stay ``O(chunk * degree)``.  *table* may be an in-RAM
+    per-level gathers stay ``O(chunk * degree)``.  *source* may be an in-RAM
     array or any :class:`NeighborSource` -- including the table-free implicit
     source, which computes each frontier block's neighbours on the fly.
 
-    ``alive_mask`` (boolean, indexed by node) restricts the sweep to
-    surviving nodes; dead nodes are impassable and keep distance ``-1``.
-    *num_nodes* must equal the source's node count and *origin_index* lie
-    in ``[0, num_nodes)``.
+    ``alive_mask`` (one truth value per node, coerced to ``bool``) restricts
+    the sweep to surviving nodes; dead nodes are impassable and keep
+    distance ``-1``.  *origin_index* must lie in ``[0, num_nodes)`` and, under
+    a mask, be alive.
     """
     from repro.permutations.ranking import CHUNK_NODES
 
-    source = as_neighbor_source(table)
-    if num_nodes != source.num_nodes:
-        raise InvalidParameterError(
-            f"num_nodes {num_nodes!r} does not match the source's "
-            f"{source.num_nodes} nodes"
-        )
+    source = as_neighbor_source(source)
+    num_nodes = source.num_nodes
     if not 0 <= origin_index < num_nodes:
         raise InvalidParameterError(
             f"origin index {origin_index!r} outside [0, {num_nodes})"
         )
+    if alive_mask is not None:
+        alive_mask = _np.asarray(alive_mask, dtype=bool)
+        if alive_mask.shape != (num_nodes,):
+            raise InvalidParameterError(
+                f"alive_mask has shape {alive_mask.shape}, expected ({num_nodes},)"
+            )
+        if not alive_mask[origin_index]:
+            raise InvalidParameterError(
+                f"origin index {origin_index} is not alive; sweeps start at survivors"
+            )
     with telemetry.span(
         "kernel.bfs",
         num_nodes=int(num_nodes),
@@ -885,8 +882,8 @@ def bounded_bfs_ball(
         Inclusive BFS depth cap; level ``max_depth`` nodes are still
         reported, the frontier is simply not expanded past them.
     excluded : int64 array, optional
-        Impassable node indices (the campaign's fault set), in any order.
-        Excluded nodes are never visited nor traversed --
+        Impassable node indices in ``[0, num_nodes)`` (the campaign's fault
+        set), in any order.  Excluded nodes are never visited nor traversed --
         exactly the alive-mask semantics of :func:`index_bfs_distances`,
         expressed sparsely because a boolean mask over ``n!`` nodes cannot
         exist at S_13+.
@@ -909,6 +906,10 @@ def bounded_bfs_ball(
             f"origin index {origin_index!r} outside [0, {num_nodes})"
         )
     excluded = _np.asarray([] if excluded is None else excluded, dtype=_np.int64)
+    if excluded.size and not (0 <= excluded.min() and excluded.max() < num_nodes):
+        raise InvalidParameterError(
+            f"excluded node indices must lie in [0, {num_nodes})"
+        )
     translated = not excluded.size and _translates(neighbor_source, max_depth)
     with telemetry.span(
         "kernel.bounded_bfs",
@@ -1079,38 +1080,17 @@ def _sweep_ball(neighbor_source, origin_index: int, max_depth: int, excluded=Non
     )
 
 
-def bfs_distances_from(topology: "Topology", origin, *, use_closed_form: bool = True):
+def bfs_distances_from(topology: "Topology", origin):
     """Distances from *origin* to every node, indexed by ``node_index``.
 
-    One whole-graph sweep over ``topology.neighbor_index_table()``: entry
-    ``i`` of the result is ``distance(origin, node_from_index(i))`` and
-    unreachable nodes hold ``-1``.  For the star graph the cycle-structure
-    closed form (:func:`star_distances_from`) answers in one vectorised pass
-    without any sweep; pass ``use_closed_form=False`` to force the BFS sweep
-    (e.g. when the BFS itself is the measurement, as in the PROP-D diameter
-    check).  Returns a NumPy ``int64`` array.
+    One whole-graph sweep over ``topology.neighbor_source()``: entry ``i``
+    of the result is ``distance(origin, node_from_index(i))`` and
+    unreachable nodes hold ``-1``.  The sweep runs for every topology, the
+    star included, so the result is a measurement; the star's closed form
+    is ``StarGraph.distances_from``.  Returns a NumPy ``int64`` array.
     """
     origin = topology.validate_node(origin)
-    if use_closed_form and _is_star(topology):
-        return topology.distances_from(origin)
-    return index_bfs_distances(
-        topology.neighbor_source(), topology.num_nodes, topology.node_index(origin)
-    )
-
-
-def distance_matrix(topology: "Topology", *, use_closed_form: bool = True):
-    """The full ``(num_nodes, num_nodes)`` distance matrix, index-ordered.
-
-    Row ``i`` is :func:`bfs_distances_from` of ``node_from_index(i)``.  Only
-    sensible for topologies whose node count squared fits in memory.
-    """
-    rows = [
-        bfs_distances_from(
-            topology, topology.node_from_index(i), use_closed_form=use_closed_form
-        )
-        for i in range(topology.num_nodes)
-    ]
-    return _np.stack([_np.asarray(row, dtype=_np.int64) for row in rows])
+    return index_bfs_distances(topology.neighbor_source(), topology.node_index(origin))
 
 
 @dataclass(frozen=True)
@@ -1180,28 +1160,18 @@ def all_sources_level_counts(table):
     return _np.trim_zeros(counts, "b")
 
 
-def distance_summary(topology: "Topology", *, use_closed_form: bool = True) -> DistanceSummary:
+def distance_summary(topology: "Topology") -> DistanceSummary:
     """Diameter and average distance over every ordered pair of nodes.
 
     One bit-parallel all-sources sweep over ``topology.neighbor_index_table()``
     (:func:`all_sources_level_counts`) yields the number of pairs at each
     distance, and both aggregates fold from those counts; no distance matrix
-    is materialised.  For the star graph with *use_closed_form* each source
-    contributes one closed-form evaluation instead; pass
-    ``use_closed_form=False`` when the sweep itself is the measurement.
+    is materialised.  The sweep runs for every topology, the star included.
     Unreachable pairs are left out of both aggregates and clear
     ``connected``.
     """
     num_nodes = topology.num_nodes
-    if use_closed_form and _is_star(topology):
-        counts = _np.zeros(num_nodes, dtype=_np.int64)
-        for index in range(num_nodes):
-            row = _np.bincount(topology.distances_from(topology.node_from_index(index)))
-            counts[: row.size] += row
-        counts = _np.trim_zeros(counts, "b")
-    else:
-        counts = all_sources_level_counts(topology.neighbor_index_table())
-    counts = counts.tolist()
+    counts = all_sources_level_counts(topology.neighbor_index_table()).tolist()
     pairs = sum(counts) - counts[0]
     total = sum(level * found for level, found in enumerate(counts))
     return DistanceSummary(
@@ -1226,9 +1196,6 @@ def connected_under_alive_mask(topology: "Topology", alive) -> bool:
     if alive_indices.size == 0:
         return False
     distances = index_bfs_distances(
-        topology.neighbor_source(),
-        topology.num_nodes,
-        int(alive_indices[0]),
-        alive_mask=alive_mask,
+        topology.neighbor_source(), int(alive_indices[0]), alive_mask=alive_mask
     )
     return int((distances >= 0).sum()) == int(alive_indices.size)

@@ -158,9 +158,7 @@ class TestSimultaneousCalibration:
         pancake = PancakeGraph(self.SIZE)
         pancake_mean = int(
             np.asarray(
-                index_bfs_distances(
-                    pancake.neighbor_source(), pancake.num_nodes, 0
-                )
+                index_bfs_distances(pancake.neighbor_source(), 0)
             ).sum()
         ) / (pancake.num_nodes - 1)
         return [

@@ -55,9 +55,7 @@ HEAVY = bool(os.environ.get("REPRO_HEAVY_TESTS"))
 
 
 def _full_sweep(topology, origin=0):
-    return np.asarray(
-        index_bfs_distances(topology.neighbor_index_table(), topology.num_nodes, origin)
-    )
+    return np.asarray(index_bfs_distances(topology.neighbor_index_table(), origin))
 
 
 class _CountingSource(NeighborSource):
@@ -200,9 +198,7 @@ class TestBoundedBall:
         # Oracle: a whole-graph sweep with the exclusions as dead nodes.
         alive = np.ones(star.num_nodes, dtype=bool)
         alive[excluded] = False
-        masked = index_bfs_distances(
-            star.neighbor_source(), star.num_nodes, 0, alive_mask=alive
-        )
+        masked = index_bfs_distances(star.neighbor_source(), 0, alive_mask=alive)
         inside = np.flatnonzero((masked >= 0) & (masked <= depth))
         oracle = BoundedBall(
             nodes=inside,

@@ -122,9 +122,7 @@ class TestAgainstTableBalls:
         implicit = ImplicitNeighborSource(_generators(family, n), n)
         rng = np.random.default_rng(97 * n + len(family))
         origins = [int(o) for o in rng.integers(graph.num_nodes, size=2)]
-        eccentricity = int(
-            index_bfs_distances(table_source, graph.num_nodes, origins[0]).max()
-        )
+        eccentricity = int(index_bfs_distances(table_source, origins[0]).max())
         # Whole-graph balls at n = 9 are costly; there the shallow depths
         # and the two around the eccentricity cover every branch.
         depths = range(eccentricity + 2)

@@ -61,33 +61,27 @@ class TestStarDistancesChunks:
         monkeypatch.setattr(ranking, "CHUNK_NODES", 11)
         assert np.array_equal(np.asarray(star_distances_from(origin)), reference)
         # Cross-check against the BFS sweep (no closed form at all).
-        swept = np.asarray(
-            bfs_distances_from(star5, origin, use_closed_form=False)
-        )
+        swept = np.asarray(bfs_distances_from(star5, origin))
         assert np.array_equal(reference, swept)
 
 
 class TestBfsChunks:
     def test_index_bfs_chunks_match(self, star5, monkeypatch):
         table = star5.neighbor_index_table()
-        reference = np.asarray(index_bfs_distances(table, star5.num_nodes, 0))
+        reference = np.asarray(index_bfs_distances(table, 0))
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
-            chunked = np.asarray(index_bfs_distances(table, star5.num_nodes, 0))
+            chunked = np.asarray(index_bfs_distances(table, 0))
             assert np.array_equal(chunked, reference)
 
     def test_masked_index_bfs_chunks_match(self, star5, monkeypatch):
         table = star5.neighbor_index_table()
         alive = _alive_mask(star5.num_nodes, dead=(3, 17, 44, 90))
-        reference = np.asarray(
-            index_bfs_distances(table, star5.num_nodes, 0, alive_mask=alive)
-        )
+        reference = np.asarray(index_bfs_distances(table, 0, alive_mask=alive))
         assert int(reference[3]) == -1  # dead nodes stay unreached
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
-            chunked = np.asarray(
-                index_bfs_distances(table, star5.num_nodes, 0, alive_mask=alive)
-            )
+            chunked = np.asarray(index_bfs_distances(table, 0, alive_mask=alive))
             assert np.array_equal(chunked, reference)
 
     def test_masked_bfs_distances_chunks_match(self, star5, monkeypatch):
@@ -102,9 +96,7 @@ class TestBfsChunks:
         alive = np.ones(star5.num_nodes, dtype=bool)
         monkeypatch.setattr(ranking, "CHUNK_NODES", 13)
         masked = np.asarray(masked_bfs_distances(star5, 0, alive))
-        plain = np.asarray(
-            bfs_distances_from(star5, star5.identity, use_closed_form=False)
-        )
+        plain = np.asarray(bfs_distances_from(star5, star5.identity))
         assert np.array_equal(masked, plain)
 
 

@@ -363,15 +363,11 @@ class TestWholeGraphParityUnderImplicit:
     def test_bfs_distances(self, n, monkeypatch):
         for name, topology, generators in _family_instances(n):
             table = topology.neighbor_index_table()
-            reference = np.asarray(
-                index_bfs_distances(table, topology.num_nodes, 1)
-            )
+            reference = np.asarray(index_bfs_distances(table, 1))
             source = ImplicitNeighborSource(generators, n)
             for chunk in (1, 97, 10**9) if n == 5 else (97, 10**9):
                 monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
-                got = np.asarray(
-                    index_bfs_distances(source, topology.num_nodes, 1)
-                )
+                got = np.asarray(index_bfs_distances(source, 1))
                 assert got.dtype == reference.dtype
                 assert np.array_equal(got, reference), name
 
@@ -424,11 +420,9 @@ class TestWholeGraphParityUnderImplicit:
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_bfs_distances_heavy_degrees(self, n, monkeypatch):
         star = StarGraph(n)
-        reference = np.asarray(
-            index_bfs_distances(star.neighbor_index_table(), star.num_nodes, 0)
-        )
+        reference = np.asarray(index_bfs_distances(star.neighbor_index_table(), 0))
         source = ImplicitNeighborSource(star_position_generators(n), n)
         for chunk in (4096, 10**9):
             monkeypatch.setattr(ranking, "CHUNK_NODES", chunk)
-            got = np.asarray(index_bfs_distances(source, star.num_nodes, 0))
+            got = np.asarray(index_bfs_distances(source, 0))
             assert np.array_equal(got, reference)

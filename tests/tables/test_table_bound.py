@@ -150,16 +150,12 @@ class TestPastTheBound:
     def test_bfs_goes_implicit_and_matches_the_table(self, family, monkeypatch):
         table_graph = FAMILIES[family](PAST)
         expected = np.asarray(
-            bfs_distances_from(
-                table_graph, table_graph.node_from_index(0), use_closed_form=False
-            )
+            bfs_distances_from(table_graph, table_graph.node_from_index(0))
         )
         monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", PAST - 1)
         graph = FAMILIES[family](PAST)
         assert isinstance(graph.neighbor_source(), ImplicitNeighborSource)
-        swept = np.asarray(
-            bfs_distances_from(graph, graph.node_from_index(0), use_closed_form=False)
-        )
+        swept = np.asarray(bfs_distances_from(graph, graph.node_from_index(0)))
         assert np.array_equal(swept, expected)
         if family == "star":
             assert np.array_equal(

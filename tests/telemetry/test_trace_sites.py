@@ -73,7 +73,7 @@ class TestKernelSites:
 
     def test_bfs_span_table_source(self, trace):
         star = StarGraph(4)
-        index_bfs_distances(star.neighbor_index_table(), star.num_nodes, 0)
+        index_bfs_distances(star.neighbor_index_table(), 0)
         (event,) = _by_name(trace(), "kernel.bfs")
         attrs = event["attrs"]
         assert attrs["num_nodes"] == 24
@@ -86,7 +86,7 @@ class TestKernelSites:
 
     def test_bfs_span_implicit_source(self, trace):
         source = ImplicitNeighborSource(star_position_generators(4), 4)
-        index_bfs_distances(source, source.num_nodes, 0)
+        index_bfs_distances(source, 0)
         (event,) = _by_name(trace(), "kernel.bfs")
         assert event["attrs"]["neighbor_source"] == "implicit"
 
@@ -94,9 +94,7 @@ class TestKernelSites:
         star = StarGraph(4)
         alive = np.ones(star.num_nodes, dtype=bool)
         alive[5] = False
-        index_bfs_distances(
-            star.neighbor_index_table(), star.num_nodes, 0, alive_mask=alive
-        )
+        index_bfs_distances(star.neighbor_index_table(), 0, alive_mask=alive)
         (event,) = _by_name(trace(), "kernel.bfs")
         assert event["attrs"]["masked"] is True
 

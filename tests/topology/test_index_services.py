@@ -5,8 +5,13 @@ bit-identical to the retained tuple/dict BFS references --
 
 * ``neighbor_index_table`` round-trips against ``neighbors()`` (same
   neighbours, same order) on star, mesh and hypercube;
-* ``bfs_distances_from`` / ``distance_matrix`` match ``Topology._bfs_distances``
-  (the dict BFS) entry for entry, both with and without the star closed form;
+* ``bfs_distances_from`` matches ``Topology._bfs_distances`` (the dict BFS)
+  and ``Topology.distance`` entry for entry, its rows over every origin form
+  a symmetric matrix, and on the star graph it equals the closed form
+  ``StarGraph.distances_from`` from every origin (and ``distance_summary``
+  the closed-form diameter and mean);
+* ``index_bfs_distances`` and ``bounded_bfs_ball`` refuse malformed masks,
+  dead origins and out-of-range exclusions;
 * index-based ``connectivity_after_faults`` matches the dict-of-tuples flood
   fill (``connectivity_after_faults_reference``) on random fault sets;
 * ``star_distances_between`` matches the scalar ``star_distance`` closed form;
@@ -46,8 +51,8 @@ from repro.topology.routing import (
     SWEEP_SOURCE_BLOCK,
     DistanceSummary,
     bfs_distances_from,
+    bounded_bfs_ball,
     connected_under_alive_mask,
-    distance_matrix,
     distance_summary,
     index_bfs_distances,
     star_distance,
@@ -154,26 +159,10 @@ class TestBfsParity:
         for index in indices:
             origin = topology.node_from_index(index)
             reference = topology._bfs_distances(origin)  # noqa: SLF001 - the retained oracle
-            sweep = bfs_distances_from(topology, origin, use_closed_form=False)
+            sweep = bfs_distances_from(topology, origin)
             assert len(reference) == topology.num_nodes  # all connected here
             for node, expected in reference.items():
                 assert int(sweep[topology.node_index(node)]) == expected
-
-    def test_closed_form_dispatch_agrees_with_sweep(self, topology):
-        origin = topology.node_from_index(0)
-        closed = bfs_distances_from(topology, origin)
-        sweep = bfs_distances_from(topology, origin, use_closed_form=False)
-        assert [int(d) for d in closed] == [int(d) for d in sweep]
-
-    def test_distance_matrix_rows(self, topology):
-        if topology.num_nodes > 64:
-            pytest.skip("matrix parity is exercised on the small instances")
-        matrix = distance_matrix(topology)
-        for index in range(topology.num_nodes):
-            origin = topology.node_from_index(index)
-            reference = topology._bfs_distances(origin)  # noqa: SLF001
-            for node, expected in reference.items():
-                assert int(matrix[index][topology.node_index(node)]) == expected
 
     def test_distance_summary_matches_dict_sweep(self, topology):
         summary = distance_summary(topology)
@@ -189,25 +178,84 @@ class TestBfsParity:
         assert summary.average_distance == pytest.approx(total / pairs)
         assert summary.connected
 
+    def test_sweep_matches_pairwise_distance(self, topology):
+        # ``distance`` is the closed form where the family has one (star
+        # cycles, mesh/hypercube coordinates, Kendall tau) and an
+        # early-exit BFS otherwise; either way it must equal the sweep.
+        for index in {0, topology.num_nodes - 1}:
+            origin = topology.node_from_index(index)
+            sweep = bfs_distances_from(topology, origin)
+            for node in topology.nodes():
+                assert int(sweep[topology.node_index(node)]) == topology.distance(origin, node)
+
+    def test_sweep_rows_form_a_symmetric_matrix(self, topology):
+        rows = np.stack(
+            [
+                np.asarray(bfs_distances_from(topology, topology.node_from_index(index)))
+                for index in range(topology.num_nodes)
+            ]
+        )
+        assert (np.diag(rows) == 0).all()
+        assert np.array_equal(rows, rows.T)
+        assert int(rows.max()) == distance_summary(topology).diameter == topology.diameter()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_star_closed_form_equals_the_sweep(n):
+    star = StarGraph(n)
+    for index in range(star.num_nodes):
+        origin = star.node_from_index(index)
+        assert np.array_equal(star.distances_from(origin), bfs_distances_from(star, origin))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_star_summary_equals_the_closed_forms(n):
+    # The star is vertex-transitive, so one closed-form row gives the mean.
+    star = StarGraph(n)
+    row = star.distances_from(star.identity)
+    summary = distance_summary(star)
+    assert summary.diameter == star.diameter() == int(row.max())
+    assert summary.average_distance == int(row.sum()) / (star.num_nodes - 1)
+    assert summary.connected
+
 
 class TestIndexBfsValidation:
-    """A bad origin or node count is refused, never answered from elsewhere."""
+    """A bad origin or mask is refused, never answered from elsewhere."""
 
     @pytest.mark.parametrize("origin", [-1, 24])
     def test_origin_outside_the_graph(self, origin):
         star = StarGraph(4)
         with pytest.raises(InvalidParameterError, match=r"outside \[0, 24\)"):
-            index_bfs_distances(star.neighbor_source(), 24, origin)
+            index_bfs_distances(star.neighbor_source(), origin)
 
-    def test_num_nodes_must_match_the_source(self):
+    def test_integer_mask_is_read_as_truth_values(self):
         star = StarGraph(4)
-        with pytest.raises(InvalidParameterError, match="does not match"):
-            index_bfs_distances(star.neighbor_source(), 25, 0)
+        table = star.neighbor_index_table()
+        alive = np.ones(24, dtype=np.int64)
+        alive[5] = 0
+        masked = index_bfs_distances(table, 0, alive_mask=alive)
+        expected = index_bfs_distances(table, 0, alive_mask=alive.astype(bool))
+        assert np.array_equal(masked, expected)
+        assert masked[5] == -1 and (np.delete(masked, 5) >= 0).all()
 
-    def test_num_nodes_must_match_a_raw_table(self):
-        table = StarGraph(4).neighbor_index_table()
-        with pytest.raises(InvalidParameterError, match="does not match"):
-            index_bfs_distances(table, 23, 0)
+    def test_dead_origin_is_refused(self):
+        alive = np.ones(24, dtype=bool)
+        alive[0] = False
+        with pytest.raises(InvalidParameterError, match="not alive"):
+            index_bfs_distances(StarGraph(4).neighbor_source(), 0, alive_mask=alive)
+
+    @pytest.mark.parametrize("length", [23, 25])
+    def test_mask_length_must_match_the_graph(self, length):
+        with pytest.raises(InvalidParameterError, match=r"expected \(24,\)"):
+            index_bfs_distances(
+                StarGraph(4).neighbor_source(), 0, alive_mask=np.ones(length, dtype=bool)
+            )
+
+    @pytest.mark.parametrize("excluded", [[999], [-7], [3, 120]])
+    def test_ball_exclusions_outside_the_graph_on_a_table(self, excluded):
+        table = StarGraph(5).neighbor_index_table()
+        with pytest.raises(InvalidParameterError, match=r"\[0, 120\)"):
+            bounded_bfs_ball(table, 0, max_depth=2, excluded=excluded)
 
 
 @pytest.mark.parametrize("topology", small_topologies(), ids=repr)
@@ -280,7 +328,7 @@ def per_source_fold(topology) -> DistanceSummary:
     diameter = total = pairs = 0
     connected = True
     for index in range(topology.num_nodes):
-        row = index_bfs_distances(table, topology.num_nodes, index)
+        row = index_bfs_distances(table, index)
         if (row < 0).any():
             connected = False
             row = row[row >= 0]
@@ -315,7 +363,7 @@ class TestAllSourcesSweep:
     def test_equals_per_source_fold(self, topology):
         assert topology.num_nodes <= 720
         # == on the dataclass: the float average must match bit for bit.
-        assert distance_summary(topology, use_closed_form=False) == per_source_fold(topology)
+        assert distance_summary(topology) == per_source_fold(topology)
 
     def test_instance_wider_than_a_source_block(self):
         mesh = Mesh((6, 5, 4, 3, 2, 2))  # 1440 nodes: one full block, one partial
@@ -329,11 +377,6 @@ class TestAllSourcesSweep:
         assert summary == per_source_fold(split)
         assert not summary.connected
         assert summary.diameter == 2
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_star_closed_form_branch_agrees(self, n):
-        star = StarGraph(n)
-        assert distance_summary(star) == distance_summary(star, use_closed_form=False)
 
 
 #: sha256 of each payload's canonical JSON under the per-source sweep.
