@@ -26,7 +26,12 @@ Ablation pairs quantify the PR-10 design decisions:
   cached identity ball left-multiplied by the origin's permutation against
   the frontier sweep it replaces (identical balls).  Since healthy balls on
   the implicit source are relabelled, the S_7 implicit and S_13 depth-3 /
-  depth-4 rows above time the relabel after their first round.
+  depth-4 rows above time the relabel after their first round;
+* **framed vs swept** faulted S_13 depth-4 balls, per family (origin 12345,
+  16 faults) -- the flood of the cached identity frame against the excluded
+  frontier sweep it replaces (identical balls).  The framed row times what
+  a campaign trial reads (``distance_of`` and ``truncated``); the ball
+  relabels its keys into the origin's frame only when they are read.
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
 S_13 on the implicit source — the acceptance-scale campaign.
@@ -178,6 +183,46 @@ def test_healthy_ball_s13_depth4_swept(benchmark, s13_family_sources, family):
     """Ablation (b): the same ball from the frontier sweep."""
     source = s13_family_sources[family]
     ball = benchmark(_sweep_ball, source, 12345, BALL_DEPTH)
+    assert ball.truncated and ball.levels == BALL_DEPTH
+
+
+# ---------------------------------------------- framed vs swept faulted balls
+def _s13_faults(source):
+    healthy = bounded_bfs_ball(source, 12345, max_depth=BALL_DEPTH)
+    rng = np.random.default_rng(12345)
+    drawn = rng.choice(np.flatnonzero(healthy.distances > 0), 16, replace=False)
+    return np.sort(healthy.nodes_at(drawn))
+
+
+@pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+def test_faulted_ball_s13_depth4_framed(benchmark, s13_family_sources, family):
+    """Ablation (a): 16 faults flooded in the cached identity frame."""
+    source = s13_family_sources[family]
+    faults = _s13_faults(source)
+    bounded_bfs_ball(source, 12345, max_depth=BALL_DEPTH, excluded=faults)
+
+    def trial():
+        ball = bounded_bfs_ball(source, 12345, max_depth=BALL_DEPTH, excluded=faults)
+        return ball, ball.distance_of(faults[:4])
+
+    ball, _ = benchmark(trial)
+    swept = _sweep_ball(source, 12345, BALL_DEPTH, faults)
+    assert np.array_equal(ball.keys, swept.keys)
+    assert np.array_equal(ball.distances, swept.distances)
+    assert ball.truncated is swept.truncated and ball.levels == swept.levels
+
+
+@pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+def test_faulted_ball_s13_depth4_swept(benchmark, s13_family_sources, family):
+    """Ablation (b): the same faulted ball from the excluded frontier sweep."""
+    source = s13_family_sources[family]
+    faults = _s13_faults(source)
+
+    def trial():
+        ball = _sweep_ball(source, 12345, BALL_DEPTH, faults)
+        return ball, ball.distance_of(faults[:4])
+
+    ball, _ = benchmark(trial)
     assert ball.truncated and ball.levels == BALL_DEPTH
 
 

@@ -212,8 +212,6 @@ def sampled_fault_campaign(
                 )
                 origin = rng.randrange(num_nodes)
                 healthy = bounded_bfs_ball(source, origin, max_depth=depth)
-                # Only the drawn faults and targets are decoded to ranks; the
-                # rest of the ball stays in the source's key space.
                 distances = _np.asarray(healthy.distances)
                 if fault_count > healthy.size - 1:
                     raise InvalidParameterError(
@@ -227,9 +225,6 @@ def sampled_fault_campaign(
                     position + (position >= origin_position)
                     for position in rng.sample(range(healthy.size - 1), fault_count)
                 ]
-                faults = (
-                    _np.sort(healthy.nodes_at(fault_positions)) if fault_count else None
-                )
 
                 candidate_mask = (distances >= 1) & (distances <= max_target_depth)
                 if fault_count:
@@ -240,7 +235,18 @@ def sampled_fault_campaign(
                 if wanted == 0:
                     continue
                 target_positions = rng.sample(range(int(candidates.size)), wanted)
-                targets = healthy.nodes_at(candidates[target_positions])
+                # Only the drawn faults and targets are decoded to ranks, in
+                # one call; the rest of the ball stays in the source's key
+                # space.
+                drawn = healthy.nodes_at(
+                    _np.concatenate(
+                        [
+                            _np.array(fault_positions, dtype=_np.intp),
+                            candidates[target_positions],
+                        ]
+                    )
+                )
+                faults, targets = _np.sort(drawn[:fault_count]), drawn[fault_count:]
                 healthy_distances = candidate_distances[target_positions]
 
                 if fault_count == 0:

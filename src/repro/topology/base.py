@@ -207,7 +207,7 @@ class Topology(ABC):
         """
         from repro.topology.routing import TableNeighborSource
 
-        return TableNeighborSource(self.neighbor_index_table(), self.num_nodes)
+        return TableNeighborSource(self.neighbor_index_table())
 
     def _build_neighbor_index_table(self):
         index_of = {node: i for i, node in enumerate(self.nodes())}

@@ -63,17 +63,18 @@ arrays from either source at every chunk size
 (``tests/tables/test_implicit_neighbors.py``).
 :func:`bounded_bfs_ball` grows its balls in the source's key space
 (:meth:`NeighborSource.encode`): packed permutations on the implicit source
-through degree 16, node indices everywhere else.  Its exclusion-free balls on
-the implicit source through degree 15 are not swept at all: the graph is
-vertex-symmetric, so each is one cached identity ball relabelled by the
-origin's permutation.
+through degree 16, node indices everywhere else.  Its balls on the implicit
+source through degree 15 are not swept at all: the graph is
+vertex-symmetric, so a healthy ball is one cached identity ball relabelled by
+the origin's permutation, and a faulted one is a flood of the identity ball's
+cached local adjacency with the faults relabelled into the identity's frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -443,11 +444,9 @@ class NeighborSource:
 class TableNeighborSource(NeighborSource):
     """Adjacency served from a materialised index table."""
 
-    def __init__(self, table, num_nodes=None):
+    def __init__(self, table):
         self._table = table
-        if num_nodes is None:
-            num_nodes = len(table)
-        self._num_nodes = int(num_nodes)
+        self._num_nodes = len(table)
 
     @property
     def table(self):
@@ -633,8 +632,6 @@ def index_bfs_distances(source, origin_index: int, *, alive_mask=None):
     distance ``-1``.  *origin_index* must lie in ``[0, num_nodes)`` and, under
     a mask, be alive.
     """
-    from repro.permutations.ranking import CHUNK_NODES
-
     source = as_neighbor_source(source)
     num_nodes = source.num_nodes
     if not 0 <= origin_index < num_nodes:
@@ -657,38 +654,58 @@ def index_bfs_distances(source, origin_index: int, *, alive_mask=None):
         neighbor_source="table" if source.table is not None else "implicit",
         masked=alive_mask is not None,
     ) as sp:
-        blocks = 0
         distances = _np.full(num_nodes, -1, dtype=_np.int64)
-        distances[origin_index] = 0
-        frontier = _np.array([origin_index], dtype=_np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            found = False
-            for start in range(0, frontier.size, CHUNK_NODES):
-                block = frontier[start : start + CHUNK_NODES]
-                blocks += 1
-                candidates = source.neighbor_block(block).reshape(-1)
-                candidates = candidates[candidates >= 0]
-                if alive_mask is not None:
-                    candidates = candidates[
-                        alive_mask[candidates] & (distances[candidates] < 0)
-                    ]
-                else:
-                    candidates = candidates[distances[candidates] < 0]
-                if candidates.size:
-                    distances[candidates] = level
-                    found = True
-            if not found:
-                break
-            frontier = _np.flatnonzero(distances == level)
+        deepest, blocks = _flood_levels(
+            source.neighbor_block, distances, origin_index, alive_mask
+        )
         if telemetry.trace_enabled():
             sp.add(
                 chunks=blocks,
-                levels=level,
+                levels=deepest + 1,
                 reached=int((distances >= 0).sum()),
             )
         return distances
+
+
+def _flood_levels(neighbor_block, distances, origin, alive_mask=None, max_level=None):
+    """The dense level loop: flood *distances* from *origin*, level by level.
+
+    The one loop behind :func:`index_bfs_distances` and the framed faulted
+    balls of :func:`bounded_bfs_ball`.  *distances* is a ``-1``-filled
+    ``int64`` array over the node indices *neighbor_block* serves rows of
+    (``-1`` entries are padding); each level expands its frontier in
+    :data:`~repro.permutations.ranking.CHUNK_NODES` blocks, marks the
+    alive, unreached candidates and recovers the next frontier as
+    ``flatnonzero(distances == level)``.  The flood stops when a level adds
+    nothing or after level *max_level*.  Returns ``(deepest populated level,
+    blocks expanded)``.
+    """
+    from repro.permutations.ranking import CHUNK_NODES
+
+    distances[origin] = 0
+    frontier = _np.array([origin], dtype=_np.int64)
+    level = blocks = 0
+    while max_level is None or level < max_level:
+        found = False
+        for start in range(0, frontier.size, CHUNK_NODES):
+            blocks += 1
+            candidates = neighbor_block(frontier[start : start + CHUNK_NODES])
+            candidates = candidates.reshape(-1)
+            candidates = candidates[candidates >= 0]
+            if alive_mask is not None:
+                candidates = candidates[
+                    alive_mask[candidates] & (distances[candidates] < 0)
+                ]
+            else:
+                candidates = candidates[distances[candidates] < 0]
+            if candidates.size:
+                distances[candidates] = level + 1
+                found = True
+        if not found:
+            break
+        level += 1
+        frontier = _np.flatnonzero(distances == level)
+    return level, blocks
 
 
 class BoundedBall:
@@ -859,17 +876,20 @@ def bounded_bfs_ball(
     expansion would give; only the work depends on where the first escape
     sits.
 
-    **Healthy balls by symmetry.**  A permutation Cayley graph is
+    **Balls by symmetry.**  A permutation Cayley graph is
     vertex-symmetric: left multiplication by the origin's permutation maps
     the identity's ball onto the origin's, distances, ``truncated`` and
-    ``levels`` included.  So with no exclusions, on an
-    :class:`ImplicitNeighborSource` in packed-key space whose spare low
-    nibbles hold ``max_depth`` (``n <= 15``), the ball is the identity's --
-    swept once per ``(generators, n, max_depth)`` and cached compactly --
-    relabelled by :func:`~repro.permutations.ranking.translate_packed_keys`.
-    Every other call (exclusions, tables, ``n = 16``, rank keys, sources
-    that override ``neighbor_block``, ``neighbor_keys`` or ``encode``)
-    sweeps.  Both paths return the same ball, bit for bit.
+    ``levels`` included.  So on an :class:`ImplicitNeighborSource` in
+    packed-key space whose spare low nibbles hold ``max_depth``
+    (``n <= 15``) nothing is swept per origin.  A healthy ball is the
+    identity's -- swept once per ``(generators, n, max_depth)`` and cached
+    compactly -- relabelled by
+    :func:`~repro.permutations.ranking.translate_packed_keys`.  A faulted
+    ball is flooded in the identity's frame, over a cached local adjacency
+    of the identity ball, with the exclusions relabelled by the origin's
+    inverse (:func:`_framed_ball`).  Every other call (tables, ``n = 16``,
+    rank keys, sources that override ``neighbor_block``, ``neighbor_keys``
+    or ``encode``) sweeps.  All paths return the same ball, bit for bit.
 
     Parameters
     ----------
@@ -910,26 +930,29 @@ def bounded_bfs_ball(
         raise InvalidParameterError(
             f"excluded node indices must lie in [0, {num_nodes})"
         )
-    translated = not excluded.size and _translates(neighbor_source, max_depth)
+    symmetric = _translates(neighbor_source, max_depth)
     with telemetry.span(
         "kernel.bounded_bfs",
         num_nodes=int(num_nodes),
         neighbor_source="table" if neighbor_source.table is not None else "implicit",
         max_depth=int(max_depth),
         excluded=int(excluded.size),
-        translated=translated,
+        translated=symmetric and not excluded.size,
+        framed=symmetric and bool(excluded.size),
     ) as sp:
-        if translated:
-            ball = _translated_ball(neighbor_source, origin_index, max_depth)
-        else:
+        if not symmetric:
             ball = _sweep_ball(neighbor_source, origin_index, max_depth, excluded)
+        elif excluded.size:
+            ball = _framed_ball(neighbor_source, origin_index, max_depth, excluded)
+        else:
+            ball = _translated_ball(neighbor_source, origin_index, max_depth)
         if telemetry.trace_enabled():
             sp.add(reached=ball.size, levels=ball.levels, truncated=ball.truncated)
         return ball
 
 
 def _translates(source, max_depth: int) -> bool:
-    """True when *source*'s healthy balls are translates of the identity's.
+    """True when *source*'s balls are translates of the identity's.
 
     The implicit source's own packed-key adjacency (a subclass that
     overrides how neighbours or keys are computed keeps sweeping), with a
@@ -948,6 +971,21 @@ def _translates(source, max_depth: int) -> bool:
         and source.n < MAX_PACKED_DEGREE
         and max_depth < 1 << 4 * (MAX_PACKED_DEGREE - source.n)
     )
+
+
+def _encode_origin_first(source, origin_index: int, excluded):
+    """Keys of the origin and then of *excluded*, in one ``encode``.
+
+    Refuses an excluded origin, whatever order the exclusions come in.
+    """
+    keys = source.encode(
+        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
+    )
+    if (keys[1:] == keys[0]).any():
+        raise InvalidParameterError(
+            f"origin index {origin_index} is excluded; balls grow from survivors"
+        )
+    return keys
 
 
 @lru_cache(maxsize=8)
@@ -969,59 +1007,248 @@ def _identity_ball(generators, n: int, max_depth: int):
     return columns, levels, ball.truncated, ball.levels
 
 
-def _translated_ball(source, origin_index: int, max_depth: int) -> BoundedBall:
-    """The healthy ball of *origin_index*: the identity's, left-multiplied.
+class _Frame(NamedTuple):
+    """The identity ball's local adjacency: where faulted balls are flooded.
 
-    Each identity key is relabelled by the origin's permutation with its
-    level folded into the spare low nibbles, so one ``np.sort`` orders the
-    new keys and carries their distances along; masks split them again.
+    Frame positions are the identity ball's key order.  ``keys`` are its
+    sorted packed keys and ``columns`` / ``levels`` the cached identity
+    ball's byte columns and healthy distances.  ``rows[row_of[p]]`` holds
+    the frame positions of the neighbours of every position ``p`` below the
+    depth cap (``row_of`` is ``-1`` on the cap level, which has no row):
+    such a node's neighbours all lie in the ball.  ``parents[p]`` counts the
+    neighbours one level nearer of each cap-level node (``0`` elsewhere).
     """
-    from repro.permutations.ranking import (
-        MAX_PACKED_DEGREE,
-        permutation_unrank,
-        translate_packed_keys,
-    )
 
-    n = source.n
-    columns, levels, truncated, deepest = _identity_ball(
-        source.generators, n, max_depth
+    keys: object
+    columns: tuple
+    levels: object
+    rows: object
+    row_of: object
+    parents: object
+
+    def neighbor_rows(self, positions):
+        """The ``(m, width)`` neighbour positions of below-cap *positions*."""
+        return self.rows[self.row_of[positions]]
+
+    def locate(self, keys):
+        """``(positions, inside)``: where *keys* sit in the frame, if they do."""
+        positions = _np.minimum(_np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return positions, self.keys[positions] == keys
+
+
+@lru_cache(maxsize=8)
+def _identity_frame(generators, n: int, max_depth: int) -> _Frame:
+    """The :class:`_Frame` of the identity's depth-*max_depth* ball, read-only.
+
+    Built on the first faulted request only.  Positions are stored in the
+    narrowest signed type that holds the ball (``int16`` below 32 768
+    nodes); cap-level nodes keep only a parent count, not a row.
+    """
+    from repro.permutations.ranking import translate_packed_keys
+
+    columns, levels, _, _ = _identity_ball(generators, n, max_depth)
+    keys = translate_packed_keys(columns, _np.arange(n))
+    position = _np.min_scalar_type(-keys.size)
+    inner = _np.flatnonzero(levels < max_depth)
+    neighbours = ImplicitNeighborSource(generators, n).neighbor_keys(keys[inner])
+    rows = _np.searchsorted(keys, neighbours).astype(position)
+    row_of = _np.full(keys.size, -1, dtype=position)
+    row_of[inner] = _np.arange(inner.size)
+    children = rows[levels[inner] == max_depth - 1].reshape(-1)
+    children = children[levels[children] == max_depth]
+    parents = _np.bincount(children, minlength=keys.size).astype(
+        _np.min_scalar_type(len(generators))
     )
-    # One permutation: the scalar unrank is ~10x cheaper than a batch of one.
-    perm = permutation_unrank(origin_index, n)
+    for array in (keys, rows, row_of, parents):
+        array.setflags(write=False)
+    return _Frame(keys, columns, levels, rows, row_of, parents)
+
+
+def _relabelled(columns, levels, perm, n: int):
+    """Sorted origin-frame ``(keys, int64 distances)`` of identity-frame nodes.
+
+    Each identity key (given by its byte *columns*) is left-multiplied by
+    *perm* with its level folded into the spare low nibbles, so one
+    ``np.sort`` orders the new keys and carries their distances along;
+    masks split them again.
+    """
+    from repro.permutations.ranking import MAX_PACKED_DEGREE, translate_packed_keys
+
     tagged = translate_packed_keys(columns, perm)
     tagged |= levels
     tagged.sort()
     spare = _np.uint64((1 << 4 * (MAX_PACKED_DEGREE - n)) - 1)
+    return tagged & ~spare, (tagged & spare).astype(_np.int64)
+
+
+def _translated_ball(source, origin_index: int, max_depth: int) -> BoundedBall:
+    """The healthy ball of *origin_index*: the identity's, left-multiplied."""
+    from repro.permutations.ranking import permutation_unrank
+
+    columns, levels, truncated, deepest = _identity_ball(
+        source.generators, source.n, max_depth
+    )
+    # One permutation: the scalar unrank is ~10x cheaper than a batch of one.
+    keys, distances = _relabelled(
+        columns, levels, permutation_unrank(origin_index, source.n), source.n
+    )
     return BoundedBall(
-        keys=tagged & ~spare,
-        distances=(tagged & spare).astype(_np.int64),
+        keys=keys,
+        distances=distances,
         truncated=truncated,
         levels=deepest,
         source=source,
     )
 
 
+class _FramedBall(BoundedBall):
+    """A faulted ball kept in the identity's frame (:func:`_framed_ball`).
+
+    ``size``, ``truncated``, ``levels`` and :meth:`distance_of` answer from
+    the frame; ``keys`` and ``distances`` are relabelled into the origin's
+    frame on first read, and ``nodes`` / ``nodes_at`` decode them from
+    there as for any ball.
+    """
+
+    def __init__(self, source, frame, perm, frame_distances, truncated, levels):
+        self._source = source
+        self._frame = frame
+        self._perm = perm
+        self._frame_distances = frame_distances
+        self.truncated = truncated
+        self.levels = levels
+        self._nodes = self._keys = self._distances = None
+
+    @property
+    def size(self) -> int:
+        return int(_np.count_nonzero(self._frame_distances >= 0))
+
+    @property
+    def keys(self):
+        if self._keys is None:
+            self._relabel()
+        return self._keys
+
+    @property
+    def distances(self):
+        if self._distances is None:
+            self._relabel()
+        return self._distances
+
+    def _relabel(self):
+        reached = _np.flatnonzero(self._frame_distances >= 0)
+        self._keys, self._distances = _relabelled(
+            tuple(column[reached] for column in self._frame.columns),
+            self._frame_distances[reached].astype(_np.uint64),
+            self._perm,
+            self._source.n,
+        )
+
+    def distance_of(self, targets):
+        """Ball distances of *targets*, read in the identity's frame."""
+        targets = self._source.encode(targets)
+        positions, inside = self._frame.locate(
+            _to_identity_frame(targets, self._perm, self._source.n)
+        )
+        out = _np.full(targets.shape, -1, dtype=_np.int64)
+        out[inside] = self._frame_distances[positions[inside]]
+        return out
+
+
+def _to_identity_frame(keys, perm, n: int):
+    """Packed *keys* left-multiplied by the inverse of *perm*.
+
+    A few keys at a time (faults, targets): unpacking, substituting and
+    packing them is half the cost of building ``translate_packed_keys``'s
+    per-byte tables.
+    """
+    from repro.permutations.ranking import pack_permutations, unpack_permutations
+
+    return pack_permutations(_np.argsort(perm)[unpack_permutations(keys, n)])
+
+
+def _framed_ball(source, origin_index: int, max_depth: int, excluded) -> BoundedBall:
+    """The faulted ball of *origin_index*, flooded in the identity's frame.
+
+    Left multiplication by the origin's permutation ``s`` is an automorphism
+    that maps the identity's ball onto the origin's, so the ball with faults
+    ``F`` is ``s`` times the identity's ball with faults ``s^-1 F``.  The
+    faults are relabelled into the frame (:func:`_identity_frame`); a fault
+    outside the healthy ball cannot shorten or lengthen a distance within
+    the cap and matters only to the truncation probe.  Levels ``1 ..
+    max_depth - 1`` are flooded by :func:`_flood_levels` over the frame's
+    rows.  The cap level is settled without expanding it: a cap-level node
+    is reached if it is alive and one of its parents was reached one level
+    nearer, and an alive node below the cap that the flood missed is
+    reached if one of its neighbours was.  The truncation probe then
+    expands the reached cap level in prefix blocks, as the sweep does.
+    """
+    from repro.permutations.ranking import CHUNK_NODES, unpack_permutations
+
+    n = source.n
+    keys = _encode_origin_first(source, origin_index, excluded)
+    perm = unpack_permutations(keys[:1], n)[0]
+    frame = _identity_frame(source.generators, n, max_depth)
+    faults = _to_identity_frame(keys[1:], perm, n)
+    positions, inside = frame.locate(faults)
+    alive = _np.ones(frame.keys.size, dtype=bool)
+    alive[positions[inside]] = False
+    beyond = _np.sort(faults[~inside])
+    distances = _np.full(frame.keys.size, -1, dtype=_np.int64)
+    deepest, _ = _flood_levels(
+        frame.neighbor_rows, distances, 0, alive, max_level=max_depth - 1
+    )
+    if deepest == max_depth - 1:
+        # Settle the cap level: parents lost to the faults, and detours.
+        lost = _np.flatnonzero((frame.levels == deepest) & (distances != deepest))
+        children = frame.neighbor_rows(lost).reshape(-1)
+        children = children[frame.levels[children] == max_depth]
+        kept = alive & (
+            frame.parents > _np.bincount(children, minlength=frame.keys.size)
+        )
+        strays = _np.flatnonzero(alive & (frame.levels < max_depth) & (distances < 0))
+        detoured = (distances[frame.neighbor_rows(strays)] == deepest).any(axis=1)
+        distances[kept] = max_depth
+        distances[strays[detoured]] = max_depth
+        if kept.any() or detoured.any():
+            deepest = max_depth
+    truncated = False
+    if deepest == max_depth:
+        # One escaping neighbour settles the bit: a neighbour outside the
+        # healthy ball escapes unless it is a fault, one inside it if it is
+        # alive and unreached.
+        rim = _np.flatnonzero(distances == max_depth)
+        start, width = 0, 1
+        while start < rim.size and not truncated:
+            stop = min(start + width, rim.size)
+            neighbours = source.neighbor_keys(frame.keys[rim[start:stop]]).reshape(-1)
+            positions, inside = frame.locate(neighbours)
+            escapes = _np.where(
+                inside,
+                alive[positions] & (distances[positions] < 0),
+                ~_in_sorted(neighbours, beyond),
+            )
+            truncated = bool(escapes.any())
+            start, width = stop, min(8 * width, CHUNK_NODES)
+    return _FramedBall(source, frame, perm, distances, truncated, deepest)
+
+
 def _sweep_ball(neighbor_source, origin_index: int, max_depth: int, excluded=None):
     """The frontier sweep behind :func:`bounded_bfs_ball` -- its one BFS engine.
 
-    Grows every excluded, table-backed, rank-keyed or ``n = 16`` ball and
-    the cached identity balls the healthy ones are translated from; the
-    parity oracle of the translated path.  *neighbor_source* is a
-    :class:`NeighborSource`; *excluded* node indices may come in any order.
+    Grows every table-backed, rank-keyed, ``n = 16`` or overriding-source
+    ball, with or without exclusions, and the cached identity balls that
+    healthy balls are translated from and faulted balls flooded in; the
+    parity oracle of the translated and framed paths.  *neighbor_source* is
+    a :class:`NeighborSource`; *excluded* node indices may come in any
+    order.
     """
     from repro.permutations.ranking import CHUNK_NODES
 
     if excluded is None:
         excluded = _np.empty(0, dtype=_np.int64)
-    # One encode for both; the exclusions may come in any order.
-    keys = neighbor_source.encode(
-        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
-    )
+    keys = _encode_origin_first(neighbor_source, origin_index, excluded)
     origin = keys[:1]
-    if (keys[1:] == origin[0]).any():
-        raise InvalidParameterError(
-            f"origin index {origin_index} is excluded; balls grow from survivors"
-        )
     # What a level may not add: the ball so far and the exclusions.
     blocked = _np.sort(keys)
     level_arrays = [origin]

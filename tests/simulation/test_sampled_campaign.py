@@ -437,6 +437,29 @@ class TestSampledFaultCampaign:
         monkeypatch.setattr(ranking, "CHUNK_NODES", 13)
         assert sampled_fault_campaign(topology, **kwargs) == reference
 
+    def test_one_decode_per_trial(self, monkeypatch):
+        # Faults and targets of a trial are decoded to ranks in one call.
+        _name, topology = sampled_campaign_instances(11)["pancake"]
+        decoded = []
+        nodes_at = BoundedBall.nodes_at
+
+        def counting(ball, positions):
+            decoded.append(len(positions))
+            return nodes_at(ball, positions)
+
+        monkeypatch.setattr(BoundedBall, "nodes_at", counting)
+        trials, pairs = 4, 3
+        sampled_fault_campaign(
+            topology,
+            fault_counts=(0, 5),
+            trials=trials,
+            pairs_per_trial=pairs,
+            depth=3,
+            seed=3,
+            label="pancake/11",
+        )
+        assert decoded == [pairs] * trials + [5 + pairs] * trials
+
     def test_disconnection_is_provable_when_faults_cut_the_origin(self):
         # Kill every neighbour of the origin: the faulted ball collapses to
         # the origin alone, the frontier dies (not truncated), and every

@@ -1,14 +1,16 @@
-"""Healthy bounded balls by vertex symmetry, held against the sweep.
+"""Bounded balls by vertex symmetry, held against the sweep.
 
 Star, pancake, bubble-sort and transposition-tree graphs are Cayley graphs,
 so :func:`repro.topology.routing.bounded_bfs_ball` answers an exclusion-free
 call on the implicit packed-key source by relabelling one cached identity
-ball with the origin's permutation.  These tests hold that path against the
-table-backed sweep (n = 5..9, up to whole-graph balls) and against the
-private frontier sweep ``_sweep_ball`` (n = 11..15), field by field, and pin
-down which calls must keep sweeping: exclusions, tables, n = 16, a depth the
-spare nibbles cannot hold and sources that override their adjacency.  The
-exclusion-order cases cover the sweep's refusal of an excluded origin.
+ball with the origin's permutation, and a call with exclusions by flooding
+the identity ball's cached local adjacency with the faults relabelled into
+the identity's frame.  These tests hold both paths against the table-backed
+sweep (n = 5..9, up to whole-graph balls) and against the private frontier
+sweep ``_sweep_ball`` (n = 5..15), field by field, and pin down which calls
+must keep sweeping: tables, n = 16, a depth the spare nibbles cannot hold
+and sources that override their adjacency.  The exclusion-order cases cover
+the refusal of an excluded origin on both the swept and the framed path.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.permutations import ranking
 from repro.permutations.ranking import (
     _key_byte_columns,
     pack_permutations,
@@ -37,6 +40,7 @@ from repro.topology.cayley import (
 from repro.topology.routing import (
     ImplicitNeighborSource,
     _identity_ball,
+    _identity_frame,
     _sweep_ball,
     _translates,
     bounded_bfs_ball,
@@ -77,6 +81,7 @@ def _assert_identical(ball, oracle, same_source=True):
     assert np.array_equal(ball.distances, oracle.distances)
     assert ball.truncated is oracle.truncated
     assert ball.levels == oracle.levels
+    assert ball.size == oracle.size
 
 
 @pytest.fixture
@@ -90,8 +95,10 @@ def sweeps(monkeypatch):
 
     monkeypatch.setattr(routing, "_sweep_ball", counting)
     _identity_ball.cache_clear()
+    _identity_frame.cache_clear()
     yield calls
     _identity_ball.cache_clear()
+    _identity_frame.cache_clear()
 
 
 class TestTranslatePackedKeys:
@@ -180,17 +187,21 @@ class TestWhoKeepsSweeping:
         bounded_bfs_ball(source, 5, max_depth=1)
         assert sweeps == [(5, 0)]
 
-    def test_exclusions_sweep(self, sweeps):
+    def test_exclusions_flood_the_identity_frame(self, sweeps):
         source = ImplicitNeighborSource(star_position_generators(13), 13)
         healthy = bounded_bfs_ball(source, 4242, max_depth=2)
         faults = healthy.nodes_at(np.flatnonzero(healthy.distances == 2)[:3])
         faulted = bounded_bfs_ball(source, 4242, max_depth=2, excluded=faults)
-        assert sweeps == [(0, 0), (4242, 3)]
+        # The identity was swept once, for the healthy ball; the faulted
+        # ball flooded the frame built from it.
+        assert sweeps == [(0, 0)]
+        assert _identity_frame.cache_info().misses == 1
         assert faulted.size == healthy.size - 3
         assert np.array_equal(faulted.distance_of(faults), [-1, -1, -1])
+        _assert_identical(faulted, _sweep_ball(source, 4242, 2, faults))
         # An empty exclusion array is no exclusion at all.
         bounded_bfs_ball(source, 4242, max_depth=2, excluded=np.empty(0, np.int64))
-        assert len(sweeps) == 2
+        assert sweeps == [(0, 0)] and _identity_frame.cache_info().currsize == 1
 
     def test_table_sources_sweep(self, sweeps):
         bounded_bfs_ball(StarGraph(6).neighbor_source(), 17, max_depth=3)
@@ -264,13 +275,167 @@ class TestIdentityCache:
                 seed=7,
                 label=f"{family}/11",
             )
-        # Per family: one identity sweep, then only the faulted balls sweep.
-        assert sweeps.count((0, 0)) == len(SAMPLED_CAMPAIGN_FAMILIES)
-        assert len(sweeps) == len(SAMPLED_CAMPAIGN_FAMILIES) * (1 + trials)
-        assert all(excluded == 4 for _, excluded in sweeps if excluded)
+        # Per family: one identity sweep and one frame build; no faulted
+        # ball sweeps.
+        families = len(SAMPLED_CAMPAIGN_FAMILIES)
+        assert sweeps == [(0, 0)] * families
+        frames = _identity_frame.cache_info()
+        assert frames.misses == families
+        assert frames.hits == families * (trials - 1)
+        # Every healthy ball and each frame build read the identity ball.
         info = _identity_ball.cache_info()
-        assert info.misses == len(SAMPLED_CAMPAIGN_FAMILIES)
-        assert info.hits == len(SAMPLED_CAMPAIGN_FAMILIES) * (2 * trials - 1)
+        assert info.misses == families
+        assert info.hits == families * 2 * trials
+
+
+def _faults(rng, source, healthy, origin, depth):
+    """Unsorted faults with repeats: inside the ball, at its cap, past it."""
+    inner = np.flatnonzero(healthy.distances > 0)
+    drawn = healthy.nodes_at(rng.choice(inner, size=min(12, inner.size), replace=False))
+    rim = healthy.nodes_at(np.flatnonzero(healthy.distances == depth)[:3])
+    past = source.neighbor_block(rim).reshape(-1)
+    past = rng.choice(past, size=past.size // 2, replace=False)
+    faults = np.concatenate(
+        [drawn, drawn[:2], past, rng.integers(source.num_nodes, size=3)]
+    )
+    return rng.permutation(faults[faults != origin])
+
+
+def _assert_framed(source, origin, depth, faults, rng):
+    """The framed ball equals the excluded sweep, field by field."""
+    ball = bounded_bfs_ball(source, origin, max_depth=depth, excluded=faults)
+    oracle = _sweep_ball(source, origin, depth, faults)
+    # Read distances before anything relabels the ball into the origin's
+    # frame: targets inside the ball, faults and nodes from anywhere.
+    targets = np.concatenate(
+        [oracle.nodes[:: max(1, oracle.size // 20)], faults,
+         rng.integers(source.num_nodes, size=5)]
+    )
+    assert np.array_equal(ball.distance_of(targets), oracle.distance_of(targets))
+    positions = rng.integers(oracle.size, size=6)
+    assert np.array_equal(ball.nodes_at(positions), oracle.nodes_at(positions))
+    _assert_identical(ball, oracle)
+    return ball
+
+
+class TestFaultedBalls:
+    """Faulted balls flooded in the identity's frame equal the excluded sweep."""
+
+    @pytest.mark.parametrize(
+        "family", SAMPLED_CAMPAIGN_FAMILIES + ("transposition-tree",)
+    )
+    @pytest.mark.parametrize("n", range(5, 16))
+    def test_seeded_origins_depths_0_to_4(self, family, n, sweeps):
+        source = ImplicitNeighborSource(_generators(family, n), n)
+        rng = np.random.default_rng(31 * n + len(family))
+        origins = [int(o) for o in rng.integers(source.num_nodes, size=2)]
+        for depth in range(5):
+            assert _translates(source, depth)
+            for origin in origins:
+                healthy = bounded_bfs_ball(source, origin, max_depth=depth)
+                faults = _faults(rng, source, healthy, origin, depth)
+                _assert_framed(source, origin, depth, faults, rng)
+        # Only the identity balls swept; every faulted ball was flooded.
+        assert sweeps == [(0, 0)] * 5
+        assert _identity_frame.cache_info().misses == 5
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    def test_every_origin_neighbour_disconnects(self, family):
+        source = ImplicitNeighborSource(_generators(family, 13), 13)
+        origin = 987654321
+        neighbours = source.neighbor_block([origin]).reshape(-1)
+        for depth in range(5):
+            ball = _assert_framed(
+                source, origin, depth, neighbours, np.random.default_rng(depth)
+            )
+            # A disconnection, not a truncation: the ball is the origin.
+            assert ball.size == 1 and ball.levels == 0 and not ball.truncated
+            assert (ball.distance_of(neighbours) == -1).all()
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_faults_past_the_cap_decide_truncation(self, family, n):
+        # Excluding the whole shell one level past the cap leaves nothing
+        # to escape to, though no fault lies in the healthy ball.
+        source = ImplicitNeighborSource(_generators(family, n), n)
+        origin = 7
+        for depth in range(4):
+            ring = _sweep_ball(source, origin, depth + 1)
+            shell = ring.nodes[ring.distances == depth + 1]
+            ball = _assert_framed(source, origin, depth, shell, np.random.default_rng(n))
+            assert not ball.truncated
+            assert ball.size == ring.size - shell.size
+            assert np.array_equal(ball.nodes, ring.nodes[ring.distances <= depth])
+
+    def test_excluded_origin_and_out_of_range_faults_raise(self):
+        source = ImplicitNeighborSource(star_position_generators(13), 13)
+        assert _translates(source, 3)
+        with pytest.raises(InvalidParameterError, match="excluded"):
+            bounded_bfs_ball(source, 42, max_depth=3, excluded=np.array([9, 42, 9]))
+        for bad in (-1, source.num_nodes):
+            with pytest.raises(InvalidParameterError, match="must lie in"):
+                bounded_bfs_ball(source, 42, max_depth=3, excluded=np.array([9, bad]))
+
+    def test_frame_is_compact_read_only_and_built_on_faults_only(self, sweeps):
+        n, depth = 13, 4
+        source = ImplicitNeighborSource(star_position_generators(n), n)
+        healthy = bounded_bfs_ball(source, 12345, max_depth=depth)
+        assert _identity_frame.cache_info().currsize == 0
+        faults = healthy.nodes_at(np.arange(1, 17))
+        bounded_bfs_ball(source, 12345, max_depth=depth, excluded=faults)
+        frame = _identity_frame(source.generators, n, depth)
+        levels = frame.levels
+        below = int((levels < depth).sum())
+        assert frame.keys.dtype == np.uint64 and frame.keys.size == 14511
+        assert np.all(frame.keys[1:] > frame.keys[:-1])
+        # Rows only below the cap, in the narrowest signed type.
+        assert frame.rows.shape == (below, n - 1) and frame.rows.dtype == np.int16
+        assert frame.row_of.dtype == np.int16
+        assert np.array_equal(np.flatnonzero(frame.row_of >= 0), np.flatnonzero(levels < depth))
+        # Parents: each cap-level node's neighbours one level nearer.
+        cap = np.flatnonzero(levels == depth)
+        neighbours, inside = frame.locate(source.neighbor_keys(frame.keys[cap]))
+        nearer = inside & (levels[neighbours] == depth - 1)
+        assert np.array_equal(frame.parents[cap], nearer.sum(axis=1))
+        assert np.array_equal(frame.parents > 0, levels == depth)
+        for array in (frame.keys, frame.rows, frame.row_of, frame.parents):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_mutating_a_ball_leaves_the_frame_intact(self):
+        source = ImplicitNeighborSource(star_position_generators(13), 13)
+        healthy = bounded_bfs_ball(source, 555, max_depth=3)
+        faults = healthy.nodes_at(np.arange(2, 40, 3))
+        ball = bounded_bfs_ball(source, 555, max_depth=3, excluded=faults)
+        reference = ball.keys.copy()
+        ball.keys[:] = 0
+        ball.distances[:] = 0
+        again = bounded_bfs_ball(source, 555, max_depth=3, excluded=faults)
+        _assert_identical(again, _sweep_ball(source, 555, 3, faults))
+        assert np.array_equal(again.keys, reference)
+
+    def test_a_chunk_of_one_gives_the_same_balls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = []
+        for family in SAMPLED_CAMPAIGN_FAMILIES:
+            source = ImplicitNeighborSource(_generators(family, 11), 11)
+            origin = int(rng.integers(source.num_nodes))
+            for depth in (1, 3):
+                healthy = bounded_bfs_ball(source, origin, max_depth=depth)
+                faults = _faults(rng, source, healthy, origin, depth)
+                reference = bounded_bfs_ball(
+                    source, origin, max_depth=depth, excluded=faults
+                )
+                cases.append((source, origin, depth, faults, reference))
+        monkeypatch.setattr(ranking, "CHUNK_NODES", 1)
+        _identity_frame.cache_clear()
+        _identity_ball.cache_clear()
+        for source, origin, depth, faults, reference in cases:
+            ball = bounded_bfs_ball(source, origin, max_depth=depth, excluded=faults)
+            _assert_identical(ball, reference)
+        _identity_frame.cache_clear()
+        _identity_ball.cache_clear()
 
 
 class TestExclusionOrder:

@@ -24,8 +24,13 @@ from repro.experiments.runner import plan_shards, run_shards
 from repro.simulation.campaign import connectivity_campaign, stretch_campaign
 from repro.simulation.sampling import sampled_pair_distances
 from repro.permutations.ranking import star_position_generators
+from repro.simulation.sampled_campaign import (
+    sampled_campaign_instances,
+    sampled_fault_campaign,
+)
 from repro.topology.routing import (
     ImplicitNeighborSource,
+    bounded_bfs_ball,
     index_bfs_distances,
     star_distances_from,
 )
@@ -89,6 +94,20 @@ class TestKernelSites:
         index_bfs_distances(source, 0)
         (event,) = _by_name(trace(), "kernel.bfs")
         assert event["attrs"]["neighbor_source"] == "implicit"
+
+    def test_bounded_bfs_span_names_the_route(self, trace):
+        source = ImplicitNeighborSource(star_position_generators(11), 11)
+        healthy = bounded_bfs_ball(source, 4321, max_depth=2)
+        faults = healthy.nodes_at(np.arange(1, 6))
+        faulted = bounded_bfs_ball(source, 4321, max_depth=2, excluded=faults)
+        swept = bounded_bfs_ball(StarGraph(5).neighbor_source(), 7, max_depth=2)
+        events = _by_name(trace(), "kernel.bounded_bfs")
+        routes = [(e["attrs"]["translated"], e["attrs"]["framed"]) for e in events]
+        assert routes == [(True, False), (False, True), (False, False)]
+        assert [e["attrs"]["excluded"] for e in events] == [0, 5, 0]
+        assert [e["attrs"]["reached"] for e in events] == [
+            healthy.size, faulted.size, swept.size
+        ]
 
     def test_bfs_span_masked(self, trace):
         star = StarGraph(4)
@@ -247,6 +266,18 @@ class TestTracingChangesNothing:
         traced = np.asarray(star_distances_from(tuple(range(5))))
         telemetry.disable()
         assert np.array_equal(traced, untraced)
+
+    def test_sampled_fault_campaign_identical_traced(self, tmp_path):
+        _, topology = sampled_campaign_instances(11)["star"]
+        kwargs = dict(
+            fault_counts=(0, 4), trials=3, pairs_per_trial=3, depth=3,
+            seed=5, label="parity",
+        )
+        untraced = sampled_fault_campaign(topology, **kwargs)
+        telemetry.enable(tmp_path / "s.jsonl")
+        traced = sampled_fault_campaign(topology, **kwargs)
+        telemetry.disable()
+        assert traced == untraced
 
     def test_campaign_results_identical_traced(self, tmp_path):
         kwargs = dict(fault_counts=[3], trials=10, seed=5, label="parity")
