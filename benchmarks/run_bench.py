@@ -29,6 +29,13 @@ approaches the machine's actual floor and makes snapshots from different
 days comparable again.  The snapshot records ``runs`` so the methodology is
 visible in the trajectory.
 
+A snapshot records the ``commit`` and the ``src_sha256`` of the ``src/``
+tree it measured (the stamp ``perfbench/run.py`` prints).  It never
+overwrites a snapshot of a different tree: when ``BENCH_<date>.json`` holds
+another tree's medians the new one goes to ``BENCH_<date>.<k>.json`` (the
+first free ``k``, or the one that holds this tree), and
+:func:`latest_snapshot_path` orders snapshots by date and then ``k``.
+
 Any extra arguments are forwarded to pytest (e.g. ``-k``, ``-x``).
 """
 
@@ -36,15 +43,20 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import hashlib
+import itertools
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_SNAPSHOT_NAME = re.compile(r"BENCH_(\d{4}-\d{2}-\d{2})(?:\.(\d+))?\.json")
 
 
 def _run_pass(pytest_args: list, marker: str) -> dict:
@@ -93,6 +105,19 @@ def run_benchmarks(pytest_args: list) -> dict:
     return raw
 
 
+def source_digest() -> str:
+    """16 hex digits of the sha256 of every ``src/**/*.py`` path and its bytes.
+
+    Computed exactly as ``perfbench/run.py``'s ``environment_stamp`` does, so
+    a snapshot and a benchmark run of the same tree carry the same stamp.
+    """
+    source = hashlib.sha256()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        source.update(path.relative_to(REPO_ROOT).as_posix().encode())
+        source.update(path.read_bytes())
+    return source.hexdigest()[:16]
+
+
 def trim(raw: dict) -> dict:
     """Keep only what the perf trajectory needs: the median per benchmark."""
     try:
@@ -121,6 +146,7 @@ def trim(raw: dict) -> dict:
     return {
         "date": _dt.date.today().isoformat(),
         "commit": commit,
+        "src_sha256": source_digest(),
         "python": platform.python_version(),
         "numpy": numpy_version,
         "medians": dict(sorted(medians.items())),
@@ -148,14 +174,40 @@ def merge_min(snapshots: list) -> dict:
     return merged
 
 
+def _snapshot_order(path: Path):
+    """``(date, k)`` of ``BENCH_<date>[.<k>].json`` (``k = 0`` unsuffixed), else None."""
+    match = _SNAPSHOT_NAME.fullmatch(path.name)
+    if match is None:
+        return None
+    return match.group(1), int(match.group(2) or 0)
+
+
 def latest_snapshot_path(exclude: Path = None) -> Path:
-    """The most recent committed ``BENCH_*.json`` (by the date in the name)."""
-    candidates = sorted(
+    """The most recent committed ``BENCH_*.json``, by its date and then ``k``."""
+    candidates = [
         path
         for path in REPO_ROOT.glob("BENCH_*.json")
-        if exclude is None or path.resolve() != exclude.resolve()
-    )
-    return candidates[-1] if candidates else None
+        if _snapshot_order(path) is not None
+        and (exclude is None or path.resolve() != exclude.resolve())
+    ]
+    return max(candidates, key=_snapshot_order, default=None)
+
+
+def snapshot_path(snapshot: dict) -> Path:
+    """Where *snapshot* is written: ``BENCH_<date>.json`` or ``BENCH_<date>.<k>.json``.
+
+    The first of those names that is free or already holds a snapshot of the
+    same ``src_sha256``; a snapshot of another tree, or one that records no
+    tree, is never overwritten.
+    """
+    for k in itertools.count():
+        suffix = f".{k}" if k else ""
+        path = REPO_ROOT / f"BENCH_{snapshot['date']}{suffix}.json"
+        if not path.exists():
+            return path
+        with open(path) as handle:
+            if json.load(handle).get("src_sha256") == snapshot["src_sha256"]:
+                return path
 
 
 def build_comparison(
@@ -281,7 +333,8 @@ def main() -> None:
         "--output",
         type=Path,
         default=None,
-        help="destination file (default: BENCH_<date>.json in the repo root)",
+        help="destination file (default: BENCH_<date>.json in the repo root, "
+        "or BENCH_<date>.<k>.json when that one holds another source tree)",
     )
     parser.add_argument(
         "--compare",
@@ -325,7 +378,6 @@ def main() -> None:
     if args.json is not None and args.compare is None:
         parser.error("--json requires --compare")
 
-    output = args.output or REPO_ROOT / f"BENCH_{_dt.date.today().isoformat()}.json"
     baseline = None
     if args.compare is not None:
         # Resolve and load the baseline *before* writing the new snapshot, so
@@ -347,7 +399,7 @@ def main() -> None:
             print(f"benchmark pass {index + 1}/{args.runs}")
         passes.append(trim(run_benchmarks(pytest_args)))
     snapshot = passes[0] if args.runs == 1 else merge_min(passes)
-    output = args.output or REPO_ROOT / f"BENCH_{snapshot['date']}.json"
+    output = args.output or snapshot_path(snapshot)
     with open(output, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=False)
         handle.write("\n")

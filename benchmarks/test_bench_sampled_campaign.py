@@ -15,7 +15,8 @@ Ablation pairs quantify the PR-10 design decisions:
 * micro rows for the campaign's own shape: the **S_13 depth-4 ball**, whose
   truncation probe stops at the first escaping frontier row, and
   ``rank_batch`` / ``unrank_batch`` on one 14 k-row S_13 block (the size of
-  a depth-4 frontier);
+  a depth-4 frontier) and on 4 and 17 of its rows (the campaign's own call
+  sizes, where the fixed cost of a call dominates);
 * **rank-keyed vs packed-key** neighbour blocks on that same block — the
   ``unrank -> gather -> rank`` rows against the key-space
   ``unpack -> gather -> pack`` rows the bounded ball now grows with (the
@@ -133,6 +134,20 @@ def test_unrank_batch_s13_block(benchmark, s13_block):
 def test_rank_batch_s13_block(benchmark, s13_block):
     ranks, perms = s13_block
     assert np.array_equal(benchmark(rank_batch, perms), ranks)
+
+
+# The campaign's own call sizes: one encode of an origin and its faults, one
+# decode of a trial's targets.  These rows time the fixed cost of a call.
+@pytest.mark.parametrize("m", (4, 17))
+def test_unrank_batch_s13_tiny(benchmark, s13_block, m):
+    ranks, perms = s13_block
+    assert np.array_equal(benchmark(unrank_batch, ranks[:m], 13), perms[:m])
+
+
+@pytest.mark.parametrize("m", (4, 17))
+def test_rank_batch_s13_tiny(benchmark, s13_block, m):
+    ranks, perms = s13_block
+    assert np.array_equal(benchmark(rank_batch, perms[:m]), ranks[:m])
 
 
 # ------------------------------------------------ rank-keyed vs packed keys

@@ -43,7 +43,8 @@ Tables are bounded by one guard
 through :data:`MAX_TABLE_DEGREE`.  The table-free batch helpers reach
 further, to the int64 rank ceiling (:func:`require_int64_rank_degree`,
 ``n <= 20``): ``21!`` overflows int64.  Every streamed loop walks its
-blocks :data:`CHUNK_NODES` rows at a time.
+blocks :data:`CHUNK_NODES` rows at a time, and the batch rank kernels walk
+theirs in position-major tiles of ``CHUNK_NODES >> 7`` rows.
 """
 
 from __future__ import annotations
@@ -372,26 +373,79 @@ def all_permutations_array(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _lehmer_places(n: int):
+    """Read-only ``(n, 1)`` columns ``(place, base)`` of degree *n*.
+
+    Row ``i`` holds the place value ``(n-1-i)!`` of Lehmer digit ``i``
+    (``int64``) and its base ``n - i`` (``uint8``), shaped to broadcast
+    against position-major ``(n, tile)`` blocks.
+    """
+    fact = factorials(n)
+    place = _np.array([[fact[n - 1 - i]] for i in range(n)], dtype=_np.int64)
+    base = _np.arange(n, 0, -1, dtype=_np.uint8)[:, None]
+    place.setflags(write=False)
+    base.setflags(write=False)
+    return place, base
+
+
+@lru_cache(maxsize=None)
+def _rank_constants(n: int):
+    """``(one, halves)``: the constants of :func:`_rank_rows_numpy` at degree *n*.
+
+    ``one`` is 1 in the narrowest unsigned type holding ``n`` bits, the type
+    of the symbol masks.  ``halves`` holds the place values ``(n-1-i)!`` of
+    digits ``0 .. n-2`` as a ``(2, n-1)`` ``float64`` pair: row 0 their high
+    and row 1 their low 32 bits.  With digits below 20 both dot products
+    stay below ``2**53`` and are exact, so a rank is ``(high << 32) + low``
+    from one BLAS product (an integer dot has no BLAS path).
+    """
+    place = _lehmer_places(n)[0][:-1, 0]
+    halves = _np.stack([place >> 32, place & 0xFFFFFFFF]).astype(_np.float64)
+    halves.setflags(write=False)
+    return _np.min_scalar_type((1 << n) - 1).type(1), halves
+
+
+def _tile_rows() -> int:
+    """Rows per position-major block of the rank kernels, read at call time.
+
+    Derived from :data:`CHUNK_NODES` (8 192 rows at the default), so a
+    block's ``(n, tile)`` temporaries stay cache-sized and a one-row chunk
+    runs one-row tiles.
+    """
+    return max(1, CHUNK_NODES >> 7)
+
+
 def _rank_rows_numpy(array):
     """The vectorised Lehmer encode of a validated-shape ``(m, n)`` array.
 
-    One right-to-left scan with a ``uint32`` "seen" bitmask per row: at
-    position ``i`` the Lehmer digit -- how many symbols to the right are
-    smaller than ``array[:, i]`` -- is the population count of the seen
-    symbols below it, ``np.bitwise_count(seen & (bit - 1))`` with
-    ``bit = 1 << array[:, i]``.  That is ``O(n)`` whole-column operations
-    (``n <= 20`` symbols fit the 32-bit mask) accumulated against the
-    factorial base.
+    Rows go through in position-major ``(n, tile)`` blocks with a number of
+    whole-block operations that grows with ``log2 n`` only: ``bits = 1 <<
+    symbol`` in the narrowest unsigned type holding ``n`` bits, the symbols
+    at the later positions as a suffix OR built by doubling (``later[i] |=
+    later[i + s]`` for ``s = 1, 2, 4, ...``), the Lehmer digits -- how many
+    later symbols are smaller -- as ``np.bitwise_count(later & (bits -
+    1))``, and the ranks as the digits' dot product with the factorial place
+    values (:func:`_rank_constants`).  Returns the ``(m,)`` ``int64`` ranks.
     """
     m, n = array.shape
-    fact = factorials(n)
-    one = _np.uint32(1)
-    ranks = _np.zeros(m, dtype=_np.int64)
-    seen = _np.zeros(m, dtype=_np.uint32)
-    for i in range(n - 1, -1, -1):
-        bit = one << array[:, i].astype(_np.uint32)
-        ranks += _np.bitwise_count(seen & (bit - one)) * _np.int64(fact[n - 1 - i])
-        seen |= bit
+    one, halves = _rank_constants(n)
+    ranks = _np.empty(m, dtype=_np.int64)
+    tile = _tile_rows()
+    for start in range(0, m, tile):
+        bits = array[start : start + tile].T.astype(one.dtype, order="C")
+        _np.left_shift(one, bits, out=bits)
+        later = bits[1:].copy()
+        shift = 1
+        while shift < n - 1:
+            later[:-shift] |= later[shift:]
+            shift <<= 1
+        bits -= one
+        later &= bits[:-1]
+        high, low = (halves @ _np.bitwise_count(later)).astype(_np.int64)
+        block = ranks[start : start + tile]
+        _np.left_shift(high, 32, out=block)
+        block += low
     return ranks
 
 
@@ -443,15 +497,19 @@ def unrank_batch(ranks, n: int):
     lets the chunked kernels gather endpoint permutations at degrees beyond
     the table degree.  The inverse of :func:`ranks_of` on valid inputs.
 
-    The state is one ``(n, m)`` ``int8`` digit array, so a block of a
-    million degree-12 ranks costs tens of megabytes, never ``n!``.  The
-    factorial-base digits come from ``divmod`` by the cached factorials;
-    the digits are then bump-decoded right to left in place: the last digit
-    is the last symbol, and prepending digit ``head`` to the decoded suffix
-    shifts every suffix symbol ``>= head`` up by one
-    (``tail += tail >= head``).  Any iterable of ranks (list, generator,
-    array) is normalised with one ``np.asarray`` pass up front, so there is
-    exactly one vectorised path; degrees whose factorial overflows int64
+    Ranks go through in position-major ``(n, tile)`` blocks (tiles of
+    ``CHUNK_NODES >> 7`` rows), so a block of a million degree-12 ranks
+    costs its ``(m, n)`` ``int8`` output plus cache-sized temporaries, never
+    ``n!``.  Per tile, one floor division by the cached factorial column
+    gives every factorial-base digit at once (digit ``i`` is ``q[i] - (n-i)
+    * q[i-1]`` with ``q[i] = rank // (n-1-i)!``); the digits are then
+    bump-decoded right to left in place: the last digit is the last symbol,
+    and prepending digit ``head`` to the decoded suffix shifts every suffix
+    symbol ``>= head`` up by one (``tail += tail >= head``).  Any iterable
+    of integer ranks (list, generator, array) is normalised with one
+    ``np.asarray`` pass up front, so there is exactly one vectorised path;
+    non-integer ranks raise :class:`~repro.exceptions.InvalidParameterError`
+    instead of truncating, and degrees whose factorial overflows int64
     (``n > 20``) raise the canonical
     :class:`~repro.exceptions.TableDegreeError`
     (:func:`require_int64_rank_degree`).
@@ -462,29 +520,52 @@ def unrank_batch(ranks, n: int):
 
 
 def _check_rank_array(ranks, n: int, caller: str):
-    """*ranks* as a 1-D ``int64`` array, every entry in ``[0, n!)``."""
+    """*ranks* as a 1-D ``int64`` array, every entry an integer in ``[0, n!)``.
+
+    Entries that are not integers -- floats, bools, complex numbers, or
+    objects other than ints -- raise instead of truncating, as
+    :func:`permutation_unrank` does; an empty input (``[]`` is ``float64``
+    to NumPy) is the empty rank array.
+    """
     if not isinstance(ranks, _np.ndarray) and not hasattr(ranks, "__len__"):
         ranks = list(ranks)  # materialise one-shot iterables for asarray
-    ranks = _np.asarray(ranks, dtype=_np.int64)
-    if ranks.ndim != 1:
+    array = _np.asarray(ranks)
+    if array.ndim != 1:
         raise InvalidParameterError(f"{caller} expects a 1-D rank array")
+    if not array.size:
+        return array.astype(_np.int64)
+    integral = array.dtype.kind in "iu" or (
+        array.dtype.kind == "O"
+        and all(
+            isinstance(value, (int, _np.integer)) and not isinstance(value, bool)
+            for value in array
+        )
+    )
+    if not integral:
+        raise InvalidParameterError(
+            f"{caller} expects integer ranks, got {array.dtype} entries"
+        )
     total = factorials(n)[n]
-    if ranks.size and not (int(ranks.min()) >= 0 and int(ranks.max()) < total):
+    if not (int(array.min()) >= 0 and int(array.max()) < total):
         raise InvalidParameterError(f"ranks must be in [0, {total})")
-    return ranks
+    return array.astype(_np.int64, copy=False)
 
 
 def _unrank_rows(ranks, n: int):
     """The body of :func:`unrank_batch` for an already validated rank array."""
-    fact = factorials(n)
-    digits = _np.empty((n, ranks.shape[0]), dtype=_np.int8)
-    remainder = ranks
-    for i in range(n):
-        digits[i], remainder = _np.divmod(remainder, fact[n - 1 - i])
-    for i in range(n - 2, -1, -1):
-        tail = digits[i + 1 :]
-        tail += tail >= digits[i]
-    return _np.ascontiguousarray(digits.T)
+    place, base = _lehmer_places(n)
+    out = _np.empty((ranks.shape[0], n), dtype=_np.int8)
+    tile = _tile_rows()
+    for start in range(0, ranks.shape[0], tile):
+        # q[i] = rank // (n-1-i)!, so digit i = q[i] - (n-i) * q[i-1]; the
+        # digits are below 20, so working modulo 256 in uint8 is exact.
+        digits = (ranks[start : start + tile] // place).astype(_np.uint8)
+        digits[1:] -= digits[:-1] * base[1:]
+        for i in range(n - 2, -1, -1):
+            tail = digits[i + 1 :]
+            tail += (tail >= digits[i]).view(_np.uint8)
+        out[start : start + tile] = digits.T
+    return out
 
 
 def implicit_neighbor_block(ranks, generators: Tuple[Tuple[int, ...], ...], n: int):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,77 @@ class TestLatestSnapshot:
     def test_empty(self, tmp_path, monkeypatch):
         monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
         assert run_bench.latest_snapshot_path() is None
+
+    def test_orders_by_date_then_index(self, tmp_path, monkeypatch):
+        # Plain name order would put ".1" before the unsuffixed file and
+        # ".10" before ".2".
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        names = (
+            "BENCH_2026-07-28.json",
+            "BENCH_2026-07-28.1.json",
+            "BENCH_2026-07-28.2.json",
+            "BENCH_2026-07-28.10.json",
+            "BENCH_2026-07-01.30.json",
+            "BENCH_notes.json",
+        )
+        for name in names:
+            (tmp_path / name).write_text(json.dumps({"medians": {}}))
+        assert run_bench.latest_snapshot_path().name == "BENCH_2026-07-28.10.json"
+        newest = tmp_path / "BENCH_2026-07-28.10.json"
+        assert run_bench.latest_snapshot_path(exclude=newest).name == (
+            "BENCH_2026-07-28.2.json"
+        )
+
+    def test_unsuffixed_snapshot_is_index_zero(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        for name in ("BENCH_2026-07-28.json", "BENCH_2026-07-27.4.json"):
+            (tmp_path / name).write_text(json.dumps({"medians": {}}))
+        assert run_bench.latest_snapshot_path().name == "BENCH_2026-07-28.json"
+
+
+class TestSnapshotPath:
+    def stamped(self, tree):
+        return {"date": "2026-10-19", "src_sha256": tree, "medians": {}}
+
+    def test_free_date_gets_the_plain_name(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        assert run_bench.snapshot_path(self.stamped("a")).name == "BENCH_2026-10-19.json"
+
+    def test_same_tree_replaces_its_own_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        (tmp_path / "BENCH_2026-10-19.json").write_text(json.dumps(self.stamped("a")))
+        assert run_bench.snapshot_path(self.stamped("a")).name == "BENCH_2026-10-19.json"
+
+    def test_another_tree_is_never_overwritten(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        (tmp_path / "BENCH_2026-10-19.json").write_text(json.dumps(self.stamped("a")))
+        assert run_bench.snapshot_path(self.stamped("b")).name == "BENCH_2026-10-19.1.json"
+        (tmp_path / "BENCH_2026-10-19.1.json").write_text(json.dumps(self.stamped("b")))
+        assert run_bench.snapshot_path(self.stamped("b")).name == "BENCH_2026-10-19.1.json"
+        assert run_bench.snapshot_path(self.stamped("c")).name == "BENCH_2026-10-19.2.json"
+
+    def test_unstamped_snapshot_counts_as_another_tree(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_bench, "REPO_ROOT", tmp_path)
+        legacy = {"date": "2026-10-19", "commit": "d20288d", "medians": {}}
+        (tmp_path / "BENCH_2026-10-19.json").write_text(json.dumps(legacy))
+        assert run_bench.snapshot_path(self.stamped("a")).name == "BENCH_2026-10-19.1.json"
+
+
+class TestSourceStamp:
+    def test_trim_stamps_the_source_tree(self):
+        snapshot = run_bench.trim({"benchmarks": []})
+        stamp = snapshot["src_sha256"]
+        assert len(stamp) == 16 and int(stamp, 16) >= 0
+        assert list(snapshot)[:3] == ["date", "commit", "src_sha256"]
+
+    def test_matches_the_benchmark_environment_stamp(self, monkeypatch):
+        # perfbench/run.py imports its sibling modules by their bare names.
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        for sibling in ("tracer", "calibration", "workloads"):
+            monkeypatch.delitem(sys.modules, sibling, raising=False)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", REPO_ROOT / "perfbench" / "run.py"
+        )
+        perfbench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(perfbench_run)
+        assert run_bench.source_digest() == perfbench_run.environment_stamp()["src_sha256"]
