@@ -186,7 +186,14 @@ def test_healthy_ball_s13_depth4_relabelled(benchmark, s13_family_sources, famil
     """Ablation (a): the cached identity ball relabelled to origin 12345."""
     source = s13_family_sources[family]
     bounded_bfs_ball(source, 0, max_depth=BALL_DEPTH)  # cache the identity ball
-    ball = benchmark(bounded_bfs_ball, source, 12345, max_depth=BALL_DEPTH)
+
+    def trial():
+        # Balls relabel on first read; a campaign reads every distance.
+        ball = bounded_bfs_ball(source, 12345, max_depth=BALL_DEPTH)
+        ball.distances
+        return ball
+
+    ball = benchmark(trial)
     swept = _sweep_ball(source, 12345, BALL_DEPTH)
     assert np.array_equal(ball.keys, swept.keys)
     assert np.array_equal(ball.distances, swept.distances)

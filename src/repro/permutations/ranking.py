@@ -534,14 +534,7 @@ def _check_rank_array(ranks, n: int, caller: str):
         raise InvalidParameterError(f"{caller} expects a 1-D rank array")
     if not array.size:
         return array.astype(_np.int64)
-    integral = array.dtype.kind in "iu" or (
-        array.dtype.kind == "O"
-        and all(
-            isinstance(value, (int, _np.integer)) and not isinstance(value, bool)
-            for value in array
-        )
-    )
-    if not integral:
+    if not _integral(array):
         raise InvalidParameterError(
             f"{caller} expects integer ranks, got {array.dtype} entries"
         )
@@ -549,6 +542,23 @@ def _check_rank_array(ranks, n: int, caller: str):
     if not (int(array.min()) >= 0 and int(array.max()) < total):
         raise InvalidParameterError(f"ranks must be in [0, {total})")
     return array.astype(_np.int64, copy=False)
+
+
+def _integral(values) -> bool:
+    """True when *values* -- a scalar or an array -- holds integers only.
+
+    Python and NumPy integers pass; bools, floats (even whole ones),
+    complex numbers and every other object do not.  The one integrality
+    rule of the rank and node-index checks.
+    """
+    array = _np.asarray(values)
+    return array.dtype.kind in "iu" or (
+        array.dtype.kind == "O"
+        and all(
+            isinstance(value, (int, _np.integer)) and not isinstance(value, bool)
+            for value in array.flat
+        )
+    )
 
 
 def _unrank_rows(ranks, n: int):
@@ -627,6 +637,10 @@ def permutations_slice(start: int, stop: int, n: int):
     :class:`~repro.exceptions.TableDegreeError`).
     """
     require_int64_rank_degree(n)
+    if not (_integral(start) and _integral(stop)) or _np.ndim(start) or _np.ndim(stop):
+        raise InvalidParameterError(
+            f"slice bounds must be integers, got {start!r} and {stop!r}"
+        )
     total = factorials(n)[n]
     if not (0 <= start <= stop <= total):
         raise InvalidParameterError(
@@ -736,14 +750,18 @@ def keys_to_ranks(keys, n: int):
 
 
 def _key_byte_columns(keys, n: int):
-    """The ``ceil(n / 2)`` leading bytes of packed *keys*: one ``uint8`` array each.
+    """The ``ceil(n / 2)`` leading bytes of packed *keys*: one ``uint8`` view each.
 
     Byte ``b`` holds positions ``2b`` and ``2b + 1``; the bytes past them
-    hold only the unused positions ``n .. 15``, which are zero.
+    hold only the unused positions ``n .. 15``, which are zero.  The columns
+    are strided views of the keys' own bytes (most significant first
+    whatever the host's byte order), so splitting copies nothing.
     """
-    packed = _np.asarray(keys, dtype=_np.uint64).astype(_KEY_BYTES)
-    packed = packed.view(_np.uint8).reshape(-1, 8)
-    return tuple(_np.ascontiguousarray(packed[:, b]) for b in range((n + 1) // 2))
+    packed = _np.ascontiguousarray(keys, dtype=_np.uint64).view(_np.uint8)
+    packed = packed.reshape(-1, 8)
+    if _np.little_endian:
+        packed = packed[:, ::-1]
+    return tuple(packed[:, b] for b in range((n + 1) // 2))
 
 
 def translate_packed_keys(byte_columns, perm):

@@ -65,16 +65,18 @@ arrays from either source at every chunk size
 (:meth:`NeighborSource.encode`): packed permutations on the implicit source
 through degree 16, node indices everywhere else.  Its balls on the implicit
 source through degree 15 are not swept at all: the graph is
-vertex-symmetric, so a healthy ball is one cached identity ball relabelled by
-the origin's permutation, and a faulted one is a flood of the identity ball's
-cached local adjacency with the faults relabelled into the identity's frame.
+vertex-symmetric, so every ball there is kept in the frame of one cached
+identity ball and relabelled by the origin's permutation when read.  A
+healthy ball's distances are the identity's levels; a faulted one's are a
+flood of the identity ball's local adjacency, built on the first faulted
+request, with the faults relabelled into the identity's frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -881,15 +883,18 @@ def bounded_bfs_ball(
     the identity's ball onto the origin's, distances, ``truncated`` and
     ``levels`` included.  So on an :class:`ImplicitNeighborSource` in
     packed-key space whose spare low nibbles hold ``max_depth``
-    (``n <= 15``) nothing is swept per origin.  A healthy ball is the
-    identity's -- swept once per ``(generators, n, max_depth)`` and cached
-    compactly -- relabelled by
-    :func:`~repro.permutations.ranking.translate_packed_keys`.  A faulted
-    ball is flooded in the identity's frame, over a cached local adjacency
-    of the identity ball, with the exclusions relabelled by the origin's
-    inverse (:func:`_framed_ball`).  Every other call (tables, ``n = 16``,
-    rank keys, sources that override ``neighbor_block``, ``neighbor_keys``
-    or ``encode``) sweeps.  All paths return the same ball, bit for bit.
+    (``n <= 15``) nothing is swept per origin.  Every such ball is kept in
+    the frame of the identity's ball -- swept once per ``(generators, n,
+    max_depth)`` and cached with its keys held once
+    (:func:`_identity_ball`).  A healthy ball's frame distances are the
+    cached levels; a faulted ball's are flooded over the frame's local
+    adjacency with the exclusions relabelled by the origin's inverse
+    (:func:`_symmetric_ball`).  ``size``, ``truncated``, ``levels`` and
+    :meth:`~BoundedBall.distance_of` answer from the frame; ``keys`` and
+    ``distances`` are relabelled by the origin's permutation on first read.
+    Every other call (tables, ``n = 16``, rank keys, sources that override
+    ``neighbor_block``, ``neighbor_keys`` or ``encode``) sweeps.  All paths
+    return the same ball, bit for bit.
 
     Parameters
     ----------
@@ -908,6 +913,10 @@ def bounded_bfs_ball(
         expressed sparsely because a boolean mask over ``n!`` nodes cannot
         exist at S_13+.
 
+    *origin_index*, *max_depth* and *excluded* are checked once, here, for
+    every path: Python and NumPy integers pass, bools and non-integers
+    raise :class:`~repro.exceptions.InvalidParameterError`.
+
     Returns
     -------
     BoundedBall
@@ -917,6 +926,12 @@ def bounded_bfs_ball(
         :func:`index_bfs_distances` restricted to its reached set, bit for
         bit (the parity tests hold the two against each other).
     """
+    from repro.permutations.ranking import _integral
+
+    for name, value in (("max_depth", max_depth), ("origin index", origin_index)):
+        if _np.ndim(value) or not _integral(value):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    max_depth, origin_index = int(max_depth), int(origin_index)
     if max_depth < 0:
         raise InvalidParameterError(f"max_depth must be >= 0, got {max_depth!r}")
     neighbor_source = as_neighbor_source(source)
@@ -925,27 +940,35 @@ def bounded_bfs_ball(
         raise InvalidParameterError(
             f"origin index {origin_index!r} outside [0, {num_nodes})"
         )
-    excluded = _np.asarray([] if excluded is None else excluded, dtype=_np.int64)
-    if excluded.size and not (0 <= excluded.min() and excluded.max() < num_nodes):
-        raise InvalidParameterError(
-            f"excluded node indices must lie in [0, {num_nodes})"
-        )
+    excluded = _np.asarray([] if excluded is None else excluded)
+    if excluded.size:
+        if not _integral(excluded):
+            raise InvalidParameterError(
+                f"excluded node indices must be integers, got {excluded.dtype} entries"
+            )
+        if not (0 <= excluded.min() and excluded.max() < num_nodes):
+            raise InvalidParameterError(
+                f"excluded node indices must lie in [0, {num_nodes})"
+            )
+        if (excluded == origin_index).any():
+            raise InvalidParameterError(
+                f"origin index {origin_index} is excluded; balls grow from survivors"
+            )
+    excluded = excluded.astype(_np.int64)
     symmetric = _translates(neighbor_source, max_depth)
     with telemetry.span(
         "kernel.bounded_bfs",
         num_nodes=int(num_nodes),
         neighbor_source="table" if neighbor_source.table is not None else "implicit",
-        max_depth=int(max_depth),
+        max_depth=max_depth,
         excluded=int(excluded.size),
         translated=symmetric and not excluded.size,
         framed=symmetric and bool(excluded.size),
     ) as sp:
-        if not symmetric:
-            ball = _sweep_ball(neighbor_source, origin_index, max_depth, excluded)
-        elif excluded.size:
-            ball = _framed_ball(neighbor_source, origin_index, max_depth, excluded)
+        if symmetric:
+            ball = _symmetric_ball(neighbor_source, origin_index, max_depth, excluded)
         else:
-            ball = _translated_ball(neighbor_source, origin_index, max_depth)
+            ball = _sweep_ball(neighbor_source, origin_index, max_depth, excluded)
         if telemetry.trace_enabled():
             sp.add(reached=ball.size, levels=ball.levels, truncated=ball.truncated)
         return ball
@@ -973,62 +996,62 @@ def _translates(source, max_depth: int) -> bool:
     )
 
 
-def _encode_origin_first(source, origin_index: int, excluded):
-    """Keys of the origin and then of *excluded*, in one ``encode``.
+class _IdentityBall:
+    """The identity's ball, read-only: the frame every symmetric ball lives in.
 
-    Refuses an excluded origin, whatever order the exclusions come in.
+    Frame positions are the ball's key order.  ``keys`` are its sorted
+    packed keys -- the one copy; relabelling reads their bytes in place --
+    ``levels`` its distances in the narrowest unsigned type, and
+    ``truncated`` and ``deepest`` the swept ball's flag and deepest level.
+    The local adjacency that faulted balls are flooded over is built on the
+    first faulted request and kept (:meth:`adjacency`), so a caller that
+    asks only for healthy balls never pays for it.
     """
-    keys = source.encode(
-        _np.concatenate([[origin_index], _np.asarray(excluded, dtype=_np.int64)])
+
+    __slots__ = (
+        "generators", "n", "max_depth", "keys", "levels", "truncated", "deepest",
+        "_adjacency",
     )
-    if (keys[1:] == keys[0]).any():
-        raise InvalidParameterError(
-            f"origin index {origin_index} is excluded; balls grow from survivors"
-        )
-    return keys
 
+    def __init__(self, generators, n: int, max_depth: int):
+        ball = _sweep_ball(ImplicitNeighborSource(generators, n), 0, max_depth)
+        self.generators, self.n, self.max_depth = generators, n, max_depth
+        self.keys = ball.keys
+        self.levels = ball.distances.astype(_np.min_scalar_type(ball.levels))
+        self.truncated, self.deepest = ball.truncated, ball.levels
+        self._adjacency = None
+        for array in (self.keys, self.levels):
+            array.setflags(write=False)
 
-@lru_cache(maxsize=8)
-def _identity_ball(generators, n: int, max_depth: int):
-    """The identity's depth-*max_depth* ball, compact and read-only.
+    def adjacency(self):
+        """``(rows, row_of, parents)``, built on the first call and kept.
 
-    ``(byte_columns, levels, truncated, deepest level)``: the ``ceil(n/2)``
-    leading key bytes of every node (``uint8``, key order) and its distance
-    in the narrowest unsigned type -- ``ceil(n/2) + 1`` bytes a node, half
-    of the ball it was swept as.
-    """
-    from repro.permutations.ranking import _key_byte_columns
-
-    ball = _sweep_ball(ImplicitNeighborSource(generators, n), 0, max_depth)
-    columns = _key_byte_columns(ball.keys, n)
-    levels = ball.distances.astype(_np.min_scalar_type(ball.levels))
-    for array in (*columns, levels):
-        array.setflags(write=False)
-    return columns, levels, ball.truncated, ball.levels
-
-
-class _Frame(NamedTuple):
-    """The identity ball's local adjacency: where faulted balls are flooded.
-
-    Frame positions are the identity ball's key order.  ``keys`` are its
-    sorted packed keys and ``columns`` / ``levels`` the cached identity
-    ball's byte columns and healthy distances.  ``rows[row_of[p]]`` holds
-    the frame positions of the neighbours of every position ``p`` below the
-    depth cap (``row_of`` is ``-1`` on the cap level, which has no row):
-    such a node's neighbours all lie in the ball.  ``parents[p]`` counts the
-    neighbours one level nearer of each cap-level node (``0`` elsewhere).
-    """
-
-    keys: object
-    columns: tuple
-    levels: object
-    rows: object
-    row_of: object
-    parents: object
-
-    def neighbor_rows(self, positions):
-        """The ``(m, width)`` neighbour positions of below-cap *positions*."""
-        return self.rows[self.row_of[positions]]
+        ``rows[row_of[p]]`` holds the frame positions of the neighbours of
+        every position ``p`` below the depth cap (``row_of`` is ``-1`` on the
+        cap level, which has no row): such a node's neighbours all lie in
+        the ball.  ``parents[p]`` counts the neighbours one level nearer of
+        each cap-level node (``0`` elsewhere).  Positions are stored in the
+        narrowest signed type that holds the ball (``int16`` below 32 768
+        nodes).
+        """
+        if self._adjacency is None:
+            keys, levels, cap = self.keys, self.levels, self.max_depth
+            position = _np.min_scalar_type(-keys.size)
+            inner = _np.flatnonzero(levels < cap)
+            source = ImplicitNeighborSource(self.generators, self.n)
+            rows = _np.searchsorted(keys, source.neighbor_keys(keys[inner]))
+            rows = rows.astype(position)
+            row_of = _np.full(keys.size, -1, dtype=position)
+            row_of[inner] = _np.arange(inner.size)
+            children = rows[levels[inner] == cap - 1].reshape(-1)
+            children = children[levels[children] == cap]
+            parents = _np.bincount(children, minlength=keys.size).astype(
+                _np.min_scalar_type(len(self.generators))
+            )
+            for array in (rows, row_of, parents):
+                array.setflags(write=False)
+            self._adjacency = rows, row_of, parents
+        return self._adjacency
 
     def locate(self, keys):
         """``(positions, inside)``: where *keys* sit in the frame, if they do."""
@@ -1037,91 +1060,58 @@ class _Frame(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _identity_frame(generators, n: int, max_depth: int) -> _Frame:
-    """The :class:`_Frame` of the identity's depth-*max_depth* ball, read-only.
-
-    Built on the first faulted request only.  Positions are stored in the
-    narrowest signed type that holds the ball (``int16`` below 32 768
-    nodes); cap-level nodes keep only a parent count, not a row.
-    """
-    from repro.permutations.ranking import translate_packed_keys
-
-    columns, levels, _, _ = _identity_ball(generators, n, max_depth)
-    keys = translate_packed_keys(columns, _np.arange(n))
-    position = _np.min_scalar_type(-keys.size)
-    inner = _np.flatnonzero(levels < max_depth)
-    neighbours = ImplicitNeighborSource(generators, n).neighbor_keys(keys[inner])
-    rows = _np.searchsorted(keys, neighbours).astype(position)
-    row_of = _np.full(keys.size, -1, dtype=position)
-    row_of[inner] = _np.arange(inner.size)
-    children = rows[levels[inner] == max_depth - 1].reshape(-1)
-    children = children[levels[children] == max_depth]
-    parents = _np.bincount(children, minlength=keys.size).astype(
-        _np.min_scalar_type(len(generators))
-    )
-    for array in (keys, rows, row_of, parents):
-        array.setflags(write=False)
-    return _Frame(keys, columns, levels, rows, row_of, parents)
+def _identity_ball(generators, n: int, max_depth: int) -> _IdentityBall:
+    """The :class:`_IdentityBall` of depth *max_depth*: the one identity cache."""
+    return _IdentityBall(generators, n, max_depth)
 
 
-def _relabelled(columns, levels, perm, n: int):
+def _relabelled(keys, levels, perm, n: int):
     """Sorted origin-frame ``(keys, int64 distances)`` of identity-frame nodes.
 
-    Each identity key (given by its byte *columns*) is left-multiplied by
-    *perm* with its level folded into the spare low nibbles, so one
+    Each identity key is left-multiplied by *perm*, read byte by byte in
+    place, with its level folded into the spare low nibbles, so one
     ``np.sort`` orders the new keys and carries their distances along;
     masks split them again.
     """
-    from repro.permutations.ranking import MAX_PACKED_DEGREE, translate_packed_keys
+    from repro.permutations.ranking import (
+        MAX_PACKED_DEGREE,
+        _key_byte_columns,
+        translate_packed_keys,
+    )
 
-    tagged = translate_packed_keys(columns, perm)
+    tagged = translate_packed_keys(_key_byte_columns(keys, n), perm)
     tagged |= levels
     tagged.sort()
     spare = _np.uint64((1 << 4 * (MAX_PACKED_DEGREE - n)) - 1)
     return tagged & ~spare, (tagged & spare).astype(_np.int64)
 
 
-def _translated_ball(source, origin_index: int, max_depth: int) -> BoundedBall:
-    """The healthy ball of *origin_index*: the identity's, left-multiplied."""
-    from repro.permutations.ranking import permutation_unrank
-
-    columns, levels, truncated, deepest = _identity_ball(
-        source.generators, source.n, max_depth
-    )
-    # One permutation: the scalar unrank is still 6-9x cheaper than a batch of one.
-    keys, distances = _relabelled(
-        columns, levels, permutation_unrank(origin_index, source.n), source.n
-    )
-    return BoundedBall(
-        keys=keys,
-        distances=distances,
-        truncated=truncated,
-        levels=deepest,
-        source=source,
-    )
-
-
-class _FramedBall(BoundedBall):
-    """A faulted ball kept in the identity's frame (:func:`_framed_ball`).
+class _SymmetricBall(BoundedBall):
+    """A ball kept in the identity's frame (:func:`_symmetric_ball`).
 
     ``size``, ``truncated``, ``levels`` and :meth:`distance_of` answer from
     the frame; ``keys`` and ``distances`` are relabelled into the origin's
     frame on first read, and ``nodes`` / ``nodes_at`` decode them from
-    there as for any ball.
+    there as for any ball.  A healthy ball is the frame's own ball; a
+    faulted one carries the ``(frame distances, truncated, deepest level)``
+    of its *flood*, ``-1`` where the flood did not reach.
     """
 
-    def __init__(self, source, frame, perm, frame_distances, truncated, levels):
+    def __init__(self, source, frame, perm, flood=None):
         self._source = source
         self._frame = frame
         self._perm = perm
-        self._frame_distances = frame_distances
-        self.truncated = truncated
-        self.levels = levels
+        self._flooded = flood is not None
+        if flood is None:
+            flood = frame.levels, frame.truncated, frame.deepest
+        self._frame_distances, self.truncated, self.levels = flood
         self._nodes = self._keys = self._distances = None
 
     @property
     def size(self) -> int:
-        return int(_np.count_nonzero(self._frame_distances >= 0))
+        if self._flooded:
+            return int(_np.count_nonzero(self._frame_distances >= 0))
+        return int(self._frame.keys.size)
 
     @property
     def keys(self):
@@ -1136,78 +1126,84 @@ class _FramedBall(BoundedBall):
         return self._distances
 
     def _relabel(self):
-        reached = _np.flatnonzero(self._frame_distances >= 0)
+        keys, distances = self._frame.keys, self._frame_distances
+        if self._flooded:  # only what the flood reached
+            reached = _np.flatnonzero(distances >= 0)
+            keys, distances = keys[reached], distances[reached].astype(_np.uint64)
         self._keys, self._distances = _relabelled(
-            tuple(column[reached] for column in self._frame.columns),
-            self._frame_distances[reached].astype(_np.uint64),
-            self._perm,
-            self._source.n,
+            keys, distances, self._perm, self._source.n
         )
 
     def distance_of(self, targets):
         """Ball distances of *targets*, read in the identity's frame."""
-        targets = self._source.encode(targets)
         positions, inside = self._frame.locate(
-            _to_identity_frame(targets, self._perm, self._source.n)
+            _frame_keys(targets, self._perm, self._source.n)
         )
-        out = _np.full(targets.shape, -1, dtype=_np.int64)
+        out = _np.full(positions.shape, -1, dtype=_np.int64)
         out[inside] = self._frame_distances[positions[inside]]
         return out
 
 
-def _to_identity_frame(keys, perm, n: int):
-    """Packed *keys* left-multiplied by the inverse of *perm*.
+def _frame_keys(indices, perm, n: int):
+    """Packed keys of nodes *indices* left-multiplied by the inverse of *perm*.
 
-    A few keys at a time (faults, targets): unpacking, substituting and
-    packing them is half the cost of building ``translate_packed_keys``'s
-    per-byte tables.
+    A few nodes at a time (faults, targets): substituting their unranked
+    rows beats building ``translate_packed_keys``'s per-byte tables for
+    them (about 55 against 77 us for 16 nodes at S_13, unrank included,
+    on 2 vCPUs).
     """
-    from repro.permutations.ranking import pack_permutations, unpack_permutations
+    from repro.permutations.ranking import pack_permutations, unrank_batch
 
-    return pack_permutations(_np.argsort(perm)[unpack_permutations(keys, n)])
+    return pack_permutations(_np.argsort(perm)[unrank_batch(indices, n)])
 
 
-def _framed_ball(source, origin_index: int, max_depth: int, excluded) -> BoundedBall:
-    """The faulted ball of *origin_index*, flooded in the identity's frame.
+def _symmetric_ball(source, origin_index: int, max_depth: int, excluded) -> BoundedBall:
+    """The ball of *origin_index*, kept in the identity's frame.
 
     Left multiplication by the origin's permutation ``s`` is an automorphism
     that maps the identity's ball onto the origin's, so the ball with faults
-    ``F`` is ``s`` times the identity's ball with faults ``s^-1 F``.  The
-    faults are relabelled into the frame (:func:`_identity_frame`); a fault
-    outside the healthy ball cannot shorten or lengthen a distance within
-    the cap and matters only to the truncation probe.  Levels ``1 ..
-    max_depth - 1`` are flooded by :func:`_flood_levels` over the frame's
-    rows.  The cap level is settled without expanding it: a cap-level node
-    is reached if it is alive and one of its parents was reached one level
-    nearer, and an alive node below the cap that the flood missed is
-    reached if one of its neighbours was.  The truncation probe then
-    expands the reached cap level in prefix blocks, as the sweep does.
+    ``F`` is ``s`` times the identity's ball with faults ``s^-1 F``.  With
+    no faults that is the cached identity ball itself.  Otherwise the faults
+    are relabelled into the frame (:func:`_identity_ball`); a fault outside
+    the healthy ball cannot shorten or lengthen a distance within the cap
+    and matters only to the truncation probe.  Levels ``1 .. max_depth -
+    1`` are flooded by :func:`_flood_levels` over the frame's rows.  The
+    cap level is settled without expanding it: a cap-level node is reached
+    if it is alive and one of its parents was reached one level nearer, and
+    an alive node below the cap that the flood missed is reached if one of
+    its neighbours was.  The truncation probe then expands the reached cap
+    level in prefix blocks, as the sweep does.
     """
-    from repro.permutations.ranking import CHUNK_NODES, unpack_permutations
+    from repro.permutations.ranking import CHUNK_NODES, permutation_unrank
 
     n = source.n
-    keys = _encode_origin_first(source, origin_index, excluded)
-    perm = unpack_permutations(keys[:1], n)[0]
-    frame = _identity_frame(source.generators, n, max_depth)
-    faults = _to_identity_frame(keys[1:], perm, n)
+    frame = _identity_ball(source.generators, n, max_depth)
+    # One permutation: the scalar unrank is still 6-9x cheaper than a batch of one.
+    perm = permutation_unrank(origin_index, n)
+    if not excluded.size:
+        return _SymmetricBall(source, frame, perm)
+    rows, row_of, parents = frame.adjacency()
+
+    def neighbor_rows(positions):
+        return rows[row_of[positions]]
+
+    faults = _frame_keys(excluded, perm, n)
     positions, inside = frame.locate(faults)
     alive = _np.ones(frame.keys.size, dtype=bool)
     alive[positions[inside]] = False
     beyond = _np.sort(faults[~inside])
     distances = _np.full(frame.keys.size, -1, dtype=_np.int64)
     deepest, _ = _flood_levels(
-        frame.neighbor_rows, distances, 0, alive, max_level=max_depth - 1
+        neighbor_rows, distances, 0, alive, max_level=max_depth - 1
     )
     if deepest == max_depth - 1:
         # Settle the cap level: parents lost to the faults, and detours.
         lost = _np.flatnonzero((frame.levels == deepest) & (distances != deepest))
-        children = frame.neighbor_rows(lost).reshape(-1)
+        children = neighbor_rows(lost).reshape(-1)
         children = children[frame.levels[children] == max_depth]
-        kept = alive & (
-            frame.parents > _np.bincount(children, minlength=frame.keys.size)
-        )
+        kept = alive & (parents > _np.bincount(children, minlength=frame.keys.size))
         strays = _np.flatnonzero(alive & (frame.levels < max_depth) & (distances < 0))
-        detoured = (distances[frame.neighbor_rows(strays)] == deepest).any(axis=1)
+        detoured = (distances[neighbor_rows(strays)] == deepest).any(axis=1)
         distances[kept] = max_depth
         distances[strays[detoured]] = max_depth
         if kept.any() or detoured.any():
@@ -1230,7 +1226,7 @@ def _framed_ball(source, origin_index: int, max_depth: int, excluded) -> Bounded
             )
             truncated = bool(escapes.any())
             start, width = stop, min(8 * width, CHUNK_NODES)
-    return _FramedBall(source, frame, perm, distances, truncated, deepest)
+    return _SymmetricBall(source, frame, perm, (distances, truncated, deepest))
 
 
 def _sweep_ball(neighbor_source, origin_index: int, max_depth: int, excluded=None):
@@ -1238,16 +1234,16 @@ def _sweep_ball(neighbor_source, origin_index: int, max_depth: int, excluded=Non
 
     Grows every table-backed, rank-keyed, ``n = 16`` or overriding-source
     ball, with or without exclusions, and the cached identity balls that
-    healthy balls are translated from and faulted balls flooded in; the
-    parity oracle of the translated and framed paths.  *neighbor_source* is
-    a :class:`NeighborSource`; *excluded* node indices may come in any
-    order.
+    symmetric balls are relabelled from; the parity oracle of the
+    symmetric path.  *neighbor_source* is a :class:`NeighborSource`;
+    *excluded* node indices may come in any order and must not hold the
+    origin (:func:`bounded_bfs_ball` refuses that).
     """
     from repro.permutations.ranking import CHUNK_NODES
 
     if excluded is None:
         excluded = _np.empty(0, dtype=_np.int64)
-    keys = _encode_origin_first(neighbor_source, origin_index, excluded)
+    keys = neighbor_source.encode(_np.concatenate([[origin_index], excluded]))
     origin = keys[:1]
     # What a level may not add: the ball so far and the exclusions.
     blocked = _np.sort(keys)

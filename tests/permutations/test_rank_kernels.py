@@ -21,6 +21,7 @@ from repro.permutations.ranking import (
     lehmer_code,
     permutation_rank,
     permutation_unrank,
+    permutations_slice,
     rank_batch,
     ranks_to_keys,
     star_position_generators,
@@ -186,3 +187,18 @@ def test_non_integer_ranks_raise(entry, kind):
 def test_out_of_range_integer_ranks_raise(ranks):
     with pytest.raises(InvalidParameterError, match=r"ranks must be in \[0, 24\)"):
         unrank_batch(ranks, 4)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0.5, 3.7), (0, 3.0), (np.float64(1), 3), (True, 3), (0, np.bool_(True)), ([0], 3)],
+)
+def test_non_integer_slice_bounds_raise(start, stop):
+    with pytest.raises(InvalidParameterError, match="slice bounds must be integers"):
+        permutations_slice(start, stop, 4)
+
+
+def test_numpy_integer_slice_bounds():
+    expected = unrank_batch(np.arange(1, 5), 4)
+    for start, stop in ((1, 5), (np.int64(1), np.uint8(5)), (np.int32(1), 5)):
+        assert np.array_equal(permutations_slice(start, stop, 4), expected)

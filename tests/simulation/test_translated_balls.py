@@ -5,12 +5,15 @@ so :func:`repro.topology.routing.bounded_bfs_ball` answers an exclusion-free
 call on the implicit packed-key source by relabelling one cached identity
 ball with the origin's permutation, and a call with exclusions by flooding
 the identity ball's cached local adjacency with the faults relabelled into
-the identity's frame.  These tests hold both paths against the table-backed
-sweep (n = 5..9, up to whole-graph balls) and against the private frontier
-sweep ``_sweep_ball`` (n = 5..15), field by field, and pin down which calls
-must keep sweeping: tables, n = 16, a depth the spare nibbles cannot hold
-and sources that override their adjacency.  The exclusion-order cases cover
-the refusal of an excluded origin on both the swept and the framed path.
+the identity's frame.  Both kinds are one lazy ball over one cached
+identity entry (``_identity_ball``) that holds its keys once.  These tests
+hold both kinds against the table-backed sweep (n = 5..9, up to whole-graph
+balls) and against the private frontier sweep ``_sweep_ball`` (n = 5..15),
+field by field, and pin down which calls must keep sweeping: tables,
+n = 16, a depth the spare nibbles cannot hold and sources that override
+their adjacency.  The exclusion-order cases cover the refusal of an
+excluded origin on both the swept and the framed path, and the input-check
+cases the one check every path shares.
 """
 
 import itertools
@@ -40,7 +43,6 @@ from repro.topology.cayley import (
 from repro.topology.routing import (
     ImplicitNeighborSource,
     _identity_ball,
-    _identity_frame,
     _sweep_ball,
     _translates,
     bounded_bfs_ball,
@@ -95,10 +97,8 @@ def sweeps(monkeypatch):
 
     monkeypatch.setattr(routing, "_sweep_ball", counting)
     _identity_ball.cache_clear()
-    _identity_frame.cache_clear()
     yield calls
     _identity_ball.cache_clear()
-    _identity_frame.cache_clear()
 
 
 class TestTranslatePackedKeys:
@@ -193,15 +193,17 @@ class TestWhoKeepsSweeping:
         faults = healthy.nodes_at(np.flatnonzero(healthy.distances == 2)[:3])
         faulted = bounded_bfs_ball(source, 4242, max_depth=2, excluded=faults)
         # The identity was swept once, for the healthy ball; the faulted
-        # ball flooded the frame built from it.
+        # ball flooded the adjacency built on the same entry.
         assert sweeps == [(0, 0)]
-        assert _identity_frame.cache_info().misses == 1
+        info = _identity_ball.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _identity_ball(source.generators, 13, 2)._adjacency is not None
         assert faulted.size == healthy.size - 3
         assert np.array_equal(faulted.distance_of(faults), [-1, -1, -1])
         _assert_identical(faulted, _sweep_ball(source, 4242, 2, faults))
         # An empty exclusion array is no exclusion at all.
         bounded_bfs_ball(source, 4242, max_depth=2, excluded=np.empty(0, np.int64))
-        assert sweeps == [(0, 0)] and _identity_frame.cache_info().currsize == 1
+        assert sweeps == [(0, 0)] and _identity_ball.cache_info().currsize == 1
 
     def test_table_sources_sweep(self, sweeps):
         bounded_bfs_ball(StarGraph(6).neighbor_source(), 17, max_depth=3)
@@ -238,13 +240,12 @@ class TestIdentityCache:
         n = 13
         source = ImplicitNeighborSource(star_position_generators(n), n)
         bounded_bfs_ball(source, 12345, max_depth=4)
-        columns, levels, truncated, deepest = _identity_ball(
-            source.generators, n, 4
-        )
-        assert len(columns) == 7 and levels.dtype == np.uint8
-        assert truncated is True and deepest == 4
-        assert all(c.dtype == np.uint8 and c.size == 14511 for c in columns)
-        for array in (*columns, levels):
+        entry = _identity_ball(source.generators, n, 4)
+        assert entry.keys.dtype == np.uint64 and entry.levels.dtype == np.uint8
+        assert entry.truncated is True and entry.deepest == 4
+        assert entry.keys.size == entry.levels.size == 14511
+        assert np.all(entry.keys[1:] > entry.keys[:-1])
+        for array in (entry.keys, entry.levels):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -275,17 +276,59 @@ class TestIdentityCache:
                 seed=7,
                 label=f"{family}/11",
             )
-        # Per family: one identity sweep and one frame build; no faulted
-        # ball sweeps.
+        # Per family: one identity sweep, whose entry also gained the
+        # adjacency the faulted balls flood; no faulted ball sweeps.
         families = len(SAMPLED_CAMPAIGN_FAMILIES)
         assert sweeps == [(0, 0)] * families
-        frames = _identity_frame.cache_info()
-        assert frames.misses == families
-        assert frames.hits == families * (trials - 1)
-        # Every healthy ball and each frame build read the identity ball.
+        # Every ball read the one cache: 2 * trials healthy balls and
+        # trials faulted ones per family, of which the first missed.
         info = _identity_ball.cache_info()
         assert info.misses == families
-        assert info.hits == families * 2 * trials
+        assert info.hits == families * (3 * trials - 1)
+        for _, topology in sampled_campaign_instances(11).values():
+            source = topology.neighbor_source()
+            entry = _identity_ball(source.generators, 11, depth)
+            assert entry._adjacency is not None
+
+    def test_a_healthy_only_campaign_builds_no_adjacency(self, sweeps):
+        for family, (_, topology) in sampled_campaign_instances(11).items():
+            sampled_fault_campaign(
+                topology,
+                fault_counts=(0,),
+                trials=4,
+                pairs_per_trial=3,
+                depth=3,
+                seed=11,
+                label=f"{family}/11",
+            )
+        families = len(SAMPLED_CAMPAIGN_FAMILIES)
+        assert sweeps == [(0, 0)] * families
+        assert _identity_ball.cache_info().currsize == families
+        for _, topology in sampled_campaign_instances(11).values():
+            source = topology.neighbor_source()
+            assert _identity_ball(source.generators, 11, 3)._adjacency is None
+
+    def test_the_s13_depth4_star_entry_holds_its_keys_once(self, sweeps):
+        n, depth = 13, 4
+        source = ImplicitNeighborSource(star_position_generators(n), n)
+        healthy = bounded_bfs_ball(source, 12345, max_depth=depth)
+        bounded_bfs_ball(
+            source, 12345, max_depth=depth, excluded=healthy.nodes_at([1, 2, 3])
+        )
+        entry = _identity_ball(source.generators, n, depth)
+        assert entry._adjacency is not None
+        arrays = []
+        for name in type(entry).__slots__:
+            value = getattr(entry, name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+        # Keys, levels, rows, row_of and parents -- no second copy of the
+        # keys in any form.
+        assert len(arrays) == 5
+        assert [a for a in arrays if a.nbytes >= entry.keys.nbytes] == [entry.keys]
+        assert all(a.base is None for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 210_876
 
 
 def _faults(rng, source, healthy, origin, depth):
@@ -337,7 +380,7 @@ class TestFaultedBalls:
                 _assert_framed(source, origin, depth, faults, rng)
         # Only the identity balls swept; every faulted ball was flooded.
         assert sweeps == [(0, 0)] * 5
-        assert _identity_frame.cache_info().misses == 5
+        assert _identity_ball.cache_info().misses == 5
 
     @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
     def test_every_origin_neighbour_disconnects(self, family):
@@ -380,25 +423,27 @@ class TestFaultedBalls:
         n, depth = 13, 4
         source = ImplicitNeighborSource(star_position_generators(n), n)
         healthy = bounded_bfs_ball(source, 12345, max_depth=depth)
-        assert _identity_frame.cache_info().currsize == 0
+        frame = _identity_ball(source.generators, n, depth)
+        assert frame._adjacency is None
         faults = healthy.nodes_at(np.arange(1, 17))
         bounded_bfs_ball(source, 12345, max_depth=depth, excluded=faults)
-        frame = _identity_frame(source.generators, n, depth)
+        assert _identity_ball.cache_info().currsize == 1
+        rows, row_of, parents = frame._adjacency
         levels = frame.levels
         below = int((levels < depth).sum())
         assert frame.keys.dtype == np.uint64 and frame.keys.size == 14511
         assert np.all(frame.keys[1:] > frame.keys[:-1])
         # Rows only below the cap, in the narrowest signed type.
-        assert frame.rows.shape == (below, n - 1) and frame.rows.dtype == np.int16
-        assert frame.row_of.dtype == np.int16
-        assert np.array_equal(np.flatnonzero(frame.row_of >= 0), np.flatnonzero(levels < depth))
+        assert rows.shape == (below, n - 1) and rows.dtype == np.int16
+        assert row_of.dtype == np.int16
+        assert np.array_equal(np.flatnonzero(row_of >= 0), np.flatnonzero(levels < depth))
         # Parents: each cap-level node's neighbours one level nearer.
         cap = np.flatnonzero(levels == depth)
         neighbours, inside = frame.locate(source.neighbor_keys(frame.keys[cap]))
         nearer = inside & (levels[neighbours] == depth - 1)
-        assert np.array_equal(frame.parents[cap], nearer.sum(axis=1))
-        assert np.array_equal(frame.parents > 0, levels == depth)
-        for array in (frame.keys, frame.rows, frame.row_of, frame.parents):
+        assert np.array_equal(parents[cap], nearer.sum(axis=1))
+        assert np.array_equal(parents > 0, levels == depth)
+        for array in (frame.keys, rows, row_of, parents):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -429,12 +474,10 @@ class TestFaultedBalls:
                 )
                 cases.append((source, origin, depth, faults, reference))
         monkeypatch.setattr(ranking, "CHUNK_NODES", 1)
-        _identity_frame.cache_clear()
         _identity_ball.cache_clear()
         for source, origin, depth, faults, reference in cases:
             ball = bounded_bfs_ball(source, origin, max_depth=depth, excluded=faults)
             _assert_identical(ball, reference)
-        _identity_frame.cache_clear()
         _identity_ball.cache_clear()
 
 
@@ -479,3 +522,76 @@ class TestExclusionOrder:
                 bounded_bfs_ball(source, origin, max_depth=3, excluded=shuffled),
                 reference,
             )
+
+
+class TestInputChecks:
+    """One input check at the kernel's entry, the same on every path.
+
+    Python and NumPy integers are accepted for the origin, the depth and the
+    exclusions; bools and non-integers are refused rather than truncated.
+    """
+
+    @staticmethod
+    def _case(kind):
+        """``(source, origin, depth, excluded)`` reaching one path of the kernel."""
+        if kind == "table":
+            return StarGraph(7).neighbor_source(), 3, 2, None
+        if kind == "n = 16":
+            source = ImplicitNeighborSource(star_position_generators(16), 16)
+            return source, 10**12, 1, None
+        source = ImplicitNeighborSource(star_position_generators(7), 7)
+        if kind == "implicit healthy":
+            return source, 3, 2, None
+        return source, 3, 2, np.array([1, 100, 4000])
+
+    KINDS = ("table", "implicit healthy", "implicit faulted", "n = 16")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, int])
+    def test_numpy_integers_give_the_python_int_ball(self, kind, integer):
+        source, origin, depth, excluded = self._case(kind)
+        reference = bounded_bfs_ball(source, origin, max_depth=depth, excluded=excluded)
+        if excluded is not None:
+            excluded = excluded.astype(np.dtype(integer))
+        ball = bounded_bfs_ball(
+            source, integer(origin), max_depth=integer(depth), excluded=excluded
+        )
+        _assert_identical(ball, reference)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("depth", [2.5, 2.0, np.float64(2), True, "2", None, [2]])
+    def test_non_integer_depths_raise(self, kind, depth):
+        source, origin, _, excluded = self._case(kind)
+        with pytest.raises(InvalidParameterError, match="max_depth must be an integer"):
+            bounded_bfs_ball(source, origin, max_depth=depth, excluded=excluded)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("origin", [3.0, np.float64(3), True, np.bool_(True), "3"])
+    def test_non_integer_origins_raise(self, kind, origin):
+        source, _, depth, excluded = self._case(kind)
+        with pytest.raises(InvalidParameterError, match="origin index must be an integer"):
+            bounded_bfs_ball(source, origin, max_depth=depth, excluded=excluded)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "excluded",
+        [
+            np.array([1.7]),
+            np.array([1.0]),
+            np.array([True]),
+            np.array([5, True], dtype=object),
+            np.array([1, 2.5], dtype=object),
+        ],
+    )
+    def test_non_integer_exclusions_raise(self, kind, excluded):
+        source, origin, depth, _ = self._case(kind)
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            bounded_bfs_ball(source, origin, max_depth=depth, excluded=excluded)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_empty_exclusion_list_is_none(self, kind):
+        source, origin, depth, _ = self._case(kind)
+        _assert_identical(
+            bounded_bfs_ball(source, origin, max_depth=depth, excluded=[]),
+            bounded_bfs_ball(source, origin, max_depth=depth),
+        )
