@@ -14,8 +14,19 @@ Running a kernel on both machines and comparing the ledgers is exactly the
 experiment Theorem 6 calls for: the star-level count never exceeds three times
 the mesh-level count.
 
-Star-specific algorithms (broadcasting on ``S_n`` itself, Section 2 property
-3) live in :mod:`repro.algorithms.broadcast`.
+The modules:
+
+* :mod:`~repro.algorithms.sorting` -- odd-even transposition sort, shearsort
+  and the snake order it sorts into (the sorting experiment);
+* :mod:`~repro.algorithms.shift` and :mod:`~repro.algorithms.scan` --
+  boundary shifts, cyclic rotations, prefix sums and line totals;
+* :mod:`~repro.algorithms.broadcast` -- the mesh broadcast, plus greedy
+  broadcasting on ``S_n`` itself and its bound (Section 2, property 3);
+* :mod:`~repro.algorithms.reduction` -- the mesh reduction to the origin;
+* :mod:`~repro.algorithms.cayley` -- broadcast and reduction scheduled one
+  generator at a time over a BFS tree of any Cayley machine;
+* :mod:`~repro.algorithms.reference` -- the per-call implementations every
+  compiled kernel above is held to, bit for bit, by the parity tests.
 """
 
 from repro.algorithms.broadcast import (
@@ -27,16 +38,14 @@ from repro.algorithms.broadcast import (
 from repro.algorithms.cayley import (
     cayley_broadcast_tree,
     cayley_reduce_tree,
-    cayley_allreduce_tree,
     generator_tree_plan,
 )
-from repro.algorithms.reduction import mesh_reduce, mesh_allreduce
+from repro.algorithms.reduction import mesh_reduce
 from repro.algorithms.scan import prefix_sum_dimension, segmented_totals
 from repro.algorithms.shift import shift_dimension, rotate_dimension
 from repro.algorithms.sorting import (
     odd_even_transposition_sort,
     shearsort_2d,
-    sort_lines,
     snake_order_rank,
 )
 
@@ -47,16 +56,13 @@ __all__ = [
     "star_broadcast_bound",
     "cayley_broadcast_tree",
     "cayley_reduce_tree",
-    "cayley_allreduce_tree",
     "generator_tree_plan",
     "mesh_reduce",
-    "mesh_allreduce",
     "prefix_sum_dimension",
     "segmented_totals",
     "shift_dimension",
     "rotate_dimension",
     "odd_even_transposition_sort",
     "shearsort_2d",
-    "sort_lines",
     "snake_order_rank",
 ]

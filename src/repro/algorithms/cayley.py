@@ -49,7 +49,6 @@ __all__ = [
     "generator_tree_plan",
     "cayley_broadcast_tree",
     "cayley_reduce_tree",
-    "cayley_allreduce_tree",
 ]
 
 # Shared with the reference module so both implementations agree on the
@@ -285,39 +284,3 @@ def cayley_reduce_tree(
         )
     return machine.read_value(result, root)
 
-
-def cayley_allreduce_tree(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    root_node: Optional[Node] = None,
-    result: Optional[str] = None,
-) -> object:
-    """Reduce and broadcast back: every PE ends up holding the reduced value.
-
-    Parameters
-    ----------
-    machine, register, operator, root_node
-        As in :func:`cayley_reduce_tree`.
-    result : str, optional
-        Result register (default ``register + "_all"``); holds the reduced
-        value on every PE afterwards.
-
-    Returns
-    -------
-    object
-        The reduced value.
-    """
-    topology = machine.topology
-    root = (
-        topology.validate_node(root_node)
-        if root_node is not None
-        else topology.node_from_index(0)
-    )
-    result = result or f"{register}_all"
-    reduced = cayley_reduce_tree(
-        machine, register, operator, root_node=root, result="_allred_cay"
-    )
-    cayley_broadcast_tree(machine, root, "_allred_cay", result=result)
-    return reduced

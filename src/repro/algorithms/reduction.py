@@ -1,12 +1,11 @@
 """Reductions on the mesh machine interface.
 
 :func:`mesh_reduce` folds an associative operator over every PE's value and
-leaves the result at the mesh origin ``(0, ..., 0)``; :func:`mesh_allreduce`
-additionally broadcasts it back to every PE.  Both are classic dimension-sweep
-kernels: dimension ``k`` is reduced by ``side_k - 1`` unit routes pushing
-partial results toward coordinate 0.
+leaves the result at the mesh origin ``(0, ..., 0)``.  It is the classic
+dimension-sweep kernel: dimension ``k`` is reduced by ``side_k - 1`` unit
+routes pushing partial results toward coordinate 0.
 
-Run on an :class:`~repro.simd.embedded.EmbeddedMeshMachine` they exercise the
+Run on an :class:`~repro.simd.embedded.EmbeddedMeshMachine` it exercises the
 Theorem-6 simulation on a computation-heavy workload (numerical reductions are
 the inner loop of the numerical-analysis applications the paper's introduction
 motivates the embedding with).
@@ -31,7 +30,7 @@ from repro.simd.programs import (
 )
 from repro.topology.base import Node
 
-__all__ = ["mesh_reduce", "mesh_allreduce"]
+__all__ = ["mesh_reduce"]
 
 # Shared with the reference module (sentinel identity is what the folds test).
 _NEUTRAL = _reference._NEUTRAL
@@ -78,23 +77,3 @@ def mesh_reduce(
     origin: Node = tuple(0 for _ in mesh.sides)
     return machine.read_value(result, origin)
 
-
-def mesh_allreduce(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    result: Optional[str] = None,
-) -> object:
-    """Reduce and broadcast: every PE ends up holding the reduced value.
-
-    Returns the reduced value; register *result* (default ``register +
-    "_all"``) holds it on every PE afterwards.
-    """
-    from repro.algorithms.broadcast import mesh_broadcast
-
-    result = result or f"{register}_all"
-    reduced = mesh_reduce(machine, register, operator, result="_allred_partial")
-    origin = tuple(0 for _ in machine.mesh.sides)
-    mesh_broadcast(machine, origin, "_allred_partial", result=result)
-    return reduced

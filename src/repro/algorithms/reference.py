@@ -29,17 +29,14 @@ from repro.exceptions import InvalidParameterError
 __all__ = [
     "odd_even_transposition_sort",
     "shearsort_2d",
-    "sort_lines",
     "shift_dimension",
     "rotate_dimension",
     "prefix_sum_dimension",
     "segmented_totals",
     "mesh_broadcast",
     "mesh_reduce",
-    "mesh_allreduce",
     "cayley_broadcast_tree",
     "cayley_reduce_tree",
-    "cayley_allreduce_tree",
 ]
 
 _EMPTY = object()
@@ -124,11 +121,6 @@ def odd_even_transposition_sort(
             machine, register, dim, phase % 2, ascending_mask=ascending_mask
         )
     return machine.stats.unit_routes - routes_before
-
-
-def sort_lines(machine, register: str, dim: int) -> int:
-    """Ascending sort of every 1-D line of the mesh along *dim* (reference)."""
-    return odd_even_transposition_sort(machine, register, dim)
 
 
 def shearsort_2d(machine, register: str, *, rounds: Optional[int] = None) -> int:
@@ -359,22 +351,6 @@ def mesh_reduce(
     return machine.read_value(result, origin)
 
 
-def mesh_allreduce(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    result: Optional[str] = None,
-) -> object:
-    """Per-call reduce-and-broadcast (reference)."""
-    result = result or f"{register}_all"
-    reduced = mesh_reduce(machine, register, operator, result="_allred_partial")
-    origin = tuple(0 for _ in machine.mesh.sides)
-    mesh_broadcast(machine, origin, "_allred_partial", result=result)
-    return reduced
-
-
-# ----------------------------------------------------- Cayley tree schedules
 def _cayley_tree_phases(machine, root):
     """The BFS spanning-tree schedule as tuple node pairs, rebuilt per call.
 
@@ -465,26 +441,3 @@ def cayley_reduce_tree(
             where=lambda node, _r=receivers: node in _r,
         )
     return machine.read_value(result, root)
-
-
-def cayley_allreduce_tree(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    root_node=None,
-    result: Optional[str] = None,
-) -> object:
-    """Per-call reduce-and-broadcast on the Cayley tree (reference)."""
-    topology = machine.topology
-    root = (
-        topology.validate_node(root_node)
-        if root_node is not None
-        else topology.node_from_index(0)
-    )
-    result = result or f"{register}_all"
-    reduced = cayley_reduce_tree(
-        machine, register, operator, root_node=root, result="_allred_cay"
-    )
-    cayley_broadcast_tree(machine, root, "_allred_cay", result=result)
-    return reduced

@@ -10,9 +10,7 @@ This module provides the concrete kernels the experiments measure:
 * :func:`shearsort_2d` -- Scherson/Sen/Ma's shearsort on a two-dimensional
   mesh (alternating snake-ordered row sorts and column sorts,
   ``O((log r + 1) (r + c))`` unit routes), the algorithm the conclusion names
-  as the one 2-D method that does not rely on power-of-two side lengths;
-* :func:`sort_lines` -- convenience wrapper sorting every 1-D line of an
-  arbitrary mesh along a chosen dimension.
+  as the one 2-D method that does not rely on power-of-two side lengths.
 
 All kernels run unchanged on :class:`~repro.simd.mesh_machine.MeshMachine`
 and :class:`~repro.simd.embedded.EmbeddedMeshMachine`; comparing their unit
@@ -51,7 +49,6 @@ from repro.simd.programs import (
 __all__ = [
     "odd_even_transposition_sort",
     "shearsort_2d",
-    "sort_lines",
     "snake_order_rank",
 ]
 
@@ -155,11 +152,6 @@ def odd_even_transposition_sort(
     routes_before = machine.stats.unit_routes
     program.run(machine)
     return machine.stats.unit_routes - routes_before
-
-
-def sort_lines(machine, register: str, dim: int) -> int:
-    """Ascending sort of every 1-D line of the mesh along *dim* (all in parallel)."""
-    return odd_even_transposition_sort(machine, register, dim)
 
 
 def shearsort_2d(machine, register: str, *, rounds: Optional[int] = None) -> int:

@@ -9,7 +9,6 @@ instances), so the test-suite cross-checks formula against enumeration.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.utils.validation import check_positive_int
 
@@ -23,10 +22,8 @@ __all__ = [
     "bubble_sort_diameter",
     "pancake_diameter_known",
     "KNOWN_PANCAKE_DIAMETERS",
-    "mesh_diameter",
     "paper_mesh_max_degree",
     "dilation_lower_bound_exists",
-    "broadcast_bound",
 ]
 
 
@@ -106,11 +103,6 @@ def pancake_diameter_known(n: int):
     return KNOWN_PANCAKE_DIAMETERS.get(n)
 
 
-def mesh_diameter(sides: Sequence[int]) -> int:
-    """``sum(side - 1)`` -- diameter of an open mesh."""
-    return sum(side - 1 for side in sides)
-
-
 def paper_mesh_max_degree(n: int) -> int:
     """``2n - 3`` -- degree of the interior node ``(1, 1, ..., 1)`` of ``D_n`` (Lemma 1).
 
@@ -131,13 +123,3 @@ def dilation_lower_bound_exists(n: int) -> bool:
     check_positive_int(n, "n", minimum=2)
     return paper_mesh_max_degree(n) <= star_degree(n)
 
-
-def broadcast_bound(n: int) -> float:
-    """Reference curve for star-graph broadcasting: ``3 (n lg n - n + 1)`` unit routes.
-
-    Section 2, property 3 (quoting Akers & Krishnamurthy).  The lower-order
-    term is illegible in the scanned report; the dominant ``3 n lg n`` term is
-    what the experiments compare against.
-    """
-    check_positive_int(n, "n", minimum=2)
-    return 3.0 * (n * math.log2(n) - n + 1)

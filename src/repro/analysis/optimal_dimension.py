@@ -20,12 +20,7 @@ from typing import List, Tuple
 from repro.embedding.uniform import factorise_paper_mesh
 from repro.utils.validation import check_in_range, check_positive_int
 
-__all__ = ["appendix_side_lengths", "appendix_cost", "optimal_dimension_table"]
-
-
-def appendix_side_lengths(n: int, d: int) -> Tuple[int, ...]:
-    """Alias of :func:`repro.embedding.uniform.factorise_paper_mesh` (analysis-facing name)."""
-    return factorise_paper_mesh(n, d)
+__all__ = ["appendix_cost", "optimal_dimension_table"]
 
 
 def appendix_cost(n: int, d: int, *, dilation: int = 3) -> float:

@@ -44,7 +44,6 @@ from repro.embedding.paths import (
 from repro.embedding.mesh_to_hypercube import (
     MeshToHypercubeEmbedding,
     gray_code,
-    gray_code_rank,
 )
 from repro.embedding.uniform import (
     UniformMeshSimulation,
@@ -77,7 +76,6 @@ __all__ = [
     "unit_route_paths",
     "MeshToHypercubeEmbedding",
     "gray_code",
-    "gray_code_rank",
     "UniformMeshSimulation",
     "factorise_paper_mesh",
     "atallah_slowdown",

@@ -14,7 +14,7 @@ container.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import EmbeddingError
 from repro.topology.base import Node, Topology
@@ -130,10 +130,6 @@ class Embedding:
     def vertex_images(self) -> Dict[Node, Node]:
         """The complete vertex map as a dictionary (materialises lazy maps)."""
         return {node: self.map_node(node) for node in self._guest.nodes()}
-
-    def image_set(self) -> set:
-        """The set of host nodes used by the vertex map."""
-        return set(self.vertex_images().values())
 
     def edge_paths(self) -> Iterable[Tuple[Edge, Path]]:
         """Iterate over every guest edge with its assigned host path."""

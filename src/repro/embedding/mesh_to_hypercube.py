@@ -24,7 +24,7 @@ from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh
 from repro.utils.validation import check_positive_int
 
-__all__ = ["gray_code", "gray_code_rank", "MeshToHypercubeEmbedding"]
+__all__ = ["gray_code", "MeshToHypercubeEmbedding"]
 
 Node = Tuple[int, ...]
 
@@ -40,21 +40,6 @@ def gray_code(value: int) -> int:
     if value < 0:
         raise InvalidParameterError(f"value must be >= 0, got {value}")
     return value ^ (value >> 1)
-
-
-def gray_code_rank(code: int) -> int:
-    """Inverse of :func:`gray_code`.
-
-    >>> [gray_code_rank(gray_code(i)) for i in range(8)] == list(range(8))
-    True
-    """
-    if code < 0:
-        raise InvalidParameterError(f"code must be >= 0, got {code}")
-    value = 0
-    while code:
-        value ^= code
-        code >>= 1
-    return value
 
 
 class MeshToHypercubeEmbedding(Embedding):
@@ -92,39 +77,9 @@ class MeshToHypercubeEmbedding(Embedding):
             name=f"mesh-to-hypercube(sides={mesh.sides})",
         )
 
-    @property
-    def bits_per_dimension(self) -> Tuple[int, ...]:
-        """Number of hypercube address bits consumed by each mesh dimension."""
-        return tuple(self._bits_per_dim)
-
     def _map_coords(self, coords: Sequence[int]) -> Node:
         bits: List[int] = []
         for value, width in zip(coords, self._bits_per_dim):
             code = gray_code(value)
             bits.extend((code >> b) & 1 for b in range(width))
         return tuple(bits)
-
-    def inverse(self, node: Sequence[int]) -> Node:
-        """Mesh coordinates of a hypercube node produced by :meth:`map_node`.
-
-        Raises
-        ------
-        InvalidParameterError
-            If the decoded coordinates fall outside the mesh (the hypercube
-            has spare nodes whenever a side is not a power of two).
-        """
-        node = self.host.validate_node(tuple(node))
-        coords: List[int] = []
-        cursor = 0
-        for width, side in zip(self._bits_per_dim, self.guest.sides):  # type: ignore[attr-defined]
-            code = 0
-            for b in range(width):
-                code |= node[cursor + b] << b
-            cursor += width
-            value = gray_code_rank(code)
-            if value >= side:
-                raise InvalidParameterError(
-                    f"hypercube node {node!r} is not the image of any mesh node"
-                )
-            coords.append(value)
-        return tuple(coords)

@@ -31,7 +31,7 @@ canonical 1- or 3-hop path of Lemma 2's proof is used
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.embedding.base import Embedding
 from repro.exceptions import InvalidNodeError, InvalidParameterError
@@ -316,11 +316,6 @@ class MeshToStarEmbedding(Embedding):
             setattr(self, "_cached_rank_vertex_map", cached)
         return cached
 
-    def inverse(self, perm: Sequence[int]) -> Node:
-        """Mesh coordinates of the star node *perm* (``CONVERT-S-D``)."""
-        perm = self.host.validate_node(tuple(perm))
-        return convert_s_d(perm, self._n)
-
     def _edge_path(self, u: Node, v: Node) -> List[Node]:
         from repro.embedding.paths import mesh_edge_path
 
@@ -338,7 +333,3 @@ class MeshToStarEmbedding(Embedding):
         index, delta = diffs[0]
         dimension = self._n - 1 - index
         return mesh_neighbor_transposition(u, self._n, dimension, delta)
-
-    def mapping_table(self) -> Dict[Node, Node]:
-        """The complete vertex map, ordered like the paper's Figure 7 for ``n = 4``."""
-        return self.vertex_images()

@@ -97,21 +97,6 @@ class EmbeddingMetrics:
     max_load: int
     edge_length_histogram: Dict[int, int] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view, convenient for table rendering and JSON dumps."""
-        return {
-            "name": self.name,
-            "guest_nodes": self.guest_nodes,
-            "host_nodes": self.host_nodes,
-            "guest_edges": self.guest_edges,
-            "expansion": self.expansion,
-            "dilation": self.dilation,
-            "shortest_path_dilation": self.shortest_path_dilation,
-            "average_dilation": self.average_dilation,
-            "congestion": self.congestion,
-            "max_load": self.max_load,
-            "edge_length_histogram": dict(self.edge_length_histogram),
-        }
 
 
 def expansion(embedding: Embedding) -> float:

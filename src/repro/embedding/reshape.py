@@ -22,7 +22,7 @@ the tests (bijectivity, dilation 1) and measured by the embedding metrics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.embedding.base import Embedding
 from repro.embedding.metrics import measure_embedding

@@ -208,16 +208,6 @@ class UniformMeshSimulation:
         self._uniform_radix = MixedRadix(sides)
         self._target_radix = MixedRadix(target.sides)
 
-    @property
-    def uniform_mesh(self) -> Mesh:
-        """The guest uniform mesh ``U``."""
-        return self._uniform
-
-    @property
-    def target_mesh(self) -> Mesh:
-        """The host mesh (``D_n`` or an Appendix factorisation)."""
-        return self._target
-
     def map_node(self, coords: Sequence[int]) -> Node:
         """Target-mesh node hosting the uniform-mesh node *coords*."""
         coords = self._uniform.validate_node(tuple(coords))

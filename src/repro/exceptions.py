@@ -24,7 +24,6 @@ __all__ = [
     "ProgramError",
     "ArtifactError",
     "ArtifactCorruptError",
-    "ShardFailedError",
     "TraceError",
 ]
 
@@ -123,13 +122,3 @@ class TraceError(ReproError):
     so ``repro-star trace summarize`` reports it as one readable line.
     """
 
-
-class ShardFailedError(ReproError):
-    """A shard exhausted its retry budget during a sharded run.
-
-    The crash-tolerant runner (:func:`repro.experiments.runner.run_shards`)
-    never raises this itself -- failed shards are reported through
-    :attr:`~repro.experiments.runner.RunReport.failed` so partial results
-    survive; it exists for callers that want to escalate a failed report into
-    an exception (e.g. ``RunReport.raise_failures()``).
-    """

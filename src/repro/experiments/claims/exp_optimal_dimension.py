@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.optimal_dimension import appendix_cost, optimal_dimension_table
-from repro.embedding.uniform import factorise_paper_mesh, optimal_simulation_dimension
+from repro.embedding.uniform import factorise_paper_mesh
 from repro.experiments.report import ExperimentResult
 from repro.experiments.schemas import SCHEMAS
 

@@ -78,7 +78,6 @@ from repro.exceptions import (
     ArtifactCorruptError,
     ArtifactError,
     InvalidParameterError,
-    ShardFailedError,
 )
 from repro.experiments.artifacts import (
     ArtifactStore,
@@ -349,18 +348,6 @@ class RunReport:
         """True when no shard failed permanently."""
         return not self.failed
 
-    def raise_failures(self) -> None:
-        """Raise :class:`~repro.exceptions.ShardFailedError` if any shard failed."""
-        if self.failed:
-            summary = "; ".join(
-                f"{failure.shard.experiment_id}/{failure.shard.profile} "
-                f"after {failure.attempts} attempt(s): {failure.error}"
-                for failure in self.failed
-            )
-            raise ShardFailedError(
-                f"{len(self.failed)} of {len(self.shards)} shard(s) failed: {summary}"
-            )
-
 
 @dataclass
 class _Work:
@@ -430,7 +417,7 @@ def run_shards(
         Records aligned with the input shard order regardless of completion
         order, plus executed/cached key lists, permanent failures and total
         wall-clock.  The call does not raise on shard failure -- check
-        :attr:`RunReport.failed` (or call :meth:`RunReport.raise_failures`).
+        :attr:`RunReport.failed`.
 
     Raises
     ------

@@ -3,30 +3,28 @@
 Star-graph nodes *are* permutations of ``0..n-1``; this subpackage provides
 
 * :class:`~repro.permutations.permutation.Permutation` -- an immutable
-  permutation value type with composition, inversion, cycle structure and the
+  permutation value type with composition, cycle structure, inversions and the
   symbol/position transpositions the paper's lemmas are phrased in terms of;
 * ranking/unranking between permutations and integers ``0..n!-1`` using the
   Lehmer code (factorial number system), used to give every star-graph node a
   dense integer id for the SIMD simulator;
-* generator utilities for the star graph (the permutations reachable by
-  swapping the first symbol with the symbol at position ``i``).
+* the star graph's generator move (swap the first symbol with the symbol at
+  position ``i``) and Lemma 2's decomposition of a symbol transposition into
+  generator moves.
 
 Throughout the package permutations are written *symbol-sequence first*, i.e.
 ``(a_{n-1}, a_{n-2}, ..., a_1, a_0)`` exactly like the paper writes
 ``a_{n-1} a_{n-2} ... a_1 a_0``; index ``0`` of the Python tuple is the paper's
-*leftmost* (most significant) symbol ``a_{n-1}``.  The helper
-:func:`~repro.permutations.permutation.position_from_left` documents the
-correspondence.
+*leftmost* (most significant) symbol ``a_{n-1}``, so the paper's position
+``i`` (counted from the right) is tuple index ``n - 1 - i``.
 """
 
 from repro.permutations.permutation import (
     Permutation,
     identity_permutation,
     is_permutation,
-    random_permutation,
     swap_positions,
     swap_symbols,
-    position_from_left,
 )
 from repro.permutations.ranking import (
     factorials,
@@ -41,8 +39,6 @@ from repro.permutations.ranking import (
     ranks_of,
 )
 from repro.permutations.generators import (
-    star_generator,
-    star_neighbors,
     apply_star_generator,
     transposition_to_star_routes,
 )
@@ -51,10 +47,8 @@ __all__ = [
     "Permutation",
     "identity_permutation",
     "is_permutation",
-    "random_permutation",
     "swap_positions",
     "swap_symbols",
-    "position_from_left",
     "factorials",
     "inversion_count",
     "lehmer_code",
@@ -65,8 +59,6 @@ __all__ = [
     "all_permutations",
     "all_permutations_array",
     "ranks_of",
-    "star_generator",
-    "star_neighbors",
     "apply_star_generator",
     "transposition_to_star_routes",
 ]

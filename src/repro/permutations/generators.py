@@ -3,10 +3,10 @@
 The star graph ``S_n`` connects permutation ``pi`` to the ``n - 1``
 permutations obtained by exchanging the symbol at tuple position ``0`` (the
 paper's leftmost symbol ``a_{n-1}``) with the symbol at tuple position ``j``
-for ``j = 1 .. n-1``.  This module provides those generator moves as pure
-functions on plain tuples -- the hot path of the topology and simulator layers
--- plus the decomposition of an arbitrary *symbol* transposition into 1 or 3
-generator moves (the constructive content of the paper's Lemma 2).
+for ``j = 1 .. n-1``.  This module provides that generator move as a pure
+function on plain tuples, plus the decomposition of an arbitrary *symbol*
+transposition into 1 or 3 generator moves (the constructive content of the
+paper's Lemma 2).
 """
 
 from __future__ import annotations
@@ -17,27 +17,9 @@ from repro.exceptions import InvalidParameterError
 from repro.permutations.permutation import is_permutation
 
 __all__ = [
-    "star_generator",
     "apply_star_generator",
-    "star_neighbors",
     "transposition_to_star_routes",
 ]
-
-
-def star_generator(n: int, j: int) -> Tuple[int, ...]:
-    """The generator permutation ``g_j`` of ``S_n`` as a position map.
-
-    ``g_j`` exchanges tuple positions 0 and ``j`` and fixes everything else.
-    Applying it to a node with :func:`apply_star_generator` is equivalent to
-    composing on the right with this permutation.
-    """
-    if n < 2:
-        raise InvalidParameterError(f"star generators need degree >= 2, got {n}")
-    if not (1 <= j <= n - 1):
-        raise InvalidParameterError(f"generator index must be in [1, {n - 1}], got {j}")
-    values = list(range(n))
-    values[0], values[j] = values[j], values[0]
-    return tuple(values)
 
 
 def apply_star_generator(node: Sequence[int], j: int) -> Tuple[int, ...]:
@@ -53,20 +35,6 @@ def apply_star_generator(node: Sequence[int], j: int) -> Tuple[int, ...]:
     values = list(node)
     values[0], values[j] = values[j], values[0]
     return tuple(values)
-
-
-def star_neighbors(node: Sequence[int]) -> List[Tuple[int, ...]]:
-    """All ``n - 1`` star-graph neighbours of *node* (generator order g_1..g_{n-1})."""
-    node = tuple(node)
-    n = len(node)
-    if n < 2:
-        raise InvalidParameterError("star graph needs degree >= 2")
-    neighbors = []
-    for j in range(1, n):
-        values = list(node)
-        values[0], values[j] = values[j], values[0]
-        neighbors.append(tuple(values))
-    return neighbors
 
 
 def transposition_to_star_routes(node: Sequence[int], a: int, b: int) -> List[Tuple[int, ...]]:

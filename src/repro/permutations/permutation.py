@@ -11,8 +11,8 @@ The paper writes star-graph nodes as symbol strings
 (position 0 is the rightmost symbol).  The correspondence with the tuple used
 here is simply left-to-right reading order: tuple position ``0`` holds the
 paper's leftmost symbol ``a_{n-1}`` and tuple position ``n-1-i`` holds the
-paper's symbol ``a_i``.  :func:`position_from_left` converts a paper position
-into a tuple index so code that quotes the paper can stay literal.
+paper's symbol ``a_i``: the paper's position ``i`` lives at tuple index
+``n - 1 - i``.
 
 Functionally a permutation ``p`` is the map *position -> symbol*:
 ``p(i) = p[i]``.  Composition follows the usual convention
@@ -21,8 +21,7 @@ Functionally a permutation ``p`` is the map *position -> symbol*:
 
 from __future__ import annotations
 
-import random as _random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError, InvalidPermutationError
 
@@ -30,10 +29,8 @@ __all__ = [
     "Permutation",
     "identity_permutation",
     "is_permutation",
-    "random_permutation",
     "swap_positions",
     "swap_symbols",
-    "position_from_left",
 ]
 
 
@@ -59,21 +56,6 @@ def _validate(values: Sequence[int]) -> Tuple[int, ...]:
     if not is_permutation(seq):
         raise InvalidPermutationError(f"{seq!r} is not a permutation of 0..{len(seq) - 1}")
     return seq
-
-
-def position_from_left(paper_position: int, n: int) -> int:
-    """Convert the paper's right-based position index into a tuple index.
-
-    The paper indexes symbols of ``a_{n-1} ... a_1 a_0`` by subscripts counted
-    from the right (``a_0`` is rightmost).  The tuple used by this package is
-    written left to right, so the paper's position ``i`` lives at tuple index
-    ``n - 1 - i``.
-    """
-    if not (0 <= paper_position < n):
-        raise InvalidParameterError(
-            f"paper position must be in [0, {n - 1}], got {paper_position}"
-        )
-    return n - 1 - paper_position
 
 
 def swap_positions(values: Sequence[int], i: int, j: int) -> Tuple[int, ...]:
@@ -129,29 +111,6 @@ class Permutation:
             raise InvalidParameterError(f"degree must be >= 1, got {n}")
         return cls(range(n))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build a permutation of degree *n* from disjoint cycles of positions.
-
-        Each cycle ``(c_0, c_1, ..., c_k)`` means the permutation maps
-        ``c_0 -> c_1 -> ... -> c_k -> c_0``.
-        """
-        mapping = list(range(n))
-        seen = set()
-        for cycle in cycles:
-            cyc = list(cycle)
-            for x in cyc:
-                if not (0 <= x < n):
-                    raise InvalidParameterError(f"cycle element {x} out of range")
-                if x in seen:
-                    raise InvalidParameterError(f"cycles are not disjoint at element {x}")
-                seen.add(x)
-            for idx, x in enumerate(cyc):
-                mapping[x] = cyc[(idx + 1) % len(cyc)]
-        # mapping is position -> image position; as a position->symbol tuple this is
-        # exactly the function table.
-        return cls(mapping)
-
     # ------------------------------------------------------------- container
     def __len__(self) -> int:
         return len(self._values)
@@ -191,13 +150,6 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
-
-    def inverse(self) -> "Permutation":
-        """The inverse permutation (symbol -> position map turned into a tuple)."""
-        inv = [0] * self.degree
-        for position, symbol in enumerate(self._values):
-            inv[symbol] = position
-        return Permutation(inv)
 
     def position_of(self, symbol: int) -> int:
         """Tuple index at which *symbol* occurs (the paper's ``pi[k]`` lookup)."""
@@ -239,10 +191,6 @@ class Permutation:
                 cycles.append(tuple(cycle))
         return cycles
 
-    def fixed_points(self) -> Tuple[int, ...]:
-        """Positions ``i`` with ``self(i) == i``."""
-        return tuple(i for i, v in enumerate(self._values) if i == v)
-
     def num_inversions(self) -> int:
         """Number of inversions (pairs ``i < j`` with ``self[i] > self[j]``).
 
@@ -259,28 +207,6 @@ class Permutation:
         """0 for even permutations, 1 for odd permutations."""
         return self.num_inversions() % 2
 
-    def is_identity(self) -> bool:
-        """True if this is the identity permutation."""
-        return all(i == v for i, v in enumerate(self._values))
-
-    # -------------------------------------------------------------- distances
-    def star_distance_to_identity(self) -> int:
-        """Minimum number of star-graph generator moves that sort the permutation.
-
-        A generator move exchanges the symbol at tuple position 0 with the
-        symbol at some other position.  The closed form (Akers &
-        Krishnamurthy) follows from the cycle structure: a non-trivial cycle
-        through position 0 of length ``l`` costs ``l - 1`` moves, every other
-        non-trivial cycle of length ``l`` costs ``l + 1`` moves.
-        """
-        total = 0
-        for cycle in self.cycles():
-            if 0 in cycle:
-                total += len(cycle) - 1
-            else:
-                total += len(cycle) + 1
-        return total
-
 
 def identity_permutation(n: int) -> Tuple[int, ...]:
     """The identity permutation as a plain tuple ``(0, 1, ..., n-1)``."""
@@ -288,12 +214,3 @@ def identity_permutation(n: int) -> Tuple[int, ...]:
         raise InvalidParameterError(f"degree must be >= 1, got {n}")
     return tuple(range(n))
 
-
-def random_permutation(n: int, rng: Optional[_random.Random] = None) -> Tuple[int, ...]:
-    """A uniformly random permutation of ``0..n-1`` as a plain tuple."""
-    if n < 1:
-        raise InvalidParameterError(f"degree must be >= 1, got {n}")
-    generator = rng if rng is not None else _random
-    values = list(range(n))
-    generator.shuffle(values)
-    return tuple(values)

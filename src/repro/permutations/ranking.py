@@ -253,8 +253,11 @@ def permutation_unrank(rank: int, n: int) -> Tuple[int, ...]:
     >>> permutation_unrank(5, 3)
     (2, 1, 0)
     """
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        raise InvalidParameterError("rank must be an int")
+    # A plain int (never a bool) skips the array-based rule: one call per ball.
+    if type(rank) is not int:
+        if _np.ndim(rank) or not _integral(rank):
+            raise InvalidParameterError("rank must be an int")
+        rank = int(rank)
     if n < 1:
         raise InvalidParameterError(f"degree must be >= 1, got {n}")
     fact = factorials(n)
@@ -534,10 +537,9 @@ def _check_rank_array(ranks, n: int, caller: str):
         raise InvalidParameterError(f"{caller} expects a 1-D rank array")
     if not array.size:
         return array.astype(_np.int64)
-    if not _integral(array):
-        raise InvalidParameterError(
-            f"{caller} expects integer ranks, got {array.dtype} entries"
-        )
+    if not _integral(ranks):
+        kind = "bool" if array.dtype.kind in "iu" else str(array.dtype)
+        raise InvalidParameterError(f"{caller} expects integer ranks, got {kind} entries")
     total = factorials(n)[n]
     if not (int(array.min()) >= 0 and int(array.max()) < total):
         raise InvalidParameterError(f"ranks must be in [0, {total})")
@@ -545,12 +547,19 @@ def _check_rank_array(ranks, n: int, caller: str):
 
 
 def _integral(values) -> bool:
-    """True when *values* -- a scalar or an array -- holds integers only.
+    """True when *values* -- a scalar, a sequence or an array -- holds integers only.
 
     Python and NumPy integers pass; bools, floats (even whole ones),
     complex numbers and every other object do not.  The one integrality
-    rule of the rank and node-index checks.
+    rule of the rank and node-index checks.  Pass the caller's input, not
+    an array made from it: NumPy turns ``[True, 5]`` into ``int64``, so the
+    elements of anything but an ndarray are checked for bools first.
     """
+    if not isinstance(values, _np.ndarray) and any(
+        isinstance(value, (bool, _np.bool_))
+        for value in _np.asarray(values, dtype=object).flat
+    ):
+        return False
     array = _np.asarray(values)
     return array.dtype.kind in "iu" or (
         array.dtype.kind == "O"

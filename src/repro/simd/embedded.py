@@ -26,7 +26,7 @@ actually executed; Theorem 6 asserts ``star <= 3 * mesh``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.exceptions import InvalidParameterError

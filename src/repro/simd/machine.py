@@ -466,10 +466,6 @@ class SIMDMachine:
         return len(steps)
 
     # --------------------------------------------------------------- utilities
-    def gather(self, register: str) -> Dict[Node, object]:
-        """Alias of :meth:`read_register` (reads do not cost unit routes)."""
-        return self.read_register(register)
-
     def reset_stats(self) -> None:
         """Zero the ledger (register contents are preserved)."""
         self._stats.reset()

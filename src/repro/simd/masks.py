@@ -15,11 +15,9 @@ active node indices (:meth:`Mask.active_indices`), both computed lazily and
 cached.  The hot paths of the SIMD machines iterate these instead of calling a
 per-node predicate.
 
-Masks built from the *named constructors* -- :meth:`Mask.coordinate_parity`,
-:meth:`Mask.coordinate_equals`, :meth:`Mask.coordinate_less`,
-:meth:`Mask.coordinate_greater` -- also carry a hashable structural *key* (a
-mask **spec**, see below), are cached per ``(topology, key)``, and keep their
-keys under ``&``/``|``/``~``.  Kernels that pass these instead of opaque
+Masks built by :meth:`Mask.from_spec` also carry a hashable structural *key*
+(a mask **spec**, see below), are cached per ``(topology, key)``, and keep
+their keys under ``&``/``|``/``~``.  Kernels that pass these instead of opaque
 lambdas get cacheable masked routes and compiled route programs
 (:mod:`repro.simd.programs`).
 
@@ -245,11 +243,6 @@ class Mask:
         return cls.from_spec(topology, MASK_ALL)
 
     @classmethod
-    def none_active(cls, topology: Topology) -> "Mask":
-        """Mask selecting no PE."""
-        return cls.from_spec(topology, MASK_NONE)
-
-    @classmethod
     def from_predicate(cls, topology: Topology, predicate: Callable[[Node], bool]) -> "Mask":
         """Mask selecting the PEs whose node satisfies *predicate* (the paper's ``f(i) = y``)."""
         return cls(topology, {node: bool(predicate(node)) for node in topology.nodes()})
@@ -293,26 +286,6 @@ class Mask:
     ) -> "Mask":
         """Mask from dense boolean flags in canonical topology order."""
         return cls(topology, key=key, flags=flags)
-
-    @classmethod
-    def coordinate_parity(cls, topology: Topology, dim: int, parity: int) -> "Mask":
-        """PEs whose coordinate along *dim* has the given *parity* (0 or 1)."""
-        return cls.from_spec(topology, ("parity", dim, parity))
-
-    @classmethod
-    def coordinate_equals(cls, topology: Topology, dim: int, value: int) -> "Mask":
-        """PEs whose coordinate along *dim* equals *value*."""
-        return cls.from_spec(topology, ("eq", dim, value))
-
-    @classmethod
-    def coordinate_less(cls, topology: Topology, dim: int, bound: int) -> "Mask":
-        """PEs whose coordinate along *dim* is strictly below *bound*."""
-        return cls.from_spec(topology, ("lt", dim, bound))
-
-    @classmethod
-    def coordinate_greater(cls, topology: Topology, dim: int, bound: int) -> "Mask":
-        """PEs whose coordinate along *dim* is strictly above *bound*."""
-        return cls.from_spec(topology, ("gt", dim, bound))
 
     @classmethod
     def coerce(cls, topology: Topology, source: MaskSource) -> "Mask":
@@ -366,11 +339,6 @@ class Mask:
                 index for index, flag in enumerate(self.dense_flags()) if flag
             )
         return self._indices
-
-    def active_nodes(self) -> List[Node]:
-        """The selected nodes, in topology order."""
-        flags = self.dense_flags()
-        return [node for index, node in enumerate(self._topology.nodes()) if flags[index]]
 
     def count(self) -> int:
         """Number of selected nodes."""

@@ -104,23 +104,3 @@ class MeshMachine(SIMDMachine):
             label=label or f"dim{dim}{'+' if delta > 0 else '-'}",
             check_conflicts=False,
         )
-
-    def route_paper_dimension(
-        self,
-        source_register: str,
-        destination_register: str,
-        paper_dim: int,
-        delta: int,
-        *,
-        where: MaskSource = None,
-    ) -> None:
-        """Same as :meth:`route_dimension` but using the paper's 1-based dimension index."""
-        dim = self.mesh.coordinate_of_dimension(paper_dim)
-        self.route_dimension(
-            source_register,
-            destination_register,
-            dim,
-            delta,
-            where=where,
-            label=f"paper-dim{paper_dim}{'+' if delta > 0 else '-'}",
-        )

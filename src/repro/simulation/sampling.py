@@ -35,7 +35,6 @@ must bracket.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -390,11 +389,6 @@ class PancakeDistanceEstimate:
     diameter_lower_bound: int
     histogram: Dict[int, int] = field(hash=False)
     histogram_intervals: Dict[int, Tuple[float, float, float]] = field(hash=False)
-
-    @property
-    def truncated_fraction(self) -> float:
-        """Share of sampled pairs only bounded below, in ``[0, 1]``."""
-        return self.truncated / self.samples
 
     def brackets(self, exact_mean: float) -> bool:
         """True when the mean interval covers *exact_mean*.

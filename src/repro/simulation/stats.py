@@ -320,11 +320,6 @@ class RankInterval:
     rank_low: int
     rank_high: int
 
-    @property
-    def separated(self) -> bool:
-        """True when the interval pins a unique rank (no ties left)."""
-        return self.rank_low == self.rank_high
-
 
 def rank_intervals(
     estimates: Sequence[Tuple[float, float]],

@@ -315,8 +315,3 @@ class Topology(ABC):
                     distances[neighbor] = distances[current] + 1
                     queue.append(neighbor)
         return distances
-
-    # ------------------------------------------------------------------ misc
-    def adjacency_lists(self) -> Dict[Node, List[Node]]:
-        """The full adjacency structure as a dictionary (small topologies only)."""
-        return {node: self.neighbors(node) for node in self.nodes()}

@@ -13,7 +13,7 @@ differ in exactly one bit.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 

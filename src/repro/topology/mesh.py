@@ -14,9 +14,9 @@ Coordinate convention
 The tuple is written *most significant side first*: ``coords[0]`` ranges over
 ``sides[0]``.  For :func:`paper_mesh` the sides are ``(n, n-1, ..., 2)`` so
 ``coords[0]`` is the paper's ``d_{n-1}`` (the dimension of length ``n``) and
-``coords[-1]`` is the paper's ``d_1`` (the dimension of length 2).  Helper
-methods :meth:`Mesh.coordinate_of_dimension` / :meth:`Mesh.side_of_dimension`
-translate the paper's 1-based dimension index into a tuple index.
+``coords[-1]`` is the paper's ``d_1`` (the dimension of length 2).
+:meth:`Mesh.coordinate_of_dimension` translates the paper's 1-based
+dimension index into a tuple index.
 """
 
 from __future__ import annotations
@@ -247,10 +247,6 @@ class Mesh(Topology):
                 f"paper dimension must be in [1, {self.ndim}], got {paper_dim}"
             )
         return self.ndim - paper_dim
-
-    def side_of_dimension(self, paper_dim: int) -> int:
-        """Length ``l_i`` of the paper's 1-based dimension ``i``."""
-        return self._sides[self.coordinate_of_dimension(paper_dim)]
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:

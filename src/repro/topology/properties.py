@@ -18,7 +18,7 @@ references (``connectivity_after_faults_reference``,
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as _np
 

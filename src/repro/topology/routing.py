@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as _np
 
@@ -940,11 +940,13 @@ def bounded_bfs_ball(
         raise InvalidParameterError(
             f"origin index {origin_index!r} outside [0, {num_nodes})"
         )
-    excluded = _np.asarray([] if excluded is None else excluded)
+    requested = [] if excluded is None else excluded
+    excluded = _np.asarray(requested)
     if excluded.size:
-        if not _integral(excluded):
+        if not _integral(requested):
+            kind = "bool" if excluded.dtype.kind in "iu" else str(excluded.dtype)
             raise InvalidParameterError(
-                f"excluded node indices must be integers, got {excluded.dtype} entries"
+                f"excluded node indices must be integers, got {kind} entries"
             )
         if not (0 <= excluded.min() and excluded.max() < num_nodes):
             raise InvalidParameterError(

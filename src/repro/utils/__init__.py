@@ -1,5 +1,12 @@
 """Small generic helpers shared across the :mod:`repro` package.
 
+* :mod:`~repro.utils.validation` -- the eager argument checks every public
+  constructor runs (``check_positive_int``, ``check_in_range``,
+  ``check_sequence_of_ints``);
+* :mod:`~repro.utils.mixed_radix` -- :class:`MixedRadix` codes and
+  ``iter_mixed_radix``, the index spaces of the paper's meshes;
+* :mod:`~repro.utils.itertools_ext` -- ``pairwise``, ``first`` and ``argmax``.
+
 The helpers are intentionally dependency-free (standard library only) so that
 the lowest layers of the library -- permutations and topologies -- do not pull
 in numpy/networkx unless the caller actually needs array output or graph
@@ -10,36 +17,24 @@ from repro.utils.validation import (
     check_positive_int,
     check_in_range,
     check_sequence_of_ints,
-    check_probability,
 )
 from repro.utils.mixed_radix import (
     MixedRadix,
-    mixed_radix_decode,
-    mixed_radix_encode,
     iter_mixed_radix,
 )
 from repro.utils.itertools_ext import (
     pairwise,
-    chunked,
     first,
-    product_of,
     argmax,
-    argmin,
 )
 
 __all__ = [
     "check_positive_int",
     "check_in_range",
     "check_sequence_of_ints",
-    "check_probability",
     "MixedRadix",
-    "mixed_radix_decode",
-    "mixed_radix_encode",
     "iter_mixed_radix",
     "pairwise",
-    "chunked",
     "first",
-    "product_of",
     "argmax",
-    "argmin",
 ]

@@ -7,10 +7,9 @@ Python 3.9 where :func:`itertools.pairwise` does not exist yet).
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["pairwise", "chunked", "first", "product_of", "argmax", "argmin"]
+__all__ = ["pairwise", "first", "argmax"]
 
 T = TypeVar("T")
 
@@ -31,34 +30,11 @@ def pairwise(iterable: Iterable[T]) -> Iterator[Tuple[T, T]]:
         previous = item
 
 
-def chunked(iterable: Iterable[T], size: int) -> Iterator[List[T]]:
-    """Yield lists of at most *size* consecutive items.
-
-    >>> list(chunked(range(5), 2))
-    [[0, 1], [2, 3], [4]]
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    chunk: List[T] = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def first(iterable: Iterable[T], default: Optional[T] = None) -> Optional[T]:
     """Return the first item of *iterable*, or *default* if it is empty."""
     for item in iterable:
         return item
     return default
-
-
-def product_of(values: Iterable[int]) -> int:
-    """Product of an iterable of ints (1 for the empty iterable)."""
-    return math.prod(values)
 
 
 def argmax(values: Sequence[T], key: Optional[Callable[[T], object]] = None) -> int:
@@ -75,17 +51,3 @@ def argmax(values: Sequence[T], key: Optional[Callable[[T], object]] = None) -> 
             best_index = index
     return best_index
 
-
-def argmin(values: Sequence[T], key: Optional[Callable[[T], object]] = None) -> int:
-    """Index of the minimum element (first one on ties)."""
-    if len(values) == 0:
-        raise ValueError("argmin of an empty sequence")
-    keyfn = key if key is not None else (lambda x: x)
-    best_index = 0
-    best_key = keyfn(values[0])
-    for index in range(1, len(values)):
-        candidate = keyfn(values[index])
-        if candidate < best_key:  # type: ignore[operator]
-            best_key = candidate
-            best_index = index
-    return best_index

@@ -22,8 +22,6 @@ from repro.utils.validation import check_sequence_of_ints
 
 __all__ = [
     "MixedRadix",
-    "mixed_radix_encode",
-    "mixed_radix_decode",
     "iter_mixed_radix",
 ]
 
@@ -131,16 +129,6 @@ class MixedRadix:
 
     def __hash__(self) -> int:
         return hash(("MixedRadix", self._radices))
-
-
-def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
-    """Functional form of :meth:`MixedRadix.encode`."""
-    return MixedRadix(radices).encode(digits)
-
-
-def mixed_radix_decode(value: int, radices: Sequence[int]) -> Tuple[int, ...]:
-    """Functional form of :meth:`MixedRadix.decode`."""
-    return MixedRadix(radices).decode(value)
 
 
 def iter_mixed_radix(radices: Sequence[int]) -> Iterator[Tuple[int, ...]]:

@@ -16,7 +16,6 @@ __all__ = [
     "check_positive_int",
     "check_in_range",
     "check_sequence_of_ints",
-    "check_probability",
 ]
 
 
@@ -73,13 +72,3 @@ def check_sequence_of_ints(values: Iterable[object], name: str) -> tuple:
             )
     return tuple(seq)  # type: ignore[return-value]
 
-
-def check_probability(value: float, name: str) -> float:
-    """Validate that *value* is a float-like number in ``[0, 1]``."""
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be a number in [0, 1]") from exc
-    if not (0.0 <= as_float <= 1.0):
-        raise InvalidParameterError(f"{name} must be in [0, 1], got {value}")
-    return as_float

@@ -1,11 +1,11 @@
-"""Unit tests for broadcast, reduction and allreduce kernels on both machine types."""
+"""Unit tests for broadcast and reduction kernels on both machine types."""
 
 import math
 
 import pytest
 
 from repro.algorithms.broadcast import mesh_broadcast, star_broadcast_bound, star_broadcast_greedy
-from repro.algorithms.reduction import mesh_allreduce, mesh_reduce
+from repro.algorithms.reduction import mesh_reduce
 from repro.exceptions import InvalidParameterError
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.mesh_machine import MeshMachine
@@ -118,17 +118,3 @@ class TestReduction:
         native.define_register("A", 1)
         mesh_reduce(native, "A", lambda a, b: a + b, result="sum")
         assert native.read_value("sum", (0, 0)) == 6
-
-    def test_allreduce_places_result_everywhere(self):
-        native, embedded = make_machines(4)
-        for machine in (native, embedded):
-            machine.define_register("A", 2)
-            total = mesh_allreduce(machine, "A", lambda a, b: a + b)
-            assert total == 48
-            assert all(v == 48 for v in machine.read_register("A_all").values())
-
-    def test_allreduce_theorem6_ratio(self):
-        _, embedded = make_machines(4)
-        embedded.define_register("A", 1)
-        mesh_allreduce(embedded, "A", lambda a, b: a + b)
-        assert embedded.star_stats.unit_routes <= 3 * embedded.stats.unit_routes

@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.algorithms import (
-    mesh_allreduce,
     mesh_broadcast,
     mesh_reduce,
     odd_even_transposition_sort,
@@ -254,17 +253,6 @@ class TestReductionParity:
         slow_value = reference.mesh_reduce(slow, "K", op)
         assert fast_value == slow_value
         assert_parity(fast, slow, ["K", "K_red"])
-
-    @pytest.mark.parametrize("n", [5])
-    @pytest.mark.parametrize("kind,factory", MACHINES)
-    def test_mesh_allreduce(self, kind, factory, n):
-        fast, slow = machine_pair(factory, n, seed=14)
-        op = lambda a, b: a + b  # noqa: E731
-        fast_value = mesh_allreduce(fast, "K", op)
-        slow_value = reference.mesh_allreduce(slow, "K", op)
-        assert fast_value == slow_value
-        assert_parity(fast, slow, ["K", "K_all"])
-        assert all(v == fast_value for v in fast.read_register("K_all").values())
 
 
 # --------------------------------------------------- native vs embedded data

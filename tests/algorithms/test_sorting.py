@@ -8,7 +8,6 @@ from repro.algorithms.sorting import (
     odd_even_transposition_sort,
     shearsort_2d,
     snake_order_rank,
-    sort_lines,
 )
 from repro.exceptions import InvalidParameterError
 from repro.simd.embedded import EmbeddedMeshMachine
@@ -56,7 +55,7 @@ class TestOddEvenTranspositionSort:
     def test_sorts_every_line_of_a_grid_in_parallel(self):
         machine = MeshMachine((3, 6))
         data = fill_random(machine, "K", seed=2)
-        sort_lines(machine, "K", dim=1)
+        odd_even_transposition_sort(machine, "K", dim=1)
         values = machine.read_register("K")
         for row in range(3):
             line = [values[(row, col)] for col in range(6)]

@@ -5,11 +5,9 @@ import math
 import pytest
 
 from repro.analysis.bounds import (
-    broadcast_bound,
     dilation_lower_bound_exists,
     hypercube_diameter,
     hypercube_num_nodes,
-    mesh_diameter,
     paper_mesh_max_degree,
     star_degree,
     star_diameter,
@@ -41,7 +39,6 @@ class TestBoundsAgainstEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_mesh_bounds_match_topology(self, n):
         mesh = paper_mesh(n)
-        assert mesh_diameter(mesh.sides) == mesh.diameter()
         assert paper_mesh_max_degree(n) == mesh.max_degree()
         assert paper_mesh_max_degree(n) == max(
             len(mesh.neighbors(node)) for node in mesh.nodes()
@@ -55,15 +52,9 @@ class TestBoundsAgainstEnumeration:
         assert not dilation_lower_bound_exists(3)
         assert not dilation_lower_bound_exists(10)
 
-    def test_broadcast_bound_positive_and_growing(self):
-        assert broadcast_bound(2) >= 0
-        assert broadcast_bound(8) > broadcast_bound(4) > broadcast_bound(3)
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             star_diameter(1)
-        with pytest.raises(InvalidParameterError):
-            broadcast_bound(1)
         with pytest.raises(InvalidParameterError):
             star_num_nodes(0)
 

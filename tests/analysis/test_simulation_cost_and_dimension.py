@@ -6,11 +6,10 @@ import pytest
 
 from repro.analysis.optimal_dimension import (
     appendix_cost,
-    appendix_side_lengths,
     optimal_dimension_table,
 )
 from repro.analysis.simulation_cost import sorting_cost_estimates, uniform_simulation_table
-from repro.embedding.uniform import factorise_paper_mesh, optimal_simulation_dimension
+from repro.embedding.uniform import optimal_simulation_dimension
 from repro.exceptions import InvalidParameterError
 
 
@@ -64,9 +63,6 @@ class TestSortingEstimates:
 
 
 class TestAppendixAnalysis:
-    def test_side_lengths_alias(self):
-        assert appendix_side_lengths(7, 3) == factorise_paper_mesh(7, 3)
-
     def test_cost_positive_and_dimension_dependent(self):
         costs = {d: appendix_cost(8, d) for d in range(1, 8)}
         assert all(cost > 0 for cost in costs.values())

@@ -31,10 +31,10 @@ class TestEmbeddingContainer:
         assert line_in_cube.map_node((2,)) == (1, 1)
         assert line_in_cube((0,)) == (0, 0)
 
-    def test_vertex_images_and_image_set(self, line_in_cube):
+    def test_vertex_images(self, line_in_cube):
         images = line_in_cube.vertex_images()
         assert len(images) == 4
-        assert line_in_cube.image_set() == {(0, 0), (1, 0), (1, 1), (0, 1)}
+        assert set(images.values()) == {(0, 0), (1, 0), (1, 1), (0, 1)}
 
     def test_map_edge_defaults_to_shortest_path(self, line_in_cube):
         path = line_in_cube.map_edge((0,), (1,))
@@ -129,7 +129,7 @@ class TestMetrics:
         assert metrics.congestion == congestion(line_in_cube)
         assert metrics.max_load == 1
         assert metrics.edge_length_histogram == {1: 3}
-        assert metrics.as_dict()["expansion"] == 1.0
+        assert metrics.expansion == 1.0
 
     def test_verify_embedding_dilation_bound_violation(self):
         guest = Mesh((2,))

@@ -6,7 +6,6 @@ from repro.exceptions import InvalidParameterError
 from repro.embedding.mesh_to_hypercube import (
     MeshToHypercubeEmbedding,
     gray_code,
-    gray_code_rank,
 )
 from repro.embedding.metrics import measure_embedding
 from repro.topology.mesh import Mesh, paper_mesh
@@ -20,21 +19,15 @@ class TestGrayCode:
         for i in range(255):
             assert bin(gray_code(i) ^ gray_code(i + 1)).count("1") == 1
 
-    def test_rank_inverts_code(self):
-        for i in range(256):
-            assert gray_code_rank(gray_code(i)) == i
-
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             gray_code(-1)
-        with pytest.raises(InvalidParameterError):
-            gray_code_rank(-1)
 
 
 class TestMeshToHypercubeEmbedding:
-    def test_bits_per_dimension(self):
+    def test_host_dimension_sums_the_bits_per_side(self):
+        # Sides 4, 3, 2 take 2, 2 and 1 address bits.
         embedding = MeshToHypercubeEmbedding(Mesh((4, 3, 2)))
-        assert embedding.bits_per_dimension == (2, 2, 1)
         assert embedding.host.n == 5
 
     def test_power_of_two_mesh_has_expansion_one(self):
@@ -54,20 +47,12 @@ class TestMeshToHypercubeEmbedding:
         images = set(embedding.vertex_images().values())
         assert len(images) == 24
 
-    def test_inverse(self):
-        embedding = MeshToHypercubeEmbedding(paper_mesh(4))
-        for coords in embedding.guest.nodes():
-            assert embedding.inverse(embedding.map_node(coords)) == coords
-
-    def test_inverse_rejects_unused_host_node(self):
+    def test_side_three_leaves_one_host_node_unused(self):
         embedding = MeshToHypercubeEmbedding(Mesh((3,)))
-        # Code for value 3 -> (0,1) reversed... the unused host node is the one whose
-        # Gray rank is 3, i.e. bits (0, 1) -> code 2 -> rank 3.
         used = set(embedding.vertex_images().values())
         unused = [node for node in embedding.host.nodes() if node not in used]
-        assert len(unused) == 1
-        with pytest.raises(InvalidParameterError):
-            embedding.inverse(unused[0])
+        # Gray code 2 (bits (0, 1)) would be the image of the missing value 3.
+        assert unused == [(0, 1)]
 
     def test_validates(self):
         MeshToHypercubeEmbedding(paper_mesh(4)).validate()
@@ -78,6 +63,6 @@ class TestMeshToHypercubeEmbedding:
 
     def test_degenerate_sides_of_length_one(self):
         embedding = MeshToHypercubeEmbedding(Mesh((1, 4)))
-        assert embedding.bits_per_dimension == (0, 2)
+        assert embedding.host.n == 2
         metrics = measure_embedding(embedding)
         assert metrics.dilation == 1

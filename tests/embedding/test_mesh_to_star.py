@@ -68,16 +68,8 @@ class TestEmbeddingObject:
             assert embedding4.map_node(coords) == expected
             assert embedding4(coords) == expected
 
-    def test_inverse(self, embedding4):
-        for coords in embedding4.guest.nodes():
-            assert embedding4.inverse(embedding4.map_node(coords)) == coords
-
-    def test_inverse_rejects_foreign_node(self, embedding4):
-        with pytest.raises(InvalidNodeError):
-            embedding4.inverse((0, 1, 2))
-
-    def test_mapping_table_is_complete_bijection(self, embedding4):
-        table = embedding4.mapping_table()
+    def test_vertex_map_is_complete_bijection(self, embedding4):
+        table = embedding4.vertex_images()
         assert len(table) == 24
         assert len(set(table.values())) == 24
 

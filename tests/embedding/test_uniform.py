@@ -12,7 +12,7 @@ from repro.embedding.uniform import (
     optimal_simulation_dimension,
     uniform_on_paper_mesh_slowdown,
 )
-from repro.topology.mesh import Mesh
+from repro.topology.mesh import Mesh, paper_mesh
 
 
 class TestFactorisePaperMesh:
@@ -106,8 +106,8 @@ class TestUniformMeshSimulation:
 
     def test_map_node_stays_in_target(self):
         sim = UniformMeshSimulation((3, 3, 3), n=4)
-        for coords in sim.uniform_mesh.nodes():
-            assert sim.target_mesh.is_node(sim.map_node(coords))
+        for coords in Mesh((3, 3, 3)).nodes():
+            assert paper_mesh(4).is_node(sim.map_node(coords))
 
     def test_load_balance(self):
         # 27 uniform nodes onto 24 target nodes: loads are 1 or 2.
@@ -125,7 +125,7 @@ class TestUniformMeshSimulation:
     def test_edge_stretch_bounded_by_target_diameter(self):
         sim = UniformMeshSimulation((3, 3, 3), n=4)
         metrics = sim.measure()
-        assert metrics.max_edge_distance <= sim.target_mesh.diameter()
+        assert metrics.max_edge_distance <= paper_mesh(4).diameter()
         assert metrics.average_edge_distance <= metrics.max_edge_distance
 
     @pytest.mark.parametrize(

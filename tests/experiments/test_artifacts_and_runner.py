@@ -18,7 +18,6 @@ from repro.exceptions import (
     ArtifactCorruptError,
     ArtifactError,
     InvalidParameterError,
-    ShardFailedError,
 )
 from repro.experiments.artifacts import (
     ArtifactSchema,
@@ -560,8 +559,6 @@ class TestRunnerRetries:
         # Siblings completed and persisted despite the failure.
         assert len(report.records) == len(CHEAP_IDS) - 1
         assert ("TAB1", "retry") in events and ("TAB1", "failed") in events
-        with pytest.raises(ShardFailedError, match="TAB1"):
-            report.raise_failures()
         # The failed shard left nothing behind; healing run completes it.
         monkeypatch.delenv("REPRO_CHAOS_FAIL")
         healed = run_shards(shards, store=store)

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.algorithms.broadcast import mesh_broadcast
-from repro.algorithms.reduction import mesh_allreduce
+from repro.algorithms.reduction import mesh_reduce
 from repro.algorithms.scan import prefix_sum_dimension
 from repro.algorithms.sorting import shearsort_2d, snake_order_rank
 from repro.embedding.metrics import measure_embedding
@@ -112,12 +112,12 @@ class TestFullSortPipeline:
 
 
 class TestCollectivePipelines:
-    def test_broadcast_then_allreduce_on_embedded_machine(self):
+    def test_broadcast_then_reduce_on_embedded_machine(self):
         machine = EmbeddedMeshMachine(4)
         machine.define_register("x", lambda node: node[0])
         mesh_broadcast(machine, (3, 2, 1), "x", result="seed")
         assert set(machine.read_register("seed").values()) == {3}
-        total = mesh_allreduce(machine, "seed", lambda a, b: a + b)
+        total = mesh_reduce(machine, "seed", lambda a, b: a + b)
         assert total == 3 * 24
         assert machine.star_stats.unit_routes <= 3 * machine.stats.unit_routes
 

@@ -7,27 +7,9 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.permutations.generators import (
     apply_star_generator,
-    star_generator,
-    star_neighbors,
     transposition_to_star_routes,
 )
 from repro.permutations.permutation import swap_symbols
-
-
-class TestStarGenerator:
-    def test_generator_swaps_front_with_j(self):
-        assert star_generator(4, 1) == (1, 0, 2, 3)
-        assert star_generator(4, 3) == (3, 1, 2, 0)
-
-    def test_generator_index_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            star_generator(4, 0)
-        with pytest.raises(InvalidParameterError):
-            star_generator(4, 4)
-
-    def test_degree_bound(self):
-        with pytest.raises(InvalidParameterError):
-            star_generator(1, 1)
 
 
 class TestApplyStarGenerator:
@@ -45,28 +27,6 @@ class TestApplyStarGenerator:
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidParameterError):
             apply_star_generator((0, 1, 2), 3)
-
-
-class TestStarNeighbors:
-    def test_count_is_degree(self):
-        assert len(star_neighbors((3, 2, 1, 0))) == 3
-
-    def test_all_distinct_and_adjacent(self):
-        node = (1, 3, 0, 2)
-        neighbors = star_neighbors(node)
-        assert len(set(neighbors)) == 3
-        for j, neighbor in enumerate(neighbors, start=1):
-            assert neighbor == apply_star_generator(node, j)
-
-    def test_neighbors_differ_from_node_in_two_positions(self):
-        node = (2, 0, 1, 3)
-        for neighbor in star_neighbors(node):
-            differing = [i for i in range(4) if node[i] != neighbor[i]]
-            assert len(differing) == 2 and 0 in differing
-
-    def test_rejects_degree_one(self):
-        with pytest.raises(InvalidParameterError):
-            star_neighbors((0,))
 
 
 class TestTranspositionRoutes:

@@ -159,6 +159,9 @@ NON_INTEGER_RANKS = {
     "integral float": [1.0, 2.0],
     "bool": [True, False],
     "bool array": np.array([True, False]),
+    # NumPy promotes these plain lists to int64; the bools must still be seen.
+    "bool among ints": [True, 5],
+    "numpy bool among ints": [5, np.bool_(True)],
     "complex": np.array([1 + 0j]),
     "object float": np.array([1, 2.5], dtype=object),
     "object bool": np.array([1, True], dtype=object),

@@ -88,6 +88,22 @@ class TestRankUnrank:
         with pytest.raises(InvalidParameterError):
             permutation_unrank(1.0, 3)
 
+    @pytest.mark.parametrize(
+        "integer",
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    def test_unrank_accepts_numpy_integers(self, integer):
+        # The same integrality rule as unrank_batch and bounded_bfs_ball.
+        for rank in (0, 3, 119):
+            assert permutation_unrank(integer(rank), 5) == permutation_unrank(rank, 5)
+
+    @pytest.mark.parametrize(
+        "rank", [True, np.bool_(True), np.float64(3), "3", [3], np.array([3])]
+    )
+    def test_unrank_rejects_bools_and_other_non_integers(self, rank):
+        with pytest.raises(InvalidParameterError, match="rank must be an int"):
+            permutation_unrank(rank, 5)
+
     def test_unrank_rejects_bad_degree(self):
         with pytest.raises(InvalidParameterError):
             permutation_unrank(0, 0)

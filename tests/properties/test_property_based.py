@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.embedding.mesh_to_star import convert_d_s, convert_s_d
 from repro.embedding.paths import transposition_path
-from repro.permutations.generators import star_neighbors
+from repro.permutations.generators import apply_star_generator
 from repro.permutations.permutation import Permutation, swap_symbols
 from repro.permutations.ranking import permutation_rank, permutation_unrank
 from repro.topology.routing import star_distance, star_route
@@ -66,11 +66,6 @@ class TestRankingProperties:
 # ------------------------------------------------------------------- permutations
 class TestPermutationAlgebraProperties:
     @given(perm=permutations_of_degree())
-    def test_inverse_composes_to_identity(self, perm):
-        p = Permutation(perm)
-        assert (p * p.inverse()).is_identity()
-
-    @given(perm=permutations_of_degree())
     def test_cycles_partition_non_fixed_points(self, perm):
         p = Permutation(perm)
         in_cycles = sorted(x for cycle in p.cycles() for x in cycle)
@@ -112,8 +107,8 @@ class TestStarDistanceProperties:
 
     @given(perm=permutations_of_degree(min_degree=3))
     def test_neighbors_at_distance_one(self, perm):
-        for neighbor in star_neighbors(perm):
-            assert star_distance(perm, neighbor) == 1
+        for j in range(1, len(perm)):
+            assert star_distance(perm, apply_star_generator(perm, j)) == 1
 
     @given(data=st.data(), n=st.integers(3, 7))
     def test_symmetry_and_diameter_bound(self, data, n):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import MaskError, ProgramError, RouteConflictError, SimulationError
 from repro.simd.machine import SIMDMachine
-from repro.simd.masks import Mask
+from repro.simd.masks import MASK_NONE, Mask
 from repro.topology.mesh import Mesh
 
 
@@ -182,7 +182,7 @@ class TestMask:
     def test_all_and_none(self, machine):
         topo = machine.topology
         assert Mask.all_active(topo).count() == 6
-        assert Mask.none_active(topo).count() == 0
+        assert Mask.from_spec(topo, MASK_NONE).count() == 0
 
     def test_from_nodes_and_predicate(self, machine):
         topo = machine.topology
@@ -211,9 +211,10 @@ class TestMask:
         existing = Mask.all_active(topo)
         assert Mask.coerce(topo, existing) is existing
 
-    def test_active_nodes_order(self, machine):
+    def test_active_indices_order(self, machine):
         mask = Mask.from_predicate(machine.topology, lambda node: node[0] == 2)
-        assert mask.active_nodes() == [(2, 0), (2, 1)]
+        nodes = [machine.topology.node_from_index(i) for i in mask.active_indices()]
+        assert nodes == [(2, 0), (2, 1)]
 
 
 class TestStats:

@@ -31,34 +31,32 @@ from repro.topology.mesh import Mesh
 
 # -------------------------------------------------------------------- masks
 class TestMaskFastRepresentation:
-    def test_named_constructors_carry_keys(self):
+    def test_spec_masks_carry_keys(self):
         mesh = Mesh((3, 4))
-        parity = Mask.coordinate_parity(mesh, 1, 0)
+        parity = Mask.from_spec(mesh, ("parity", 1, 0))
         assert parity.key == ("parity", 1, 0)
-        assert Mask.coordinate_equals(mesh, 0, 2).key == ("eq", 0, 2)
-        assert Mask.coordinate_less(mesh, 1, 3).key == ("lt", 1, 3)
-        assert Mask.coordinate_greater(mesh, 0, 0).key == ("gt", 0, 0)
+        assert Mask.from_spec(mesh, ("eq", 0, 2)).key == ("eq", 0, 2)
+        assert Mask.from_spec(mesh, ("lt", 1, 3)).key == ("lt", 1, 3)
+        assert Mask.from_spec(mesh, ("gt", 0, 0)).key == ("gt", 0, 0)
 
     def test_spec_masks_are_cached_and_shared(self):
         mesh = Mesh((3, 4))
-        assert Mask.coordinate_parity(mesh, 1, 0) is Mask.coordinate_parity(
-            Mesh((3, 4)), 1, 0
-        )
+        spec = ("parity", 1, 0)
+        assert Mask.from_spec(mesh, spec) is Mask.from_spec(Mesh((3, 4)), spec)
 
     def test_dense_flags_match_predicate(self):
         mesh = Mesh((3, 4))
-        mask = Mask.coordinate_parity(mesh, 1, 1)
+        mask = Mask.from_spec(mesh, ("parity", 1, 1))
         reference = Mask.from_predicate(mesh, lambda node: node[1] % 2 == 1)
         assert mask.dense_flags() == reference.dense_flags()
         assert mask.active_indices() == reference.active_indices()
         assert mask.count() == reference.count()
-        assert mask.active_nodes() == reference.active_nodes()
 
     def test_algebra_preserves_keys(self):
         mesh = Mesh((4, 2))
-        low = Mask.coordinate_parity(mesh, 0, 0) & Mask.coordinate_less(mesh, 0, 3)
+        low = Mask.from_spec(mesh, ("parity", 0, 0)) & Mask.from_spec(mesh, ("lt", 0, 3))
         assert low.key == ("and", ("parity", 0, 0), ("lt", 0, 3))
-        assert (~Mask.coordinate_parity(mesh, 0, 0)).key == ("not", ("parity", 0, 0))
+        assert (~Mask.from_spec(mesh, ("parity", 0, 0))).key == ("not", ("parity", 0, 0))
         assert (low | Mask.all_active(mesh)).key == MASK_ALL
 
     def test_predicate_masks_have_no_key(self):
@@ -90,7 +88,7 @@ class TestMaskFastRepresentation:
 
     def test_is_active_facade_still_works(self):
         mesh = Mesh((2, 3))
-        mask = Mask.coordinate_equals(mesh, 1, 2)
+        mask = Mask.from_spec(mesh, ("eq", 1, 2))
         assert mask.is_active((0, 2)) and not mask.is_active((1, 1))
         with pytest.raises(MaskError):
             mask.is_active((9, 9))

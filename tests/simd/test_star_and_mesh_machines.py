@@ -105,12 +105,12 @@ class TestMeshMachine:
         with pytest.raises(InvalidParameterError):
             machine.route_dimension("A", "B", 5, 1)
 
-    def test_route_paper_dimension(self):
+    def test_route_along_paper_dimension(self):
         machine = MeshMachine((4, 3, 2))
         machine.define_register("A", lambda node: node)
         machine.define_register("B", None)
         # Paper dimension 1 is the length-2 dimension = tuple index 2.
-        machine.route_paper_dimension("A", "B", 1, +1)
+        machine.route_dimension("A", "B", 2, +1)
         assert machine.read_value("B", (0, 0, 1)) == (0, 0, 0)
         assert machine.read_value("B", (0, 0, 0)) is None
 

@@ -581,6 +581,9 @@ class TestInputChecks:
             np.array([True]),
             np.array([5, True], dtype=object),
             np.array([1, 2.5], dtype=object),
+            # NumPy promotes these plain lists to int64; the bools must still be seen.
+            [True, 5],
+            [5, np.bool_(True)],
         ],
     )
     def test_non_integer_exclusions_raise(self, kind, excluded):

@@ -76,9 +76,9 @@ class TestBaseDefaults:
         with pytest.raises(InvalidNodeError):
             ring.node_from_index(4)
 
-    def test_adjacency_lists(self):
+    def test_every_ring_node_has_two_neighbors(self):
         ring = RingTopology(3)
-        adjacency = ring.adjacency_lists()
+        adjacency = {node: ring.neighbors(node) for node in ring.nodes()}
         assert set(adjacency) == {(0,), (1,), (2,)}
         assert all(len(v) == 2 for v in adjacency.values())
 

@@ -53,9 +53,9 @@ class TestPaperMesh:
     def test_dimension_index_helpers(self, mesh_d4):
         # Paper dimension 1 has length 2 and is the last tuple coordinate.
         assert mesh_d4.coordinate_of_dimension(1) == 2
-        assert mesh_d4.side_of_dimension(1) == 2
+        assert mesh_d4.sides[mesh_d4.coordinate_of_dimension(1)] == 2
         assert mesh_d4.coordinate_of_dimension(3) == 0
-        assert mesh_d4.side_of_dimension(3) == 4
+        assert mesh_d4.sides[mesh_d4.coordinate_of_dimension(3)] == 4
         with pytest.raises(InvalidParameterError):
             mesh_d4.coordinate_of_dimension(4)
 

@@ -5,7 +5,7 @@ from itertools import permutations as itertools_permutations
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.permutations.generators import star_neighbors
+from repro.permutations.generators import apply_star_generator
 from repro.topology.routing import (
     hypercube_distance,
     hypercube_route,
@@ -23,8 +23,8 @@ class TestStarDistance:
 
     def test_generator_neighbors_at_distance_one(self):
         node = (2, 0, 3, 1)
-        for neighbor in star_neighbors(node):
-            assert star_distance(node, neighbor) == 1
+        for j in range(1, len(node)):
+            assert star_distance(node, apply_star_generator(node, j)) == 1
 
     def test_symbol_transposition_distances(self):
         # Swap not involving the front symbol: distance 3 (Lemma 2).

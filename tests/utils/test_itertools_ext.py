@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.itertools_ext import argmax, argmin, chunked, first, pairwise, product_of
+from repro.utils.itertools_ext import argmax, first, pairwise
 
 
 class TestPairwise:
@@ -17,21 +17,6 @@ class TestPairwise:
         assert list(pairwise(iter("abc"))) == [("a", "b"), ("b", "c")]
 
 
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked(range(6), 3)) == [[0, 1, 2], [3, 4, 5]]
-
-    def test_ragged_tail(self):
-        assert list(chunked(range(5), 2)) == [[0, 1], [2, 3], [4]]
-
-    def test_size_one(self):
-        assert list(chunked("ab", 1)) == [["a"], ["b"]]
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(range(3), 0))
-
-
 class TestFirst:
     def test_returns_first(self):
         assert first([3, 2, 1]) == 3
@@ -41,15 +26,7 @@ class TestFirst:
         assert first([]) is None
 
 
-class TestProductOf:
-    def test_product(self):
-        assert product_of([2, 3, 4]) == 24
-
-    def test_empty_is_one(self):
-        assert product_of([]) == 1
-
-
-class TestArgminArgmax:
+class TestArgmax:
     def test_argmax_basic(self):
         assert argmax([1, 5, 3]) == 1
 
@@ -59,14 +36,6 @@ class TestArgminArgmax:
     def test_argmax_with_key(self):
         assert argmax(["a", "bbb", "cc"], key=len) == 1
 
-    def test_argmin_basic(self):
-        assert argmin([4, 2, 9]) == 1
-
-    def test_argmin_with_key(self):
-        assert argmin(["aaa", "b", "cc"], key=len) == 1
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             argmax([])
-        with pytest.raises(ValueError):
-            argmin([])

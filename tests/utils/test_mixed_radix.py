@@ -5,12 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.mixed_radix import (
-    MixedRadix,
-    iter_mixed_radix,
-    mixed_radix_decode,
-    mixed_radix_encode,
-)
+from repro.utils.mixed_radix import MixedRadix, iter_mixed_radix
 
 
 class TestMixedRadixBasics:
@@ -78,10 +73,6 @@ class TestEncodeDecode:
     def test_decode_rejects_non_int(self):
         with pytest.raises(InvalidParameterError):
             MixedRadix((4, 3)).decode(1.5)
-
-    def test_functional_forms_match_class(self):
-        assert mixed_radix_encode((1, 2, 1), (4, 3, 2)) == MixedRadix((4, 3, 2)).encode((1, 2, 1))
-        assert mixed_radix_decode(11, (4, 3, 2)) == MixedRadix((4, 3, 2)).decode(11)
 
 
 class TestIteration:

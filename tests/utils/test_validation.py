@@ -6,7 +6,6 @@ from repro.exceptions import InvalidParameterError
 from repro.utils.validation import (
     check_in_range,
     check_positive_int,
-    check_probability,
     check_sequence_of_ints,
 )
 
@@ -73,19 +72,3 @@ class TestCheckSequenceOfInts:
         with pytest.raises(InvalidParameterError):
             check_sequence_of_ints([1, True], "x")
 
-
-class TestCheckProbability:
-    def test_accepts_bounds(self):
-        assert check_probability(0, "p") == 0.0
-        assert check_probability(1, "p") == 1.0
-        assert check_probability(0.5, "p") == 0.5
-
-    def test_rejects_outside(self):
-        with pytest.raises(InvalidParameterError):
-            check_probability(1.5, "p")
-        with pytest.raises(InvalidParameterError):
-            check_probability(-0.1, "p")
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(InvalidParameterError):
-            check_probability("high", "p")
