@@ -3,8 +3,9 @@
 Star-graph nodes *are* permutations of ``0..n-1``; this subpackage provides
 
 * :class:`~repro.permutations.permutation.Permutation` -- an immutable
-  permutation value type with composition, cycle structure, inversions and the
-  symbol/position transpositions the paper's lemmas are phrased in terms of;
+  permutation value type with inversions and parity (the module-level
+  :func:`~repro.permutations.permutation.swap_symbols` is the symbol
+  transposition the paper's lemmas are phrased in terms of);
 * ranking/unranking between permutations and integers ``0..n!-1`` using the
   Lehmer code (factorial number system), used to give every star-graph node a
   dense integer id for the SIMD simulator;
@@ -23,7 +24,6 @@ from repro.permutations.permutation import (
     Permutation,
     identity_permutation,
     is_permutation,
-    swap_positions,
     swap_symbols,
 )
 from repro.permutations.ranking import (
@@ -47,7 +47,6 @@ __all__ = [
     "Permutation",
     "identity_permutation",
     "is_permutation",
-    "swap_positions",
     "swap_symbols",
     "factorials",
     "inversion_count",

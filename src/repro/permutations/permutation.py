@@ -15,13 +15,12 @@ paper's symbol ``a_i``: the paper's position ``i`` lives at tuple index
 ``n - 1 - i``.
 
 Functionally a permutation ``p`` is the map *position -> symbol*:
-``p(i) = p[i]``.  Composition follows the usual convention
-``(p * q)(i) = p(q(i))``.
+``p(i) = p[i]``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError, InvalidPermutationError
 
@@ -29,7 +28,6 @@ __all__ = [
     "Permutation",
     "identity_permutation",
     "is_permutation",
-    "swap_positions",
     "swap_symbols",
 ]
 
@@ -56,16 +54,6 @@ def _validate(values: Sequence[int]) -> Tuple[int, ...]:
     if not is_permutation(seq):
         raise InvalidPermutationError(f"{seq!r} is not a permutation of 0..{len(seq) - 1}")
     return seq
-
-
-def swap_positions(values: Sequence[int], i: int, j: int) -> Tuple[int, ...]:
-    """Return a copy of *values* with the entries at tuple indices *i*, *j* swapped."""
-    seq = list(values)
-    n = len(seq)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidParameterError(f"positions ({i}, {j}) out of range for length {n}")
-    seq[i], seq[j] = seq[j], seq[i]
-    return tuple(seq)
 
 
 def swap_symbols(values: Sequence[int], a: int, b: int) -> Tuple[int, ...]:
@@ -104,13 +92,6 @@ class Permutation:
         """Number of symbols ``n``."""
         return len(self._values)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        """The identity permutation ``(0, 1, ..., n-1)``."""
-        if n < 1:
-            raise InvalidParameterError(f"degree must be >= 1, got {n}")
-        return cls(range(n))
-
     # ------------------------------------------------------------- container
     def __len__(self) -> int:
         return len(self._values)
@@ -141,56 +122,7 @@ class Permutation:
     def __str__(self) -> str:
         return " ".join(str(v) for v in self._values)
 
-    # ---------------------------------------------------------------- algebra
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return ``self * other`` with ``(self * other)(i) = self(other(i))``."""
-        if self.degree != other.degree:
-            raise InvalidParameterError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self._values[other._values[i]] for i in range(self.degree)))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
-
-    def position_of(self, symbol: int) -> int:
-        """Tuple index at which *symbol* occurs (the paper's ``pi[k]`` lookup)."""
-        try:
-            return self._values.index(symbol)
-        except ValueError as exc:
-            raise InvalidParameterError(f"symbol {symbol} not in permutation") from exc
-
-    # ----------------------------------------------------------- permutations
-    def swap_positions(self, i: int, j: int) -> "Permutation":
-        """Exchange the symbols stored at tuple indices *i* and *j*."""
-        return Permutation(swap_positions(self._values, i, j))
-
-    def swap_symbols(self, a: int, b: int) -> "Permutation":
-        """Exchange the symbols *a* and *b* (paper Definition 1, ``pi_(a,b)``)."""
-        return Permutation(swap_symbols(self._values, a, b))
-
     # ------------------------------------------------------------- structure
-    def cycles(self, *, include_fixed_points: bool = False) -> List[Tuple[int, ...]]:
-        """Disjoint cycle decomposition (cycles of *positions*).
-
-        Cycles are reported with their smallest element first and sorted by
-        that element, which makes the output deterministic and easy to test.
-        """
-        n = self.degree
-        seen = [False] * n
-        cycles: List[Tuple[int, ...]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = self._values[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = self._values[nxt]
-            if len(cycle) > 1 or include_fixed_points:
-                cycles.append(tuple(cycle))
-        return cycles
-
     def num_inversions(self) -> int:
         """Number of inversions (pairs ``i < j`` with ``self[i] > self[j]``).
 

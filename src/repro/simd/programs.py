@@ -14,30 +14,42 @@ a whole sequence of steps
 * :class:`ShiftSteps` -- the ``k``-step boundary shift, fused into one gather
   plus a boundary fill,
 
-into per-step precomputed gather indices, boundary fill index lists and
-message counts, cached per ``(machine geometry, step sequence)`` and shared by
-every machine of the same geometry.  Masks are *specs*
-(:mod:`repro.simd.masks`), so the whole program is a hashable value.
+into per-step precomputed gather indices, kernel index lists and ledger
+entries, cached per ``(machine geometry, step sequence)`` and shared by every
+machine of the same geometry.  Masks are *specs* (:mod:`repro.simd.masks`), so
+the whole program is a hashable value.
+
+One compile path
+----------------
+Both machines compile through the same function into ops over the target
+machine's *own* register file.  On :class:`~repro.simd.mesh_machine.MeshMachine`
+that is the mesh's; on :class:`~repro.simd.embedded.EmbeddedMeshMachine` it is
+the host star machine's, and every mesh index is relabelled through
+``mesh_to_star_indices()``.  An embedded route is then the gather
+``perm[src] -> perm[dst]``, which is the data effect of the conflict-free
+Lemma-2 plan (:meth:`~repro.simd.machine.SIMDMachine.execute_plan` reads from a
+transit copy).  Each op carries its ledger entries as data: the mesh-level
+entries, plus on the embedded machine the plan's star unit routes, messages
+and ``mesh-dim...`` labels.  Fills and the auto-define broadcasts of
+``define_register`` / ``apply`` land on the ledger of the machine that owns
+the register file, as in both facades.  ``RouteProgram.run(machine)``
+therefore leaves registers and ledgers **bit identical** to issuing the same
+steps through the per-call facade (both ledgers on the embedded machine,
+labels included).
 
 Replay engines
 --------------
-``RouteProgram.run(machine)`` replays the program with ledger entries **bit
-identical** to issuing the same steps through the per-call facade (for the
-embedded machine: both the mesh-level and the star-level ledger, including
-labels); batched updates go through
-:meth:`repro.simd.trace.RouteStatistics.record_routes`.
+The one op list replays on one of two engines, on either machine:
 
-Two data engines exist:
-
-* the **object engine** moves Python objects through dense register lists via
-  precompiled index lists -- any payload, both backends;
-* the **numeric engine** (NumPy) runs eligible programs on
-  :class:`~repro.simd.mesh_machine.MeshMachine` as whole-register vector
-  operations when every touched register holds plain numbers.  Sentinel
-  semantics are resolved at compile time by a static validity dataflow: the
-  set of PEs that actually received a message in each staging register is a
-  pure function of the program, so masked kernels shrink to precomputed
-  "active and received" index arrays and sentinels never materialise.
+* the **numeric engine** (NumPy) when every register the program touches is
+  a flat vector of one numeric kind (all ints or all floats, constants
+  included).  Sentinel semantics are resolved at compile time by a static
+  validity dataflow: the set of PEs that actually received a message in each
+  staging register is a pure function of the program, so masked kernels
+  shrink to precomputed "active and received" index arrays and sentinels
+  never materialise;
+* the **object engine** otherwise: it moves Python objects through the dense
+  register lists with the precompiled index lists -- any payload.
 
 Programs compile for :class:`~repro.simd.mesh_machine.MeshMachine` and
 :class:`~repro.simd.embedded.EmbeddedMeshMachine` exactly (subclasses fall
@@ -57,7 +69,7 @@ from repro.exceptions import ProgramError
 from repro.simd.kernels import Kernel, execute_kernel
 from repro.simd.masks import MASK_ALL, mask_flags, mask_indices
 from repro.simd.mesh_machine import MeshMachine
-from repro.simd.plans import unit_route_plan, unit_route_plan_subset
+from repro.simd.plans import unit_route_plan_subset
 
 __all__ = [
     "Fill",
@@ -75,7 +87,11 @@ __all__ = [
 # ---------------------------------------------------------------- step specs
 @dataclass(frozen=True)
 class Fill:
-    """``register := value`` on every PE via one control-unit broadcast."""
+    """``register := value`` on every PE via one control-unit broadcast.
+
+    *value* is a constant of any type (a callable or a mapping is stored as
+    is, never used as a per-PE initialiser).
+    """
 
     register: str
     value: object = None
@@ -186,7 +202,9 @@ Step = object  # union of the five dataclasses above
 
 # ----------------------------------------------------------- geometry caches
 # Per-mesh-geometry artifact cache: masked move lists, fused gathers, numeric
-# index arrays.  Keyed by the Mesh object itself (value-hashable).
+# index arrays, all over mesh PE indices.  Keyed by the Mesh object itself
+# (value-hashable), so a native mesh and the embedded machine of the same
+# shape share them.
 _MESH_ARTIFACTS: Dict[object, Dict] = {}
 
 _PROGRAM_CACHE: "OrderedDict[Tuple, RouteProgram]" = OrderedDict()
@@ -245,44 +263,41 @@ def _masked_moves(mesh, dim: int, delta: int, spec: Tuple) -> List[Tuple[int, in
     return moves
 
 
-def _chain_gather(mesh, chain: Chain) -> Tuple[List[Tuple[int, int]], int, int]:
+def _chain_gather(mesh, chain: Chain) -> List[Tuple[int, int]]:
     """Fused data effect of a :class:`Chain`: changed ``(index, source index)`` pairs.
 
-    Returns ``(pairs, route_count, total_messages)``.  Computed by composing
-    the per-coordinate routes symbolically (reads staged before writes, like
-    the hardware), so the result is exact for any coordinate sequence.
+    Computed by composing the per-coordinate routes symbolically (reads
+    staged before writes, like the hardware), so the result is exact for any
+    coordinate sequence.
     """
     store = _artifacts(mesh)
     key = ("chain", chain.dim, chain.delta, chain.coords)
-    cached = store.get(key)
-    if cached is None:
+    pairs = store.get(key)
+    if pairs is None:
         state = list(range(mesh.num_nodes))
-        total_messages = 0
         for coord in chain.coords:
             moves = _masked_moves(mesh, chain.dim, chain.delta, ("eq", chain.dim, coord))
-            total_messages += len(moves)
             updates = [(dst, state[src]) for src, dst in moves]
             for dst, origin in updates:
                 state[dst] = origin
         pairs = [
             (index, origin) for index, origin in enumerate(state) if origin != index
         ]
-        cached = (pairs, len(chain.coords), total_messages)
-        store[key] = cached
-    return cached
+        store[key] = pairs
+    return pairs
 
 
-def _shift_gather(
-    mesh, dim: int, delta: int, steps: int
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Fused data effect of a ``steps``-fold shift: gather pairs + fill indices."""
+def _shift_gather(mesh, dim: int, delta: int, steps: int) -> List[Tuple[int, int]]:
+    """Fused data effect of a ``steps``-fold shift: ``(index, source index)`` pairs.
+
+    Every index missing from the pairs receives the boundary fill.
+    """
     store = _artifacts(mesh)
     key = ("shift", dim, delta, steps)
-    cached = store.get(key)
-    if cached is None:
+    pairs = store.get(key)
+    if pairs is None:
         side = mesh.sides[dim]
-        pairs: List[Tuple[int, int]] = []
-        fill_indices: List[int] = []
+        pairs = []
         stride = 1
         for s in mesh.sides[dim + 1 :]:
             stride *= s
@@ -291,11 +306,8 @@ def _shift_gather(
             origin = coord - steps * delta
             if 0 <= origin < side:
                 pairs.append((index, index + (origin - coord) * stride))
-            else:
-                fill_indices.append(index)
-        cached = (pairs, fill_indices)
-        store[key] = cached
-    return cached
+        store[key] = pairs
+    return pairs
 
 
 def _route_label(dim: int, delta: int) -> str:
@@ -306,12 +318,67 @@ def _star_route_label(dim: int, delta: int) -> str:
     return f"mesh-dim{dim}{'+' if delta > 0 else '-'}"
 
 
+class _Relabel:
+    """Mesh PE index -> index into the target machine's register file.
+
+    The identity on :class:`MeshMachine`; on the embedded machine the star
+    rank hosting each mesh PE (``mesh_to_star_indices()``).  Relabelled
+    artifacts are memoised per compile, so an artifact that several steps of
+    one program share is mapped once.
+    """
+
+    def __init__(self, perm: Optional[Sequence[int]]):
+        self.perm = perm
+        self.array = None if perm is None else _np.asarray(perm, dtype=_np.intp)
+        self._memo: Dict[int, Tuple] = {}
+
+    def __call__(self, value):
+        """Map an index array, an index sequence or a sequence of index pairs."""
+        if self.perm is None or value is None:
+            return value
+        hit = self._memo.get(id(value))
+        if hit is None:
+            perm = self.perm
+            if isinstance(value, _np.ndarray):
+                mapped = self.array[value]
+            elif value and isinstance(value[0], tuple):
+                mapped = [(perm[a], perm[b]) for a, b in value]
+            else:
+                mapped = [perm[index] for index in value]
+            # Keep *value* alive so its id cannot be reused within the compile.
+            hit = self._memo[id(value)] = (value, mapped)
+        return hit[1]
+
+
+# ------------------------------------------------------------------ ledgers
+# A ledger entry is ``(slot, unit routes, messages, label, local operations,
+# broadcasts)``.  Slot 0 is the ledger of the machine that owns the register
+# file (the mesh machine, or the embedded machine's star machine); slot 1 is
+# the embedded machine's mesh-level ledger.
+_Charge = Tuple[int, int, int, Optional[str], int, int]
+
+
+def _charge(ledgers: Tuple, charges: Sequence[_Charge]) -> None:
+    for slot, routes, messages, label, local, broadcasts in charges:
+        ledgers[slot].record_charge(routes, messages, label, local, broadcasts)
+
+
+def _register_file(machine) -> Tuple:
+    """``(register-file machine, ledgers by slot)`` of a program target."""
+    if type(machine) is MeshMachine:
+        return machine, (machine._stats,)
+    star = machine._star_machine
+    return star, (star._stats, machine._mesh_stats)
+
+
 # ------------------------------------------------------------- numeric engine
 # Validity tokens describe, at compile time, which PEs of a register hold real
 # values (vs. a fill sentinel).  Tokens are hashable so the materialised index
 # arrays are cached per geometry.
 _V_ALL = ("vall",)
 _V_NONE = ("vnone",)
+
+_INT64 = _np.iinfo(_np.int64)
 
 
 def _v_or(a, b):
@@ -333,13 +400,18 @@ def _is_number(value) -> bool:
 class _NumericCompiler:
     """Static validity dataflow turning mesh steps into NumPy index ops.
 
-    Returns None (via ``bail``) whenever a step falls outside the supported
-    fragment; the program then always uses the object engine.
+    Works over mesh PE indices (artifacts shared per mesh geometry) and emits
+    every index array through *relabel*, so the ops address the target
+    machine's register file.  Returns None (via ``bail``) whenever a step
+    falls outside the supported fragment; the program then always uses the
+    object engine.
     """
 
-    def __init__(self, mesh, steps: Sequence[Step]):
+    def __init__(self, mesh, steps: Sequence[Step], charges, relabel: _Relabel):
         self.mesh = mesh
         self.steps = steps
+        self.charges = charges
+        self.relabel = relabel
         self.ops: List[Tuple] = []
         self.valid: Dict[str, Tuple] = {}
         self.filler: Dict[str, object] = {}
@@ -349,7 +421,8 @@ class _NumericCompiler:
         self.loads: List[str] = []
         # Registers fully materialised by an earlier program op.
         self.created: set = set()
-        self.constants_float = False
+        # Numeric kinds ("i", "f") of the program's own constants.
+        self.constant_kinds: set = set()
         self.failed = False
 
     # -- token materialisation ------------------------------------------------
@@ -394,7 +467,7 @@ class _NumericCompiler:
             else:
                 cached = _np.intersect1d(mask_idx, valid_idx, assume_unique=True)
             store[key] = cached
-        return cached
+        return self.relabel(cached)
 
     def _moves_arrays(self, dim, delta, spec):
         store = _artifacts(self.mesh)
@@ -406,7 +479,7 @@ class _NumericCompiler:
             dst = _np.fromiter((d for _s, d in moves), dtype=_np.intp, count=len(moves))
             cached = (src, dst)
             store[key] = cached
-        return cached
+        return self.relabel(cached[0]), self.relabel(cached[1])
 
     # -- dataflow -------------------------------------------------------------
     def bail(self) -> None:
@@ -429,16 +502,24 @@ class _NumericCompiler:
         if register not in self.written:
             self.written.append(register)
 
+    def _constant(self, value) -> None:
+        if isinstance(value, float):
+            self.constant_kinds.add("f")
+        elif _INT64.min <= value <= _INT64.max:
+            self.constant_kinds.add("i")
+        else:
+            self.bail()  # an int64 register cannot hold it
+
     def compile(self):
-        for step in self.steps:
+        for step, cost in zip(self.steps, self.charges):
             if isinstance(step, Fill):
                 self._compile_fill(step)
             elif isinstance(step, Route):
-                self._compile_route(step)
+                self._compile_route(step, cost)
             elif isinstance(step, Chain):
-                self._compile_chain(step)
+                self._compile_chain(step, cost)
             elif isinstance(step, Local):
-                self._compile_local(step)
+                self._compile_local(step, cost)
             else:
                 self.bail()  # ShiftSteps programs stay on the object engine
             if self.failed:
@@ -456,57 +537,49 @@ class _NumericCompiler:
                     self._token_indices(token),
                     assume_unique=True,
                 )
-                writeback.append((register, invalid, self.filler[register]))
+                writeback.append((register, self.relabel(invalid), self.filler[register]))
         return _NumericProgram(
-            mesh=self.mesh,
+            num_nodes=self.mesh.num_nodes,
             ops=self.ops,
             loads=list(self.loads),
             writeback=writeback,
-            constants_float=self.constants_float,
+            constant_kinds=frozenset(self.constant_kinds),
         )
 
     def _compile_fill(self, step: Fill) -> None:
         self._note_write(step.register, full=True)
         if _is_number(step.value):
-            if isinstance(step.value, float):
-                self.constants_float = True
+            self._constant(step.value)
             self.valid[step.register] = _V_ALL
-            self.ops.append(("fill", step.register, step.value))
+            self.ops.append(("fill", step.register, step.value, ()))
         else:
             self.valid[step.register] = _V_NONE
             self.filler[step.register] = step.value
-            self.ops.append(("alloc", step.register))
+            self.ops.append(("alloc", step.register, ()))
 
-    def _compile_route(self, step: Route) -> None:
+    def _compile_route(self, step: Route, cost) -> None:
         self._need(step.source)
         if self._validity(step.source) != _V_ALL:
             return self.bail()
         src, dst = self._moves_arrays(step.dim, step.delta, step.where)
-        label = step.label or _route_label(step.dim, step.delta)
         receivers = ("vrecv", step.dim, step.delta, step.where)
         self._note_write(step.destination, full=False)
         self.valid[step.destination] = _v_or(self._validity(step.destination), receivers)
-        self.ops.append(("route", step.source, step.destination, src, dst, label))
+        self.ops.append(("route", step.source, step.destination, src, dst, cost))
 
-    def _compile_chain(self, step: Chain) -> None:
+    def _compile_chain(self, step: Chain, cost) -> None:
         self._need(step.register)
         if self._validity(step.register) != _V_ALL:
             return self.bail()
-        pairs, count, messages = _chain_gather(self.mesh, step)
+        pairs = _chain_gather(self.mesh, step)
         dst = _np.fromiter((i for i, _j in pairs), dtype=_np.intp, count=len(pairs))
         src = _np.fromiter((j for _i, j in pairs), dtype=_np.intp, count=len(pairs))
-        label = step.label or _route_label(step.dim, step.delta)
         self._note_write(step.register, full=False)
-        self.ops.append(("chain", step.register, src, dst, count, messages, label))
+        self.ops.append(("chain", step.register, self.relabel(src), self.relabel(dst), cost))
 
-    def _compile_local(self, step: Local) -> None:
+    def _compile_local(self, step: Local, cost) -> None:
         kernel = step.kernel
         kind = kernel.kind
-        count = (
-            self.mesh.num_nodes
-            if step.where == MASK_ALL
-            else len(mask_indices(self.mesh, step.where))
-        )
         if kind == "copy":
             source = step.sources[0]
             self._need(source)
@@ -514,29 +587,28 @@ class _NumericCompiler:
                 return self.bail()
             self._note_write(step.destination, full=True)
             self.valid[step.destination] = _V_ALL
-            self.ops.append(("copy", step.destination, source, count))
+            self.ops.append(("copy", step.destination, source, cost))
             return
         if kind == "const":
             (value,) = kernel.params
             if _is_number(value):
-                if isinstance(value, float):
-                    self.constants_float = True
+                self._constant(value)
                 if step.where == MASK_ALL:
                     self._note_write(step.destination, full=True)
                     self.valid[step.destination] = _V_ALL
-                    self.ops.append(("const_full", step.destination, value, count))
+                    self.ops.append(("const_full", step.destination, value, cost))
                 else:
                     if self._validity(step.destination) != _V_ALL:
                         return self.bail()
                     self._note_write(step.destination, full=False)
                     eff = self._effective(step.where, _V_ALL)
-                    self.ops.append(("const_at", step.destination, eff, value, count))
+                    self.ops.append(("const_at", step.destination, eff, value, cost))
                 return
             if step.where == MASK_ALL:
                 self._note_write(step.destination, full=True)
                 self.valid[step.destination] = _V_NONE
                 self.filler[step.destination] = value
-                self.ops.append(("alloc_count", step.destination, count))
+                self.ops.append(("alloc_count", step.destination, cost))
                 return
             return self.bail()
         if kind in ("keep_min", "keep_max"):
@@ -550,7 +622,7 @@ class _NumericCompiler:
             eff = self._effective(step.where, self._validity(incoming))
             self._note_write(step.destination, full=False)
             op = "min_at" if kind == "keep_min" else "max_at"
-            self.ops.append((op, step.destination, incoming, eff, count))
+            self.ops.append((op, step.destination, incoming, eff, cost))
             return
         if kind in ("replace", "adopt"):
             current, incoming = step.sources
@@ -567,121 +639,111 @@ class _NumericCompiler:
             else:
                 eff = self._effective(step.where, self._validity(incoming))
             self._note_write(step.destination, full=False)
-            self.ops.append(("replace_at", step.destination, incoming, eff, count))
+            self.ops.append(("replace_at", step.destination, incoming, eff, cost))
             return
         return self.bail()
 
 
 @dataclass
 class _NumericProgram:
-    """The NumPy replay of a compiled program (mesh backend only)."""
+    """The NumPy replay of a compiled program."""
 
-    mesh: object
+    num_nodes: int
     ops: List[Tuple]
     loads: List[str]
     writeback: List[Tuple]
-    constants_float: bool
+    constant_kinds: frozenset
 
-    def run(self, machine: MeshMachine) -> bool:
-        """Replay on *machine*; returns False if the registers disqualify.
+    def run(self, target, ledgers: Tuple) -> bool:
+        """Replay on *target*'s register file; returns False if the registers disqualify.
 
         The eligibility checks (registers exist and hold one flat numeric
-        vector each) all happen before the first ledger entry, so a False
+        vector each, all of one kind with the program's constants, so no
+        value is cast) all happen before the first ledger entry, so a False
         return leaves the machine untouched for the object engine.
         """
-        registers = machine._registers
+        registers = target._registers
         arrays: Dict[str, object] = {}
-        any_float = self.constants_float
+        kinds = set(self.constant_kinds)
         for name in self.loads:
             values = registers.get(name)
             if values is None:
+                return False
+            # One look at the first PE turns object payloads away before
+            # NumPy converts a whole register of them.
+            first = values[0]
+            if isinstance(first, bool) or not isinstance(first, (int, float, _np.number)):
                 return False
             array = _np.asarray(values)
             if array.ndim != 1 or array.dtype.kind not in "if":
                 return False
             arrays[name] = array
-            if array.dtype.kind == "f":
-                any_float = True
-        dtype = _np.float64 if any_float else _np.int64
+            kinds.add(array.dtype.kind)
+        if len(kinds) > 1:
+            return False
+        dtype = _np.float64 if "f" in kinds else _np.int64
         for name, array in arrays.items():
             arrays[name] = array.astype(dtype, copy=True)
-        n = self.mesh.num_nodes
-        stats = machine._stats
+        n = self.num_nodes
+        owner = ledgers[0]
         # apply() auto-defines a missing destination register (one extra
-        # broadcast); mirror that for registers the machine does not have yet.
+        # broadcast on the owner's ledger); mirror that for registers the
+        # machine does not have yet.
         defined = set(registers)
 
-        def ensure_defined(name: str, *, explicit: bool) -> None:
-            if explicit:
+        def define(name: str) -> None:
+            if name not in defined:
                 defined.add(name)
-            elif name not in defined:
-                defined.add(name)
-                stats.record_broadcast()
+                owner.record_broadcast()
 
         for op in self.ops:
             kind = op[0]
             if kind == "fill":
-                _, name, value = op
+                _, name, value, _cost = op
                 arrays[name] = _np.full(n, value, dtype=dtype)
-                ensure_defined(name, explicit=True)
-                stats.record_broadcast()
+                defined.add(name)
+                owner.record_broadcast()
             elif kind == "alloc":
-                _, name = op
+                _, name, _cost = op
                 arrays[name] = _np.zeros(n, dtype=dtype)
-                ensure_defined(name, explicit=True)
-                stats.record_broadcast()
+                defined.add(name)
+                owner.record_broadcast()
             elif kind == "alloc_count":
-                _, name, count = op
+                _, name, _cost = op
                 arrays[name] = _np.zeros(n, dtype=dtype)
-                ensure_defined(name, explicit=False)
-                stats.record_local(operations=count)
-                stats.record_broadcast()
+                define(name)
             elif kind == "route":
-                _, source, destination, src, dst, label = op
-                dest = arrays[destination]
-                dest[dst] = arrays[source][src]
-                stats.record_route(messages=len(src), label=label)
+                _, source, destination, src, dst, _cost = op
+                arrays[destination][dst] = arrays[source][src]
             elif kind == "chain":
-                _, name, src, dst, count, messages, label = op
+                _, name, src, dst, _cost = op
                 array = arrays[name]
                 array[dst] = array[src]
-                stats.record_routes(count, messages=messages, label=label)
             elif kind == "copy":
-                _, destination, source, count = op
+                _, destination, source, _cost = op
                 arrays[destination] = arrays[source].copy()
-                ensure_defined(destination, explicit=False)
-                stats.record_local(operations=count)
-                stats.record_broadcast()
+                define(destination)
             elif kind == "const_full":
-                _, name, value, count = op
+                _, name, value, _cost = op
                 arrays[name] = _np.full(n, value, dtype=dtype)
-                ensure_defined(name, explicit=False)
-                stats.record_local(operations=count)
-                stats.record_broadcast()
+                define(name)
             elif kind == "const_at":
-                _, name, eff, value, count = op
+                _, name, eff, value, _cost = op
                 arrays[name][eff] = value
-                stats.record_local(operations=count)
-                stats.record_broadcast()
             elif kind == "min_at":
-                _, name, incoming, eff, count = op
+                _, name, incoming, eff, _cost = op
                 array = arrays[name]
                 array[eff] = _np.minimum(array[eff], arrays[incoming][eff])
-                stats.record_local(operations=count)
-                stats.record_broadcast()
             elif kind == "max_at":
-                _, name, incoming, eff, count = op
+                _, name, incoming, eff, _cost = op
                 array = arrays[name]
                 array[eff] = _np.maximum(array[eff], arrays[incoming][eff])
-                stats.record_local(operations=count)
-                stats.record_broadcast()
             elif kind == "replace_at":
-                _, name, incoming, eff, count = op
+                _, name, incoming, eff, _cost = op
                 arrays[name][eff] = arrays[incoming][eff]
-                stats.record_local(operations=count)
-                stats.record_broadcast()
             else:  # pragma: no cover - op grammar is closed
                 raise ProgramError(f"unknown numeric op {kind!r}")
+            _charge(ledgers, op[-1])
 
         for name, invalid, filler in self.writeback:
             values = arrays[name].tolist()
@@ -692,184 +754,62 @@ class _NumericProgram:
         return True
 
 
-# -------------------------------------------------------------- compiled ops
-@dataclass
-class _MeshOps:
-    """Object-engine replay of a program on a native mesh machine."""
-
-    mesh: object
-    compiled: List[Tuple]
-
-    def run(self, machine: MeshMachine) -> None:
-        stats = machine._stats
-        registers = machine._registers
-        num_nodes = machine.num_pes
-        for op in self.compiled:
-            kind = op[0]
-            if kind == "fill":
-                _, register, value = op
-                machine.define_register(register, value)
-            elif kind == "route":
-                _, source, destination, moves, label = op
-                machine.route_indexed(
-                    source, destination, moves, label=label, check_conflicts=False
-                )
-            elif kind == "chain":
-                _, register, pairs, count, messages, label = op
-                values = machine._register(register)
-                updates = [(index, values[origin]) for index, origin in pairs]
-                for index, value in updates:
-                    values[index] = value
-                stats.record_routes(count, messages=messages, label=label)
-            elif kind == "local":
-                _, destination, kernel, sources, indices, count = op
+# ------------------------------------------------------------- object engine
+def _replay_objects(ops: List[Tuple], target, ledgers: Tuple) -> None:
+    """Replay *ops* on *target*'s register file with Python objects (any payload)."""
+    registers = target._registers
+    for op in ops:
+        kind = op[0]
+        if kind == "fill":
+            # A constant broadcast, like the numeric engine's: the value is
+            # never an initialiser, whatever its type.
+            _, register, value, charges = op
+            registers[register] = [value] * target.num_pes
+            ledgers[0].record_broadcast()
+        elif kind == "route":
+            _, source, destination, moves, touches, charges = op
+            if touches:
+                values = target._register(source)
                 if destination not in registers:
-                    machine.define_register(destination)
-                execute_kernel(
-                    kernel,
-                    machine._register(destination),
-                    [machine._register(name) for name in sources],
-                    indices,
-                )
-                stats.record_local(operations=count)
-                stats.record_broadcast()
-            elif kind == "shift":
-                _, step, pairs, fill_indices, messages = op
-                source = machine._register(step.register)
-                result_was_missing = step.result not in registers
-                if step.steps == 0:
-                    result = list(source)
-                else:
-                    result = [step.fill] * num_nodes
-                    for index, origin in pairs:
-                        result[index] = source[origin]
-                registers[step.result] = result
-                if step.steps > 0:
-                    registers[step.scratch] = list(result)
-                # Ledger mirror of: copy; (fill; route; copy) * steps, plus
-                # the auto-define broadcast of the first copy if needed.
-                if result_was_missing:
-                    stats.record_broadcast()
-                stats.record_local(operations=(step.steps + 1) * num_nodes)
-                for _ in range(2 * step.steps + 1):
-                    stats.record_broadcast()
-                if step.steps > 0:
-                    stats.record_routes(
-                        step.steps,
-                        messages=step.steps * messages,
-                        label=_route_label(step.dim, step.delta),
-                    )
-            else:  # pragma: no cover - op grammar is closed
-                raise ProgramError(f"unknown mesh op {kind!r}")
-
-
-@dataclass
-class _EmbeddedOps:
-    """Object-engine replay of a program on the embedded mesh-on-star machine."""
-
-    n: int
-    compiled: List[Tuple]
-
-    def run(self, machine) -> None:
-        mesh_stats = machine._mesh_stats
-        star = machine._star_machine
-        star_stats = star._stats
-        star_registers = star._registers
-        num_nodes = machine.num_pes
-        for op in self.compiled:
-            kind = op[0]
-            if kind == "fill":
-                _, register, value = op
-                machine.define_register(register, value)
-            elif kind == "route":
-                _, source, destination, plan, mesh_label, star_label = op
-                star.execute_plan(source, destination, plan, label=star_label)
-                mesh_stats.record_route(messages=plan.num_paths, label=mesh_label)
-            elif kind == "chain":
-                (
-                    _,
-                    register,
-                    star_pairs,
-                    count,
-                    mesh_messages,
-                    star_count,
-                    star_messages,
-                    mesh_label,
-                    star_label,
-                ) = op
-                values = star._register(register)
-                updates = [(index, values[origin]) for index, origin in star_pairs]
-                for index, value in updates:
-                    values[index] = value
-                star_stats.record_routes(
-                    star_count, messages=star_messages, label=star_label
-                )
-                mesh_stats.record_routes(count, messages=mesh_messages, label=mesh_label)
-            elif kind == "local":
-                _, destination, kernel, sources, star_indices, count = op
-                if destination not in star_registers:
-                    star.define_register(destination)
-                execute_kernel(
-                    kernel,
-                    star._register(destination),
-                    [star._register(name) for name in sources],
-                    star_indices,
-                )
-                star_stats.record_local(operations=count)
-                star_stats.record_broadcast()
-                mesh_stats.record_local(operations=count)
-                mesh_stats.record_broadcast()
-            elif kind == "shift":
-                (
-                    _,
-                    step,
-                    star_pairs,
-                    star_fill_indices,
-                    mesh_messages,
-                    star_steps,
-                    star_messages,
-                ) = op
-                source = star._register(step.register)
-                result_was_missing = step.result not in star_registers
-                if step.steps == 0:
-                    result = list(source)
-                else:
-                    result = [None] * num_nodes
-                    for index in star_fill_indices:
-                        result[index] = step.fill
-                    for index, origin in star_pairs:
-                        result[index] = source[origin]
-                star_registers[step.result] = result
-                if step.steps > 0:
-                    star_registers[step.scratch] = list(result)
-                k = step.steps
-                if result_was_missing:
-                    # apply()'s auto-define broadcast of the first copy lands
-                    # on the star ledger only, like the facade.
-                    star_stats.record_broadcast()
-                # Mesh ledger: copy + k * (route; copy); fills never reach it.
-                mesh_stats.record_local(operations=(k + 1) * num_nodes)
-                for _ in range(k + 1):
-                    mesh_stats.record_broadcast()
-                if k > 0:
-                    mesh_stats.record_routes(
-                        k,
-                        messages=k * mesh_messages,
-                        label=_route_label(step.dim, step.delta),
-                    )
-                # Star ledger: the copies run as local ops, the fills as
-                # broadcasts, each mesh route as the plan's star unit routes.
-                star_stats.record_local(operations=(k + 1) * num_nodes)
-                for _ in range(2 * k + 1):
-                    star_stats.record_broadcast()
-                if k > 0:
-                    star_stats.record_routes(
-                        k * star_steps,
-                        messages=k * star_messages,
-                        label=_star_route_label(step.dim, step.delta),
-                    )
-            else:  # pragma: no cover - op grammar is closed
-                raise ProgramError(f"unknown embedded op {kind!r}")
+                    target.define_register(destination)
+                dest = registers[destination]
+                payload = [(dst, values[src]) for src, dst in moves]
+                for dst, value in payload:
+                    dest[dst] = value
+        elif kind == "chain":
+            _, register, pairs, charges = op
+            values = target._register(register)
+            updates = [(index, values[origin]) for index, origin in pairs]
+            for index, value in updates:
+                values[index] = value
+        elif kind == "local":
+            _, destination, kernel, sources, indices, charges = op
+            if destination not in registers:
+                target.define_register(destination)
+            execute_kernel(
+                kernel,
+                registers[destination],
+                [target._register(name) for name in sources],
+                indices,
+            )
+        elif kind == "shift":
+            _, step, pairs, charges = op
+            source = target._register(step.register)
+            if step.result not in registers:
+                # apply()'s auto-define broadcast of the first copy.
+                ledgers[0].record_broadcast()
+            if step.steps == 0:
+                result = list(source)
+            else:
+                result = [step.fill] * len(source)
+                for index, origin in pairs:
+                    result[index] = source[origin]
+            registers[step.result] = result
+            if step.steps > 0:
+                registers[step.scratch] = list(result)
+        else:  # pragma: no cover - op grammar is closed
+            raise ProgramError(f"unknown program op {kind!r}")
+        _charge(ledgers, charges)
 
 
 # ------------------------------------------------------------------ programs
@@ -888,7 +828,7 @@ class RouteProgram:
 
     geometry: Tuple
     steps: Tuple[Step, ...]
-    _ops: object
+    _ops: List[Tuple]
     _numeric: Optional[_NumericProgram] = None
 
     def run(self, machine) -> None:
@@ -908,10 +848,9 @@ class RouteProgram:
             raise ProgramError(
                 f"program compiled for {self.geometry!r} cannot run on {machine!r}"
             )
-        if self._numeric is not None and type(machine) is MeshMachine:
-            if self._numeric.run(machine):
-                return
-        self._ops.run(machine)
+        target, ledgers = _register_file(machine)
+        if self._numeric is None or not self._numeric.run(target, ledgers):
+            _replay_objects(self._ops, target, ledgers)
 
 
 def supports_programs(machine) -> bool:
@@ -973,130 +912,78 @@ def _validate_step(mesh, step: Step) -> None:
         )
 
 
-def _compile_mesh(machine: MeshMachine, steps: Sequence[Step]) -> RouteProgram:
+def _compile(machine, geometry: Tuple, steps: Tuple[Step, ...]) -> RouteProgram:
+    """Compile *steps* into ops over *machine*'s own register file."""
     mesh = machine.mesh
-    compiled: List[Tuple] = []
+    num_nodes = mesh.num_nodes
+    embedded = geometry[0] != "mesh"
+    relabel = _Relabel(machine.mesh_to_star_indices() if embedded else None)
+    levels = (0, 1) if embedded else (0,)
+
+    def route_ledger(dim, delta, spec, label):
+        """``(slot, unit routes, messages, label)`` of one masked mesh unit route."""
+        mesh_label = label or _route_label(dim, delta)
+        if not embedded:
+            return [(0, 1, len(_masked_moves(mesh, dim, delta, spec)), mesh_label)]
+        plan = unit_route_plan_subset(machine.embedding, machine.n - 1 - dim, delta, spec)
+        star_messages = sum(step.num_messages for step in plan.steps)
+        star_label = label or _star_route_label(dim, delta)
+        return [
+            (0, plan.num_steps, star_messages, star_label),
+            (1, 1, plan.num_paths, mesh_label),
+        ]
+
+    ops: List[Tuple] = []
+    charges: List[Tuple[_Charge, ...]] = []
+    distinct: Dict[Tuple, Tuple] = {}
     for step in steps:
         _validate_step(mesh, step)
         if isinstance(step, Fill):
-            compiled.append(("fill", step.register, step.value))
+            cost: Tuple[_Charge, ...] = ()
+            op: Tuple = ("fill", step.register, step.value)
         elif isinstance(step, Route):
+            entries = route_ledger(step.dim, step.delta, step.where, step.label)
+            cost = tuple((slot, r, m, label, 0, 0) for slot, r, m, label in entries)
+            # A star plan with no paths returns before touching any register;
+            # a mesh route always counts one unit route, so it always touches.
+            touches = entries[0][1] > 0
             moves = _masked_moves(mesh, step.dim, step.delta, step.where)
-            label = step.label or _route_label(step.dim, step.delta)
-            compiled.append(("route", step.source, step.destination, moves, label))
+            op = ("route", step.source, step.destination, relabel(moves), touches)
         elif isinstance(step, Chain):
-            pairs, count, messages = _chain_gather(mesh, step)
-            label = step.label or _route_label(step.dim, step.delta)
-            compiled.append(("chain", step.register, pairs, count, messages, label))
-        elif isinstance(step, Local):
-            if step.where == MASK_ALL:
-                indices = None
-                count = mesh.num_nodes
-            else:
-                indices = mask_indices(mesh, step.where)
-                count = len(indices)
-            compiled.append(
-                ("local", step.destination, step.kernel, step.sources, indices, count)
-            )
-        elif isinstance(step, ShiftSteps):
-            pairs, fill_indices = _shift_gather(mesh, step.dim, step.delta, step.steps)
-            messages = len(_dimension_table(mesh, step.dim, step.delta))
-            compiled.append(("shift", step, pairs, fill_indices, messages))
-        else:
-            raise ProgramError(f"unknown program step {step!r}")
-    numeric = _NumericCompiler(mesh, steps).compile()
-    return RouteProgram(
-        geometry=("mesh", mesh.sides),
-        steps=tuple(steps),
-        _ops=_MeshOps(mesh=mesh, compiled=compiled),
-        _numeric=numeric,
-    )
-
-
-def _compile_embedded(machine, steps: Sequence[Step]) -> RouteProgram:
-    mesh = machine.mesh
-    embedding = machine.embedding
-    perm = machine.mesh_to_star_indices()
-    star_topology = machine.star_machine.topology
-    compiled: List[Tuple] = []
-
-    def star_indices_for(spec) -> Optional[Tuple[int, ...]]:
-        if spec == MASK_ALL:
-            return None
-        return tuple(perm[index] for index in mask_indices(mesh, spec))
-
-    for step in steps:
-        _validate_step(mesh, step)
-        if isinstance(step, Fill):
-            compiled.append(("fill", step.register, step.value))
-        elif isinstance(step, Route):
-            paper_dim = machine.n - 1 - step.dim
-            plan = unit_route_plan_subset(embedding, paper_dim, step.delta, step.where)
-            mesh_label = step.label or _route_label(step.dim, step.delta)
-            star_label = step.label or _star_route_label(step.dim, step.delta)
-            compiled.append(
-                ("route", step.source, step.destination, plan, mesh_label, star_label)
-            )
-        elif isinstance(step, Chain):
-            paper_dim = machine.n - 1 - step.dim
-            pairs, count, mesh_messages = _chain_gather(mesh, step)
-            star_pairs = [(perm[index], perm[origin]) for index, origin in pairs]
-            star_count = 0
-            star_messages = 0
+            totals: Dict[int, Tuple] = {}
             for coord in step.coords:
-                plan = unit_route_plan_subset(
-                    embedding, paper_dim, step.delta, ("eq", step.dim, coord)
-                )
-                star_count += plan.num_steps
-                star_messages += sum(s.num_messages for s in plan.steps)
-            mesh_label = step.label or _route_label(step.dim, step.delta)
-            star_label = step.label or _star_route_label(step.dim, step.delta)
-            compiled.append(
-                (
-                    "chain",
-                    step.register,
-                    star_pairs,
-                    count,
-                    mesh_messages,
-                    star_count,
-                    star_messages,
-                    mesh_label,
-                    star_label,
-                )
-            )
+                spec = ("eq", step.dim, coord)
+                for slot, r, m, label in route_ledger(step.dim, step.delta, spec, step.label):
+                    routes, messages, _ = totals.get(slot, (0, 0, label))
+                    totals[slot] = (routes + r, messages + m, label)
+            cost = tuple((slot, r, m, label, 0, 0) for slot, (r, m, label) in totals.items())
+            op = ("chain", step.register, relabel(_chain_gather(mesh, step)))
         elif isinstance(step, Local):
-            star_idx = star_indices_for(step.where)
-            count = (
-                mesh.num_nodes if star_idx is None else len(star_idx)
-            )
-            compiled.append(
-                ("local", step.destination, step.kernel, step.sources, star_idx, count)
-            )
+            indices = None if step.where == MASK_ALL else mask_indices(mesh, step.where)
+            count = num_nodes if indices is None else len(indices)
+            cost = tuple((slot, 0, 0, None, count, 1) for slot in levels)
+            op = ("local", step.destination, step.kernel, step.sources, relabel(indices))
         elif isinstance(step, ShiftSteps):
-            paper_dim = machine.n - 1 - step.dim
-            pairs, fill_indices = _shift_gather(mesh, step.dim, step.delta, step.steps)
-            star_pairs = [(perm[index], perm[origin]) for index, origin in pairs]
-            star_fill = [perm[index] for index in fill_indices]
-            plan = unit_route_plan(embedding, paper_dim, step.delta)
-            star_messages = sum(s.num_messages for s in plan.steps)
-            compiled.append(
-                (
-                    "shift",
-                    step,
-                    star_pairs,
-                    star_fill,
-                    plan.num_paths,
-                    plan.num_steps,
-                    star_messages,
-                )
+            # copy; (fill; route; copy) * k: every level records the k routes,
+            # the k + 1 copies and their broadcasts; the k fills are defines,
+            # so their broadcasts land on the owner's ledger only.
+            k = step.steps
+            cost = tuple(
+                (slot, k * r, k * m, label, (k + 1) * num_nodes, k + 1 + (k if slot == 0 else 0))
+                for slot, r, m, label in route_ledger(step.dim, step.delta, MASK_ALL, None)
             )
+            op = ("shift", step, relabel(_shift_gather(mesh, step.dim, step.delta, k)))
         else:
             raise ProgramError(f"unknown program step {step!r}")
+        # Repeated steps (every phase of a sort) share one ledger tuple.
+        cost = distinct.setdefault(cost, cost)
+        ops.append(op + (cost,))
+        charges.append(cost)
     return RouteProgram(
-        geometry=_geometry_key(machine),
-        steps=tuple(steps),
-        _ops=_EmbeddedOps(n=machine.n, compiled=compiled),
-        _numeric=None,
+        geometry=geometry,
+        steps=steps,
+        _ops=ops,
+        _numeric=_NumericCompiler(mesh, steps, charges, relabel).compile(),
     )
 
 
@@ -1135,10 +1022,7 @@ def compile_program(machine, steps: Sequence[Step]) -> RouteProgram:
         if cached is not None:
             _PROGRAM_CACHE.move_to_end(cache_key)
             return cached
-    if geometry[0] == "mesh":
-        program = _compile_mesh(machine, steps)
-    else:
-        program = _compile_embedded(machine, steps)
+    program = _compile(machine, geometry, steps)
     if cache_key is not None:
         _PROGRAM_CACHE[cache_key] = program
         while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_LIMIT:

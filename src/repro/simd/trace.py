@@ -48,6 +48,25 @@ class RouteStatistics:
         self.messages += messages
         self.by_label[label] = self.by_label.get(label, 0) + count
 
+    def record_charge(
+        self, routes: int, messages: int, label: str, operations: int, broadcasts: int
+    ) -> None:
+        """Record a precomputed ledger entry in one update.
+
+        ``snapshot()`` output is identical to ``record_routes(routes,
+        messages=messages, label=label)``, ``record_local(operations=
+        operations)`` and *broadcasts* :meth:`record_broadcast` calls.
+        Compiled route programs (:mod:`repro.simd.programs`) carry their
+        ledger entries as data and replay them through this method, once per
+        op.
+        """
+        if routes:
+            self.unit_routes += routes
+            self.messages += messages
+            self.by_label[label] = self.by_label.get(label, 0) + routes
+        self.local_operations += operations
+        self.broadcasts += broadcasts
+
     def record_local(self, *, operations: int = 1) -> None:
         """Record *operations* local (intra-PE) arithmetic steps."""
         self.local_operations += operations

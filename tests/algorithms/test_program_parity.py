@@ -33,7 +33,9 @@ from repro.algorithms import (
 from repro.algorithms import reference
 from repro.embedding.uniform import factorise_paper_mesh
 from repro.simd.embedded import EmbeddedMeshMachine
+from repro.simd.masks import Mask
 from repro.simd.mesh_machine import MeshMachine
+from repro.simd.programs import Fill, Route, ShiftSteps, compile_program
 from repro.topology.mesh import paper_mesh
 
 HEAVY = bool(os.environ.get("REPRO_HEAVY_TESTS"))
@@ -280,3 +282,63 @@ class TestCrossMachineParity:
         embedded_snapshot = embedded.stats.snapshot()
         for key in ("unit_routes", "messages", "local_operations"):
             assert native_snapshot[key] == embedded_snapshot[key]
+
+
+# ------------------------------------------------------- ledger edge cases
+class TestLedgerEdgeCases:
+    """Where the two facades differ, compiled replay follows each one.
+
+    Register files and define broadcasts belong to the machine that owns the
+    registers: the mesh machine, or the embedded machine's star machine.
+    """
+
+    @pytest.mark.parametrize("kind,factory", MACHINES)
+    def test_empty_masked_route_into_missing_register(self, kind, factory):
+        fast, slow = machine_pair(factory, 4)
+        assert fast.mesh.sides == (4, 3, 2)
+        spec = ("eq", 0, 3)  # the last row has no +1 neighbour: no messages
+        compile_program(fast, (Route("K", "B", 0, +1, spec),)).run(fast)
+        slow.route_dimension("K", "B", 0, +1, where=Mask.from_spec(slow.mesh, spec))
+        if kind == "native":
+            # route_indexed defines the destination (one broadcast).
+            assert "B" in fast.register_names
+            expected = {"unit_routes": 1, "messages": 0, "broadcasts": 1}
+        else:
+            # execute_plan returns before touching a register: no star route,
+            # no define; the mesh ledger still counts the unit route.
+            assert "B" not in fast.register_names
+            assert fast.star_stats.unit_routes == fast.star_stats.broadcasts == 0
+            expected = {"unit_routes": 1, "messages": 0, "broadcasts": 0}
+        snapshot = fast.stats.snapshot()
+        assert {key: snapshot[key] for key in expected} == expected
+        assert_parity(fast, slow, fast.register_names)
+        assert fast.register_names == slow.register_names
+
+    @pytest.mark.parametrize("kind,factory", MACHINES)
+    @pytest.mark.parametrize("result_exists", [False, True])
+    def test_shift_steps_result_register(self, kind, factory, result_exists):
+        fast, slow = machine_pair(factory, 4)
+        for machine in (fast, slow):
+            if result_exists:
+                machine.define_register("R", 0)
+            machine.reset_stats()
+        step = ShiftSteps("K", "R", "_shift_in", 1, -1, 2, fill=-1)
+        compile_program(fast, (step,)).run(fast)
+        reference.shift_dimension(slow, "K", dim=1, delta=-1, steps=2, fill=-1, result="R")
+        assert_parity(fast, slow, ["K", "R", "_shift_in"])
+        # copy; (fill; route; copy) * 2, plus the define of a missing result:
+        # fills and defines go to the owner's ledger only.
+        owner = fast.stats if kind == "native" else fast.star_stats
+        assert owner.broadcasts == 5 + (not result_exists)
+        if kind == "embedded":
+            assert fast.stats.broadcasts == 3
+
+    @pytest.mark.parametrize("kind,factory", MACHINES)
+    def test_fill(self, kind, factory):
+        fast, slow = machine_pair(factory, 4)
+        compile_program(fast, (Fill("F", 7),)).run(fast)
+        slow.define_register("F", 7)
+        assert_parity(fast, slow, ["K", "F"])
+        owner = fast.stats if kind == "native" else fast.star_stats
+        assert owner.broadcasts == 1
+        assert fast.stats.broadcasts == (kind == "native")

@@ -7,7 +7,6 @@ from repro.permutations.permutation import (
     Permutation,
     identity_permutation,
     is_permutation,
-    swap_positions,
     swap_symbols,
 )
 
@@ -38,13 +37,6 @@ class TestConstruction:
         with pytest.raises(InvalidPermutationError):
             Permutation((0, 2))
 
-    def test_identity_classmethod(self):
-        assert Permutation.identity(4).values == (0, 1, 2, 3)
-
-    def test_identity_rejects_zero(self):
-        with pytest.raises(InvalidParameterError):
-            Permutation.identity(0)
-
 
 class TestContainerBehaviour:
     def test_len_iter_getitem_call(self):
@@ -68,50 +60,10 @@ class TestContainerBehaviour:
         assert str(perm) == "2 0 1"
 
 
-class TestAlgebra:
-    def test_compose_with_identity(self):
-        perm = Permutation((2, 0, 1))
-        identity = Permutation.identity(3)
-        assert perm * identity == perm
-        assert identity * perm == perm
-
-    def test_compose_definition(self):
-        p = Permutation((1, 2, 0))
-        q = Permutation((2, 0, 1))
-        composed = p * q
-        for i in range(3):
-            assert composed(i) == p(q(i))
-
-    def test_compose_rejects_degree_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            Permutation((0, 1)) * Permutation((0, 1, 2))
-
-    def test_position_of(self):
-        perm = Permutation((3, 0, 2, 1))
-        for symbol in range(4):
-            assert perm[perm.position_of(symbol)] == symbol
-
-    def test_position_of_missing_symbol(self):
-        with pytest.raises(InvalidParameterError):
-            Permutation((0, 1)).position_of(5)
-
-
 class TestSwaps:
-    def test_swap_positions(self):
-        assert Permutation((3, 2, 1, 0)).swap_positions(0, 3).values == (0, 2, 1, 3)
-
     def test_swap_symbols_matches_paper_definition(self):
         # Paper Definition 1 example: pi = (3 1 4 2 0), pi_(2,3) = (2 1 4 3 0).
-        perm = Permutation((3, 1, 4, 2, 0))
-        assert perm.swap_symbols(2, 3).values == (2, 1, 4, 3, 0)
-
-    def test_swap_symbols_is_involution(self):
-        perm = Permutation((3, 1, 4, 2, 0))
-        assert perm.swap_symbols(0, 4).swap_symbols(0, 4) == perm
-
-    def test_module_level_swap_positions_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            swap_positions((0, 1, 2), 0, 3)
+        assert swap_symbols((3, 1, 4, 2, 0), 2, 3) == (2, 1, 4, 3, 0)
 
     def test_module_level_swap_symbols_missing(self):
         with pytest.raises(InvalidParameterError):
@@ -119,17 +71,6 @@ class TestSwaps:
 
 
 class TestStructure:
-    def test_cycles_of_identity_empty(self):
-        assert Permutation.identity(4).cycles() == []
-
-    def test_cycles_include_fixed_points_option(self):
-        cycles = Permutation((0, 2, 1)).cycles(include_fixed_points=True)
-        assert (0,) in cycles and (1, 2) in cycles
-
-    def test_cycles_deterministic_order(self):
-        perm = Permutation((1, 0, 3, 2))
-        assert perm.cycles() == [(0, 1), (2, 3)]
-
     def test_num_inversions_and_parity(self):
         assert Permutation((0, 1, 2)).num_inversions() == 0
         assert Permutation((2, 1, 0)).num_inversions() == 3

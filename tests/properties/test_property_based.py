@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.embedding.mesh_to_star import convert_d_s, convert_s_d
 from repro.embedding.paths import transposition_path
 from repro.permutations.generators import apply_star_generator
-from repro.permutations.permutation import Permutation, swap_symbols
+from repro.permutations.permutation import swap_symbols
 from repro.permutations.ranking import permutation_rank, permutation_unrank
 from repro.topology.routing import star_distance, star_route
 from repro.utils.mixed_radix import MixedRadix
@@ -65,13 +65,6 @@ class TestRankingProperties:
 
 # ------------------------------------------------------------------- permutations
 class TestPermutationAlgebraProperties:
-    @given(perm=permutations_of_degree())
-    def test_cycles_partition_non_fixed_points(self, perm):
-        p = Permutation(perm)
-        in_cycles = sorted(x for cycle in p.cycles() for x in cycle)
-        non_fixed = sorted(i for i in range(len(perm)) if perm[i] != i)
-        assert in_cycles == non_fixed
-
     @given(perm=permutations_of_degree(), data=st.data())
     def test_swap_symbols_is_an_involution(self, perm, data):
         n = len(perm)

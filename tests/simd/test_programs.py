@@ -1,5 +1,7 @@
 """Unit tests for the mask fast representation and the route-program layer."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import MaskError, ProgramError
@@ -27,6 +29,25 @@ from repro.simd.programs import (
 )
 from repro.simd.trace import RouteStatistics
 from repro.topology.mesh import Mesh
+
+
+# Both machines a program compiles for, over the same (3, 2) mesh.
+BOTH_MACHINES = pytest.mark.parametrize(
+    "factory",
+    [lambda: MeshMachine((3, 2)), lambda: EmbeddedMeshMachine(3)],
+    ids=["mesh", "embedded"],
+)
+
+
+@pytest.fixture
+def numeric_only(monkeypatch):
+    """Fail the test if a replay falls back to the object engine."""
+    import repro.simd.programs as programs_module
+
+    def no_object_engine(*args):
+        raise AssertionError("the object engine ran")
+
+    monkeypatch.setattr(programs_module, "_replay_objects", no_object_engine)
 
 
 # -------------------------------------------------------------------- masks
@@ -131,6 +152,16 @@ class TestRecordRoutes:
             singles.record_route(messages=messages, label="x")
         assert batched.snapshot() == singles.snapshot()
 
+    def test_charge_equals_singles(self):
+        charged, singles = RouteStatistics(), RouteStatistics()
+        charged.record_charge(2, 9, "x", 12, 3)
+        charged.record_charge(0, 0, None, 4, 1)
+        singles.record_routes(2, messages=9, label="x")
+        singles.record_local(operations=16)
+        for _ in range(4):
+            singles.record_broadcast()
+        assert charged.snapshot() == singles.snapshot()
+
     def test_zero_count_is_a_no_op(self):
         stats = RouteStatistics()
         stats.record_routes(0, messages=0, label="x")
@@ -202,26 +233,26 @@ class TestRoutePrograms:
         assert fused.read_register("_shift_in") == stepwise.read_register("_shift_in")
         assert fused.stats.snapshot() == stepwise.stats.snapshot()
 
-    def test_numeric_and_object_engines_agree(self):
-        import repro.simd.programs as programs_module
-
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: MeshMachine((6, 2)), lambda: EmbeddedMeshMachine(3)],
+        ids=["mesh", "embedded"],
+    )
+    def test_numeric_and_object_engines_agree(self, factory):
         sentinel = object()
         steps = (
             Fill("_in", sentinel),
             Route("K", "_in", 0, +1, ("parity", 0, 0)),
             Local("K", kernels.keep_max(sentinel), ("K", "_in"), ("parity", 0, 1)),
         )
-        numeric, object_only = MeshMachine((6, 2)), MeshMachine((6, 2))
+        numeric, object_only = factory(), factory()
         for machine in (numeric, object_only):
             machine.define_register("K", lambda node: (node[0] * 7 + node[1]) % 5)
         program = compile_program(numeric, steps)
         assert program._numeric is not None
         program.run(numeric)
-        # Re-run through the object engine by disabling the numeric plan.
-        stripped = programs_module.RouteProgram(
-            geometry=program.geometry, steps=program.steps, _ops=program._ops
-        )
-        stripped.run(object_only)
+        # Re-run the same op list through the object engine alone.
+        dataclasses.replace(program, _numeric=None).run(object_only)
         assert numeric.read_register("K") == object_only.read_register("K")
         # The staging register differs only in sentinel slots.
         fast_in = numeric.read_register("_in")
@@ -232,6 +263,87 @@ class TestRoutePrograms:
             else:
                 assert fast_in[node] == value
         assert numeric.stats.snapshot() == object_only.stats.snapshot()
+        if isinstance(numeric, EmbeddedMeshMachine):
+            assert numeric.star_stats.snapshot() == object_only.star_stats.snapshot()
+
+    @BOTH_MACHINES
+    def test_numeric_engine_declines_mixed_int_and_float(self, factory):
+        # A float constant over an int register: one shared dtype would cast
+        # the ints to float64 and lose the low bits of 2**62 + 1 + ...
+        machine = factory()
+        machine.define_register("K", lambda node: 2**62 + 1 + 2 * node[0] + node[1])
+        steps = (Local("K", kernels.const(0.5), ("K",), ("eq", 0, 0)),)
+        compile_program(machine, steps).run(machine)
+        values = machine.read_register("K")
+        for node, value in values.items():
+            if node[0] == 0:
+                assert value == 0.5
+            else:
+                assert type(value) is int
+                assert value == 2**62 + 1 + 2 * node[0] + node[1]
+        small = factory()
+        small.define_register("K", 1)
+        compile_program(small, steps).run(small)
+        unmasked = [node for node in small.mesh.nodes() if node[0] != 0]
+        assert all(type(small.read_value("K", node)) is int for node in unmasked)
+
+    def test_float_program_stays_numeric(self, numeric_only):
+        machine = MeshMachine((3, 2))
+        machine.define_register("K", lambda node: node[0] + 0.25)
+        steps = (Local("K", kernels.const(0.5), ("K",), ("eq", 0, 0)),)
+        compile_program(machine, steps).run(machine)
+        assert machine.read_register("K") == {
+            node: 0.5 if node[0] == 0 else node[0] + 0.25 for node in machine.mesh.nodes()
+        }
+
+    def test_numpy_scalar_registers_stay_numeric(self, numeric_only):
+        import numpy as np
+
+        from repro.algorithms import odd_even_transposition_sort
+
+        machine = MeshMachine((4, 3))
+        machine.define_register("K", lambda node: np.int64(11 - 3 * node[0] + node[1]))
+        odd_even_transposition_sort(machine, "K", dim=0)
+        values = machine.read_register("K")
+        for node in machine.mesh.nodes():
+            if node[0] < 3:
+                assert values[node] <= values[(node[0] + 1, node[1])]
+
+    def test_int_constant_beyond_int64_stays_on_object_engine(self):
+        machine = MeshMachine((3, 2))
+        machine.define_register("K", 1)
+        program = compile_program(machine, (Fill("X", 2**70), Local("K", kernels.COPY, ("X",))))
+        assert program._numeric is None
+        program.run(machine)
+        assert set(machine.read_register("K").values()) == {2**70}
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [+1, -1])
+    def test_embedded_gather_is_the_plan_replay(self, dim, delta):
+        # Tuple payloads take the object engine: the relabelled gather
+        # perm[src] -> perm[dst] must equal the facade's star plan replay.
+        compiled, facade = EmbeddedMeshMachine(4), EmbeddedMeshMachine(4)
+        for machine in (compiled, facade):
+            machine.define_register("A", lambda node: ("payload",) + node)
+            machine.define_register("B", None)
+        compile_program(compiled, (Route("A", "B", dim, delta),)).run(compiled)
+        facade.route_dimension("A", "B", dim, delta)
+        assert compiled.read_register("B") == facade.read_register("B")
+        assert compiled.stats.snapshot() == facade.stats.snapshot()
+        assert compiled.star_stats.snapshot() == facade.star_stats.snapshot()
+
+    def test_integer_line_sort_replays_numerically_on_the_star(self, numeric_only):
+        from repro.algorithms import odd_even_transposition_sort
+
+        machine = EmbeddedMeshMachine(6)
+        keys = {node: (index * 7919) % 1009 for index, node in enumerate(machine.mesh.nodes())}
+        machine.define_register("K", keys)
+        odd_even_transposition_sort(machine, "K", dim=0)
+        values = machine.read_register("K")
+        side = machine.mesh.sides[0]
+        for node in machine.mesh.nodes():
+            if node[0] + 1 < side:
+                assert values[node] <= values[(node[0] + 1,) + node[1:]]
 
     def test_numeric_engine_bails_on_object_payload(self):
         steps = (
@@ -245,6 +357,17 @@ class TestRoutePrograms:
         program.run(machine)  # must fall back without raising
         values = machine.read_register("K")
         assert values[(1,)] == ("payload", 0)
+
+    @BOTH_MACHINES
+    def test_fill_broadcasts_any_value_as_a_constant(self, factory):
+        value = len  # a callable: still one broadcast constant
+        program = compile_program(factory(), (Fill("F", value),))
+        for replay in (program, dataclasses.replace(program, _numeric=None)):
+            machine = factory()
+            replay.run(machine)
+            assert all(v is value for v in machine.read_register("F").values())
+            owner = machine.stats if isinstance(machine, MeshMachine) else machine.star_stats
+            assert owner.broadcasts == 1
 
     def test_validates_step_parameters(self):
         machine = MeshMachine((3, 2))
