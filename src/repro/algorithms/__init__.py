@@ -29,40 +29,44 @@ The modules:
   compiled kernel above is held to, bit for bit, by the parity tests.
 """
 
-from repro.algorithms.broadcast import (
-    mesh_broadcast,
-    cayley_broadcast_greedy,
-    star_broadcast_greedy,
-    star_broadcast_bound,
-)
-from repro.algorithms.cayley import (
-    cayley_broadcast_tree,
-    cayley_reduce_tree,
-    generator_tree_plan,
-)
-from repro.algorithms.reduction import mesh_reduce
-from repro.algorithms.scan import prefix_sum_dimension, segmented_totals
-from repro.algorithms.shift import shift_dimension, rotate_dimension
-from repro.algorithms.sorting import (
-    odd_even_transposition_sort,
-    shearsort_2d,
-    snake_order_rank,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "mesh_broadcast",
-    "cayley_broadcast_greedy",
-    "star_broadcast_greedy",
-    "star_broadcast_bound",
-    "cayley_broadcast_tree",
-    "cayley_reduce_tree",
-    "generator_tree_plan",
-    "mesh_reduce",
-    "prefix_sum_dimension",
-    "segmented_totals",
-    "shift_dimension",
-    "rotate_dimension",
-    "odd_even_transposition_sort",
-    "shearsort_2d",
-    "snake_order_rank",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.algorithms.broadcast",
+            (
+                "mesh_broadcast",
+                "cayley_broadcast_greedy",
+                "star_broadcast_greedy",
+                "star_broadcast_bound",
+            ),
+        ),
+        (
+            "repro.algorithms.cayley",
+            (
+                "cayley_broadcast_tree",
+                "cayley_reduce_tree",
+                "generator_tree_plan",
+            ),
+        ),
+        ("repro.algorithms.reduction", ("mesh_reduce",)),
+        ("repro.algorithms.scan", ("prefix_sum_dimension", "segmented_totals")),
+        ("repro.algorithms.shift", ("shift_dimension", "rotate_dimension")),
+        (
+            "repro.algorithms.sorting",
+            (
+                "odd_even_transposition_sort",
+                "shearsort_2d",
+                "snake_order_rank",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,54 +12,60 @@ and the Appendix side lengths are
 ``run --json`` payload back.
 """
 
-from repro.analysis.bounds import (
-    star_num_nodes,
-    star_degree,
-    star_diameter,
-    hypercube_num_nodes,
-    hypercube_diameter,
-    paper_mesh_max_degree,
-    dilation_lower_bound_exists,
-)
-from repro.analysis.comparison import (
-    NetworkRow,
-    star_vs_hypercube_table,
-    closest_hypercube_for_star,
-)
-from repro.analysis.simulation_cost import (
-    SimulationCostRow,
-    uniform_simulation_table,
-    sorting_cost_estimates,
-)
-from repro.analysis.optimal_dimension import (
-    appendix_cost,
-    optimal_dimension_table,
-)
-from repro.analysis.stored import (
-    load_results,
-    stored_result,
-    stored_rows,
-    claim_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "star_num_nodes",
-    "star_degree",
-    "star_diameter",
-    "hypercube_num_nodes",
-    "hypercube_diameter",
-    "paper_mesh_max_degree",
-    "dilation_lower_bound_exists",
-    "NetworkRow",
-    "star_vs_hypercube_table",
-    "closest_hypercube_for_star",
-    "SimulationCostRow",
-    "uniform_simulation_table",
-    "sorting_cost_estimates",
-    "appendix_cost",
-    "optimal_dimension_table",
-    "load_results",
-    "stored_result",
-    "stored_rows",
-    "claim_summary",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.analysis.bounds",
+            (
+                "star_num_nodes",
+                "star_degree",
+                "star_diameter",
+                "hypercube_num_nodes",
+                "hypercube_diameter",
+                "paper_mesh_max_degree",
+                "dilation_lower_bound_exists",
+            ),
+        ),
+        (
+            "repro.analysis.comparison",
+            (
+                "NetworkRow",
+                "star_vs_hypercube_table",
+                "closest_hypercube_for_star",
+            ),
+        ),
+        (
+            "repro.analysis.simulation_cost",
+            (
+                "SimulationCostRow",
+                "uniform_simulation_table",
+                "sorting_cost_estimates",
+            ),
+        ),
+        (
+            "repro.analysis.optimal_dimension",
+            (
+                "appendix_cost",
+                "optimal_dimension_table",
+            ),
+        ),
+        (
+            "repro.analysis.stored",
+            (
+                "load_results",
+                "stored_result",
+                "stored_rows",
+                "claim_summary",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,68 +19,71 @@ Public entry points
     Generic embedding container used by the metrics and the baselines.
 """
 
-from repro.embedding.base import Embedding
-from repro.embedding.metrics import (
-    EmbeddingMetrics,
-    measure_embedding,
-    dilation,
-    expansion,
-    congestion,
-    average_dilation,
-    verify_embedding,
-)
-from repro.embedding.mesh_to_star import (
-    MeshToStarEmbedding,
-    convert_d_s,
-    convert_s_d,
-    exchange_sequence,
-    mesh_neighbor_transposition,
-)
-from repro.embedding.paths import (
-    transposition_path,
-    mesh_edge_path,
-    unit_route_paths,
-)
-from repro.embedding.mesh_to_hypercube import (
-    MeshToHypercubeEmbedding,
-    gray_code,
-)
-from repro.embedding.uniform import (
-    UniformMeshSimulation,
-    factorise_paper_mesh,
-    atallah_slowdown,
-    uniform_on_paper_mesh_slowdown,
-)
-from repro.embedding.reshape import (
-    PaperMeshReshapeEmbedding,
-    mixed_radix_gray_encode,
-    mixed_radix_gray_decode,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Embedding",
-    "EmbeddingMetrics",
-    "measure_embedding",
-    "dilation",
-    "expansion",
-    "congestion",
-    "average_dilation",
-    "verify_embedding",
-    "MeshToStarEmbedding",
-    "convert_d_s",
-    "convert_s_d",
-    "exchange_sequence",
-    "mesh_neighbor_transposition",
-    "transposition_path",
-    "mesh_edge_path",
-    "unit_route_paths",
-    "MeshToHypercubeEmbedding",
-    "gray_code",
-    "UniformMeshSimulation",
-    "factorise_paper_mesh",
-    "atallah_slowdown",
-    "uniform_on_paper_mesh_slowdown",
-    "PaperMeshReshapeEmbedding",
-    "mixed_radix_gray_encode",
-    "mixed_radix_gray_decode",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.embedding.base", ("Embedding",)),
+        (
+            "repro.embedding.metrics",
+            (
+                "EmbeddingMetrics",
+                "measure_embedding",
+                "dilation",
+                "expansion",
+                "congestion",
+                "average_dilation",
+                "verify_embedding",
+            ),
+        ),
+        (
+            "repro.embedding.mesh_to_star",
+            (
+                "MeshToStarEmbedding",
+                "convert_d_s",
+                "convert_s_d",
+                "exchange_sequence",
+                "mesh_neighbor_transposition",
+            ),
+        ),
+        (
+            "repro.embedding.paths",
+            (
+                "transposition_path",
+                "mesh_edge_path",
+                "unit_route_paths",
+            ),
+        ),
+        (
+            "repro.embedding.mesh_to_hypercube",
+            (
+                "MeshToHypercubeEmbedding",
+                "gray_code",
+            ),
+        ),
+        (
+            "repro.embedding.uniform",
+            (
+                "UniformMeshSimulation",
+                "factorise_paper_mesh",
+                "atallah_slowdown",
+                "uniform_on_paper_mesh_slowdown",
+            ),
+        ),
+        (
+            "repro.embedding.reshape",
+            (
+                "PaperMeshReshapeEmbedding",
+                "mixed_radix_gray_encode",
+                "mixed_radix_gray_decode",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

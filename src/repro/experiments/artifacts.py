@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,6 +175,8 @@ def environment_stamp() -> Dict[str, object]:
         Interpreter version/implementation, platform, machine and the NumPy
         version in use.
     """
+    import platform
+
     import numpy
 
     return {

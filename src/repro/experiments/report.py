@@ -15,7 +15,6 @@ as the docs site's results page.
 
 from __future__ import annotations
 
-import html as _html
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
@@ -338,12 +337,14 @@ blockquote { color: #555; border-left: 3px solid #c5c5d2; margin-left: 0;
 
 
 def _html_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str]:
+    from html import escape
+
     out = ["<table>", "<tr>"]
-    out.extend(f"<th>{_html.escape(str(h))}</th>" for h in headers)
+    out.extend(f"<th>{escape(str(h))}</th>" for h in headers)
     out.append("</tr>")
     for row in rows:
         out.append("<tr>")
-        out.extend(f"<td>{_html.escape(_format_cell(cell))}</td>" for cell in row)
+        out.extend(f"<td>{escape(_format_cell(cell))}</td>" for cell in row)
         out.append("</tr>")
     out.append("</table>")
     return out
@@ -358,9 +359,10 @@ def render_html_report(
     stylesheet and references no external assets, so it can be opened from
     disk or dropped into any static host.
     """
+    from html import escape as esc
+
     from repro.experiments.artifacts import claim_verdict
 
-    esc = _html.escape
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en">',

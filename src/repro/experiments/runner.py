@@ -65,11 +65,8 @@ once across all workers -- the retried attempt then succeeds.
 from __future__ import annotations
 
 import os
-import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -244,6 +241,7 @@ def _chaos_hook(shard: Shard) -> None:
         time.sleep(float(os.environ.get("REPRO_CHAOS_HANG_SECONDS", "60")))
     if os.environ.get("REPRO_CHAOS_KILL") == experiment_id:
         import multiprocessing
+        import signal
 
         # Only a pool worker may kill itself; the serial engine and the
         # in-process fast path run in the main process and must survive.
@@ -597,8 +595,13 @@ def run_shards(
         At most *jobs* shards are in flight at any time (windowed submission
         keeps each attempt's deadline honest); retries re-enter through a
         delay queue; a broken or killed pool is respawned and its in-flight
-        work re-enqueued.
+        work re-enqueued.  The pool machinery (``concurrent.futures``, and
+        ``multiprocessing`` below it) is imported here: a serial or all-cached
+        run never loads it.
         """
+        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         delayed: List[Tuple[float, _Work]] = []
         in_flight: Dict[Future, _Work] = {}
         pool: Optional[ProcessPoolExecutor] = None

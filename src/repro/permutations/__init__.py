@@ -20,44 +20,47 @@ Throughout the package permutations are written *symbol-sequence first*, i.e.
 ``i`` (counted from the right) is tuple index ``n - 1 - i``.
 """
 
-from repro.permutations.permutation import (
-    Permutation,
-    identity_permutation,
-    is_permutation,
-    swap_symbols,
-)
-from repro.permutations.ranking import (
-    factorials,
-    inversion_count,
-    lehmer_code,
-    lehmer_decode,
-    move_tables,
-    permutation_rank,
-    permutation_unrank,
-    all_permutations,
-    all_permutations_array,
-    ranks_of,
-)
-from repro.permutations.generators import (
-    apply_star_generator,
-    transposition_to_star_routes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Permutation",
-    "identity_permutation",
-    "is_permutation",
-    "swap_symbols",
-    "factorials",
-    "inversion_count",
-    "lehmer_code",
-    "lehmer_decode",
-    "move_tables",
-    "permutation_rank",
-    "permutation_unrank",
-    "all_permutations",
-    "all_permutations_array",
-    "ranks_of",
-    "apply_star_generator",
-    "transposition_to_star_routes",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.permutations.permutation",
+            (
+                "Permutation",
+                "identity_permutation",
+                "is_permutation",
+                "swap_symbols",
+            ),
+        ),
+        (
+            "repro.permutations.ranking",
+            (
+                "factorials",
+                "inversion_count",
+                "lehmer_code",
+                "lehmer_decode",
+                "move_tables",
+                "permutation_rank",
+                "permutation_unrank",
+                "all_permutations",
+                "all_permutations_array",
+                "ranks_of",
+            ),
+        ),
+        (
+            "repro.permutations.generators",
+            (
+                "apply_star_generator",
+                "transposition_to_star_routes",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,27 +30,48 @@ Layering
     paper's embedding -- the object Theorem 6 is about.
 """
 
-from repro.simd.trace import RouteStatistics
-from repro.simd.masks import Mask
-from repro.simd.machine import SIMDMachine
-from repro.simd.conflicts import check_unit_route_conflicts, UnitRouteStep
-from repro.simd.plans import UnitRoutePlan, unit_route_plan, unit_route_plan_subset
-from repro.simd.star_machine import StarMachine
-from repro.simd.cayley_machine import CayleyMachine
-from repro.simd.mesh_machine import MeshMachine
-from repro.simd.embedded import EmbeddedMeshMachine
-from repro.simd.kernels import Kernel
-from repro.simd.programs import (
-    Chain,
-    Fill,
-    Local,
-    Route,
-    RouteProgram,
-    ShiftSteps,
-    compile_program,
-    supports_programs,
-)
+from repro._lazy import lazy_exports
 
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.simd.trace", ("RouteStatistics",)),
+        ("repro.simd.masks", ("Mask",)),
+        ("repro.simd.machine", ("SIMDMachine",)),
+        ("repro.simd.conflicts", ("check_unit_route_conflicts", "UnitRouteStep")),
+        (
+            "repro.simd.plans",
+            (
+                "UnitRoutePlan",
+                "unit_route_plan",
+                "unit_route_plan_subset",
+            ),
+        ),
+        ("repro.simd.star_machine", ("StarMachine",)),
+        ("repro.simd.cayley_machine", ("CayleyMachine",)),
+        ("repro.simd.mesh_machine", ("MeshMachine",)),
+        ("repro.simd.embedded", ("EmbeddedMeshMachine",)),
+        ("repro.simd.kernels", ("Kernel",)),
+        (
+            "repro.simd.programs",
+            (
+                "Chain",
+                "Fill",
+                "Local",
+                "Route",
+                "RouteProgram",
+                "ShiftSteps",
+                "compile_program",
+                "supports_programs",
+            ),
+        ),
+    )
+    for name in names
+}
+
+#: The program grammar, ``Kernel`` and ``unit_route_plan_subset`` resolve from
+#: the root as well, but stay out of ``__all__``.
 __all__ = [
     "RouteStatistics",
     "Mask",
@@ -64,3 +85,5 @@ __all__ = [
     "MeshMachine",
     "EmbeddedMeshMachine",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

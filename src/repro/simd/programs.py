@@ -39,7 +39,8 @@ labels included).
 
 Replay engines
 --------------
-The one op list replays on one of two engines, on either machine:
+A program replays on one of two engines, on either machine, and both read
+the ledger entries computed at compile time:
 
 * the **numeric engine** (NumPy) when every register the program touches is
   a flat vector of one numeric kind (all ints or all floats, constants
@@ -49,7 +50,9 @@ The one op list replays on one of two engines, on either machine:
   shrink to precomputed "active and received" index arrays and sentinels
   never materialise;
 * the **object engine** otherwise: it moves Python objects through the dense
-  register lists with the precompiled index lists -- any payload.
+  register lists with precomputed index lists -- any payload.  Its ops are
+  built on the first replay the numeric engine declines and then kept, so a
+  program the numeric engine always takes never holds them.
 
 Programs compile for :class:`~repro.simd.mesh_machine.MeshMachine` and
 :class:`~repro.simd.embedded.EmbeddedMeshMachine` exactly (subclasses fall
@@ -828,8 +831,11 @@ class RouteProgram:
 
     geometry: Tuple
     steps: Tuple[Step, ...]
-    _ops: List[Tuple]
+    _charges: List[Tuple[_Charge, ...]]
     _numeric: Optional[_NumericProgram] = None
+    #: The object engine's ops, built on the first replay the numeric engine
+    #: declines.
+    _ops: Optional[List[Tuple]] = None
 
     def run(self, machine) -> None:
         """Replay on *machine*.
@@ -850,6 +856,8 @@ class RouteProgram:
             )
         target, ledgers = _register_file(machine)
         if self._numeric is None or not self._numeric.run(target, ledgers):
+            if self._ops is None:
+                self._ops = _object_ops(machine, self.steps, self._charges)
             _replay_objects(self._ops, target, ledgers)
 
 
@@ -933,22 +941,15 @@ def _compile(machine, geometry: Tuple, steps: Tuple[Step, ...]) -> RouteProgram:
             (1, 1, plan.num_paths, mesh_label),
         ]
 
-    ops: List[Tuple] = []
     charges: List[Tuple[_Charge, ...]] = []
     distinct: Dict[Tuple, Tuple] = {}
     for step in steps:
         _validate_step(mesh, step)
         if isinstance(step, Fill):
             cost: Tuple[_Charge, ...] = ()
-            op: Tuple = ("fill", step.register, step.value)
         elif isinstance(step, Route):
             entries = route_ledger(step.dim, step.delta, step.where, step.label)
             cost = tuple((slot, r, m, label, 0, 0) for slot, r, m, label in entries)
-            # A star plan with no paths returns before touching any register;
-            # a mesh route always counts one unit route, so it always touches.
-            touches = entries[0][1] > 0
-            moves = _masked_moves(mesh, step.dim, step.delta, step.where)
-            op = ("route", step.source, step.destination, relabel(moves), touches)
         elif isinstance(step, Chain):
             totals: Dict[int, Tuple] = {}
             for coord in step.coords:
@@ -957,12 +958,9 @@ def _compile(machine, geometry: Tuple, steps: Tuple[Step, ...]) -> RouteProgram:
                     routes, messages, _ = totals.get(slot, (0, 0, label))
                     totals[slot] = (routes + r, messages + m, label)
             cost = tuple((slot, r, m, label, 0, 0) for slot, (r, m, label) in totals.items())
-            op = ("chain", step.register, relabel(_chain_gather(mesh, step)))
         elif isinstance(step, Local):
-            indices = None if step.where == MASK_ALL else mask_indices(mesh, step.where)
-            count = num_nodes if indices is None else len(indices)
+            count = num_nodes if step.where == MASK_ALL else len(mask_indices(mesh, step.where))
             cost = tuple((slot, 0, 0, None, count, 1) for slot in levels)
-            op = ("local", step.destination, step.kernel, step.sources, relabel(indices))
         elif isinstance(step, ShiftSteps):
             # copy; (fill; route; copy) * k: every level records the k routes,
             # the k + 1 copies and their broadcasts; the k fills are defines,
@@ -972,19 +970,47 @@ def _compile(machine, geometry: Tuple, steps: Tuple[Step, ...]) -> RouteProgram:
                 (slot, k * r, k * m, label, (k + 1) * num_nodes, k + 1 + (k if slot == 0 else 0))
                 for slot, r, m, label in route_ledger(step.dim, step.delta, MASK_ALL, None)
             )
-            op = ("shift", step, relabel(_shift_gather(mesh, step.dim, step.delta, k)))
         else:
             raise ProgramError(f"unknown program step {step!r}")
         # Repeated steps (every phase of a sort) share one ledger tuple.
-        cost = distinct.setdefault(cost, cost)
-        ops.append(op + (cost,))
-        charges.append(cost)
+        charges.append(distinct.setdefault(cost, cost))
     return RouteProgram(
         geometry=geometry,
         steps=steps,
-        _ops=ops,
+        _charges=charges,
         _numeric=_NumericCompiler(mesh, steps, charges, relabel).compile(),
     )
+
+
+def _object_ops(machine, steps: Tuple[Step, ...], charges) -> List[Tuple]:
+    """The object engine's ops: each step's data effect on *machine*'s register file.
+
+    Every op ends with its step's ledger entries from *charges*.  Any machine
+    of the program's geometry gives the same ops: canonical embeddings of one
+    degree share ``mesh_to_star_indices()``.
+    """
+    mesh = machine.mesh
+    relabel = _Relabel(None if type(machine) is MeshMachine else machine.mesh_to_star_indices())
+    ops: List[Tuple] = []
+    for step, cost in zip(steps, charges):
+        if isinstance(step, Fill):
+            op: Tuple = ("fill", step.register, step.value)
+        elif isinstance(step, Route):
+            # A star plan with no paths returns before touching any register;
+            # a mesh route always counts one unit route, so it always touches.
+            touches = cost[0][1] > 0
+            moves = _masked_moves(mesh, step.dim, step.delta, step.where)
+            op = ("route", step.source, step.destination, relabel(moves), touches)
+        elif isinstance(step, Chain):
+            op = ("chain", step.register, relabel(_chain_gather(mesh, step)))
+        elif isinstance(step, Local):
+            indices = None if step.where == MASK_ALL else mask_indices(mesh, step.where)
+            op = ("local", step.destination, step.kernel, step.sources, relabel(indices))
+        else:
+            pairs = _shift_gather(mesh, step.dim, step.delta, step.steps)
+            op = ("shift", step, relabel(pairs))
+        ops.append(op + (cost,))
+    return ops
 
 
 def compile_program(machine, steps: Sequence[Step]) -> RouteProgram:

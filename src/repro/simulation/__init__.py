@@ -30,85 +30,71 @@ experiments are thin tables over these functions; everything here is
 importable and testable without the experiment stack.
 """
 
-from repro.simulation.campaign import (
-    CAMPAIGN_FAMILIES,
-    ConnectivityPoint,
-    StretchPoint,
-    campaign_instances,
-    connectivity_campaign,
-    connectivity_campaign_reference,
-    fault_counts_for_rates,
-    sample_fault_indices,
-    stretch_campaign,
-)
-from repro.simulation.rerouting import masked_bfs_distances, masked_route
-from repro.simulation.sampled_campaign import (
-    SAMPLED_CAMPAIGN_FAMILIES,
-    SampledFaultPoint,
-    sampled_campaign_instances,
-    sampled_fault_campaign,
-)
-from repro.simulation.sampling import (
-    SAMPLING_FAMILIES,
-    PancakeDistanceEstimate,
-    SampledDistanceEstimate,
-    default_pancake_depth,
-    exact_average_distance,
-    family_diameter_formula,
-    family_num_nodes,
-    pancake_relative_ranks,
-    sampled_distance_estimate,
-    sampled_pair_distances,
-    sampled_pancake_estimate,
-)
-from repro.simulation.stats import (
-    Z_95,
-    RankInterval,
-    derive_trial_seed,
-    mean_interval,
-    moments_interval,
-    normal_cdf,
-    normal_quantile,
-    rank_intervals,
-    simultaneous_intervals,
-    wilson_interval,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_FAMILIES",
-    "ConnectivityPoint",
-    "StretchPoint",
-    "campaign_instances",
-    "connectivity_campaign",
-    "connectivity_campaign_reference",
-    "fault_counts_for_rates",
-    "sample_fault_indices",
-    "stretch_campaign",
-    "masked_bfs_distances",
-    "masked_route",
-    "SAMPLED_CAMPAIGN_FAMILIES",
-    "SampledFaultPoint",
-    "sampled_campaign_instances",
-    "sampled_fault_campaign",
-    "SAMPLING_FAMILIES",
-    "PancakeDistanceEstimate",
-    "SampledDistanceEstimate",
-    "default_pancake_depth",
-    "exact_average_distance",
-    "family_diameter_formula",
-    "family_num_nodes",
-    "pancake_relative_ranks",
-    "sampled_distance_estimate",
-    "sampled_pair_distances",
-    "sampled_pancake_estimate",
-    "Z_95",
-    "RankInterval",
-    "derive_trial_seed",
-    "mean_interval",
-    "moments_interval",
-    "normal_cdf",
-    "normal_quantile",
-    "rank_intervals",
-    "simultaneous_intervals",
-    "wilson_interval",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.simulation.campaign",
+            (
+                "CAMPAIGN_FAMILIES",
+                "ConnectivityPoint",
+                "StretchPoint",
+                "campaign_instances",
+                "connectivity_campaign",
+                "connectivity_campaign_reference",
+                "fault_counts_for_rates",
+                "sample_fault_indices",
+                "stretch_campaign",
+            ),
+        ),
+        ("repro.simulation.rerouting", ("masked_bfs_distances", "masked_route")),
+        (
+            "repro.simulation.sampled_campaign",
+            (
+                "SAMPLED_CAMPAIGN_FAMILIES",
+                "SampledFaultPoint",
+                "sampled_campaign_instances",
+                "sampled_fault_campaign",
+            ),
+        ),
+        (
+            "repro.simulation.sampling",
+            (
+                "SAMPLING_FAMILIES",
+                "PancakeDistanceEstimate",
+                "SampledDistanceEstimate",
+                "default_pancake_depth",
+                "exact_average_distance",
+                "family_diameter_formula",
+                "family_num_nodes",
+                "pancake_relative_ranks",
+                "sampled_distance_estimate",
+                "sampled_pair_distances",
+                "sampled_pancake_estimate",
+            ),
+        ),
+        (
+            "repro.simulation.stats",
+            (
+                "Z_95",
+                "RankInterval",
+                "derive_trial_seed",
+                "mean_interval",
+                "moments_interval",
+                "normal_cdf",
+                "normal_quantile",
+                "rank_intervals",
+                "simultaneous_intervals",
+                "wilson_interval",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

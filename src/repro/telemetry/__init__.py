@@ -20,6 +20,7 @@ Tracing never changes results: artifact payloads and keys are byte-identical
 with tracing on or off (the standing serial-parity contract).
 """
 
+from repro._lazy import lazy_exports
 from repro.telemetry.recorder import (
     NOOP_SPAN,
     TRACE_ENV,
@@ -34,13 +35,20 @@ from repro.telemetry.recorder import (
     trace_enabled,
     trace_path,
 )
-from repro.telemetry.summarize import (
-    EVENT_TYPES,
-    load_trace,
-    render_summary,
-    summarize_trace,
-    validate_trace_events,
-)
+
+#: The trace reader, resolved on first access (PEP 562): only the commands
+#: that read a trace back pay for it.  The recorder above stays eager -- every
+#: instrumented call site reads ``telemetry.span`` on its hot path.
+_EXPORTS = {
+    name: "repro.telemetry.summarize"
+    for name in (
+        "EVENT_TYPES",
+        "load_trace",
+        "render_summary",
+        "summarize_trace",
+        "validate_trace_events",
+    )
+}
 
 __all__ = [
     "TRACE_ENV",
@@ -61,3 +69,5 @@ __all__ = [
     "summarize_trace",
     "render_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,28 +13,26 @@ in numpy/networkx unless the caller actually needs array output or graph
 conversion.
 """
 
-from repro.utils.validation import (
-    check_positive_int,
-    check_in_range,
-    check_sequence_of_ints,
-)
-from repro.utils.mixed_radix import (
-    MixedRadix,
-    iter_mixed_radix,
-)
-from repro.utils.itertools_ext import (
-    pairwise,
-    first,
-    argmax,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "check_positive_int",
-    "check_in_range",
-    "check_sequence_of_ints",
-    "MixedRadix",
-    "iter_mixed_radix",
-    "pairwise",
-    "first",
-    "argmax",
-]
+#: public name -> defining module, resolved on first access (PEP 562).
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "repro.utils.validation",
+            (
+                "check_positive_int",
+                "check_in_range",
+                "check_sequence_of_ints",
+            ),
+        ),
+        ("repro.utils.mixed_radix", ("MixedRadix", "iter_mixed_radix")),
+        ("repro.utils.itertools_ext", ("pairwise", "first", "argmax")),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -251,7 +251,9 @@ class TestRoutePrograms:
         program = compile_program(numeric, steps)
         assert program._numeric is not None
         program.run(numeric)
-        # Re-run the same op list through the object engine alone.
+        # Numeric replays never build the object engine's ops.
+        assert program._ops is None
+        # Re-run the same program through the object engine alone.
         dataclasses.replace(program, _numeric=None).run(object_only)
         assert numeric.read_register("K") == object_only.read_register("K")
         # The staging register differs only in sentinel slots.
@@ -313,9 +315,10 @@ class TestRoutePrograms:
         machine = MeshMachine((3, 2))
         machine.define_register("K", 1)
         program = compile_program(machine, (Fill("X", 2**70), Local("K", kernels.COPY, ("X",))))
-        assert program._numeric is None
+        assert program._numeric is None and program._ops is None
         program.run(machine)
         assert set(machine.read_register("K").values()) == {2**70}
+        assert program._ops is not None
 
     @pytest.mark.parametrize("dim", [0, 1, 2])
     @pytest.mark.parametrize("delta", [+1, -1])
