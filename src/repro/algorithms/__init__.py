@@ -23,8 +23,8 @@ The modules:
 * :mod:`~repro.algorithms.broadcast` -- the mesh broadcast, plus greedy
   broadcasting on ``S_n`` itself and its bound (Section 2, property 3);
 * :mod:`~repro.algorithms.reduction` -- the mesh reduction to the origin;
-* :mod:`~repro.algorithms.cayley` -- broadcast and reduction scheduled one
-  generator at a time over a BFS tree of any Cayley machine;
+* :mod:`~repro.algorithms.cayley` -- broadcast scheduled one generator at a
+  time over a BFS tree of any Cayley machine;
 * :mod:`~repro.algorithms.reference` -- the per-call implementations every
   compiled kernel above is held to, bit for bit, by the parity tests.
 """
@@ -48,7 +48,6 @@ _EXPORTS = {
             "repro.algorithms.cayley",
             (
                 "cayley_broadcast_tree",
-                "cayley_reduce_tree",
                 "generator_tree_plan",
             ),
         ),

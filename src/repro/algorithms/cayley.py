@@ -1,30 +1,25 @@
-"""Generator-scheduled broadcast and reduction on Cayley machines.
+"""Generator-scheduled broadcast on Cayley machines.
 
 The mesh kernels sweep one dimension at a time; the natural analogue on a
 permutation Cayley network schedules unit routes along one *generator* at a
-time, over the edges of a BFS spanning tree rooted at the source:
-
-* **broadcast** walks the tree root-to-leaves: phase ``(depth, g)`` routes
-  every informed parent to its depth-``depth`` children reached along
-  generator ``g`` (SIMD-A: one generator per unit route);
-* **reduction** walks leaves-to-root: the same phases in reverse, each
-  followed by a masked fold at the receiving parents.
+time, over the edges of a BFS spanning tree rooted at the source: the
+broadcast walks the tree root-to-leaves, and phase ``(depth, g)`` routes
+every informed parent to its depth-``depth`` children reached along
+generator ``g`` (SIMD-A: one generator per unit route).
 
 The tree is compiled once per ``(graph, root)`` into a
 :class:`GeneratorTreePlan` -- per phase, the dense sender/receiver index
 lists -- and replayed with ``route_indexed`` gathers (conflict checking
 skipped: within one phase the parent-child pairs are a subset of the
-generator's perfect matching) and :meth:`~repro.simd.machine.SIMDMachine.apply_kernel`
-folds.  Because the plan consumes only ``move_tables()`` and the BFS sweep,
+generator's perfect matching).  Because the plan consumes only ``move_tables()`` and the BFS sweep,
 the same program runs unchanged on every family --
 :class:`~repro.simd.cayley_machine.CayleyMachine` over pancake, bubble-sort
 or any transposition tree, and :class:`~repro.simd.star_machine.StarMachine`
 over the paper's star graph.
 
-Registers and ledgers are bit-identical to the retained per-call references
-(:func:`repro.algorithms.reference.cayley_broadcast_tree` /
-:func:`~repro.algorithms.reference.cayley_reduce_tree`), which rebuild the
-tree per call from tuple BFS and route through the validated facade; the
+Registers and ledgers are bit-identical to the retained per-call reference
+(:func:`repro.algorithms.reference.cayley_broadcast_tree`), which rebuilds
+the tree per call from tuple BFS and route through the validated facade; the
 parity tests hold the two together.
 """
 
@@ -32,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.algorithms import reference as _reference
 from repro.exceptions import InvalidParameterError
 from repro.permutations.ranking import within_table_degree
-from repro.simd import kernels as _kernels
-from repro.simd.masks import Mask
 from repro.topology.base import Node, Topology
 from repro.topology.cayley import CayleyGraph
 from repro.topology.routing import bfs_distances_from
@@ -48,13 +41,11 @@ __all__ = [
     "TreePhase",
     "generator_tree_plan",
     "cayley_broadcast_tree",
-    "cayley_reduce_tree",
 ]
 
 # Shared with the reference module so both implementations agree on the
-# sentinels ("not yet informed" / "nothing to fold").
+# "not yet informed" sentinel.
 _MISSING = _reference._MISSING
-_NEUTRAL = _reference._NEUTRAL
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class GeneratorTreePlan:
 
     @property
     def num_unit_routes(self) -> int:
-        """Unit routes per broadcast (= per reduction) replay."""
+        """Unit routes per broadcast replay."""
         return len(self.phases)
 
 
@@ -210,77 +201,3 @@ def cayley_broadcast_tree(
             check_conflicts=False,
         )
     return plan.num_unit_routes
-
-
-def cayley_reduce_tree(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    root_node: Optional[Node] = None,
-    result: Optional[str] = None,
-) -> object:
-    """Fold *register* over every PE with *operator*; the result lands at the root.
-
-    The broadcast schedule in reverse: children at depth ``d`` push their
-    partial results to their tree parents (one generator per unit route,
-    deepest phases first), each followed by a fold masked to exactly the
-    receiving parents.
-
-    Parameters
-    ----------
-    machine : SIMDMachine
-        The machine whose register to reduce.
-    register : str
-        Source register name.
-    operator : callable
-        Associative binary fold; values fold in a deterministic phase order,
-        so commutativity is not required for reproducibility.
-    root_node : tuple of int, optional
-        Where the result lands (default the rank-0 node, the identity
-        permutation).
-    result : str, optional
-        Result register (default ``register + "_red"``).
-
-    Returns
-    -------
-    object
-        The reduced value (also left in *result* at *root_node*).
-    """
-    topology = machine.topology
-    if not _tree_supported(topology):
-        return _reference.cayley_reduce_tree(
-            machine, register, operator, root_node=root_node, result=result
-        )
-    root = (
-        topology.validate_node(root_node)
-        if root_node is not None
-        else topology.node_from_index(0)
-    )
-    result = result or f"{register}_red"
-    machine.apply_kernel(result, _kernels.COPY, register)
-    machine.define_register("_incoming_cay", _NEUTRAL)
-
-    fold = _kernels.fold(operator, _NEUTRAL, incoming_first=False)
-    plan = generator_tree_plan(topology, topology.node_index(root))
-    num_nodes = topology.num_nodes
-    for phase in reversed(plan.phases):
-        machine.route_indexed(
-            result,
-            "_incoming_cay",
-            list(zip(phase.children, phase.parents)),
-            label="reduce-tree",
-            check_conflicts=False,
-        )
-        # Fold only at the parents that just received; staging entries left
-        # behind at other PEs are never read (every later phase routes before
-        # it folds), so no clearing pass is needed.
-        flags = [False] * num_nodes
-        for parent in phase.parents:
-            flags[parent] = True
-        machine.apply_kernel(
-            result, fold, result, "_incoming_cay",
-            where=Mask.from_flags(topology, flags),
-        )
-    return machine.read_value(result, root)
-

@@ -36,7 +36,6 @@ __all__ = [
     "mesh_broadcast",
     "mesh_reduce",
     "cayley_broadcast_tree",
-    "cayley_reduce_tree",
 ]
 
 _EMPTY = object()
@@ -399,45 +398,3 @@ def cayley_broadcast_tree(machine, source_node, register, *, result=None) -> int
     for (_depth, _generator), pairs in phases:
         machine.route_moves(result, result, pairs, label="broadcast-tree")
     return len(phases)
-
-
-def cayley_reduce_tree(
-    machine,
-    register: str,
-    operator: Callable[[object, object], object],
-    *,
-    root_node=None,
-    result: Optional[str] = None,
-) -> object:
-    """Per-call generator-scheduled tree reduction (reference)."""
-    topology = machine.topology
-    root = (
-        topology.validate_node(root_node)
-        if root_node is not None
-        else topology.node_from_index(0)
-    )
-    result = result or f"{register}_red"
-    machine.copy_register(register, result)
-    machine.define_register("_incoming_cay", _NEUTRAL)
-
-    def fold(current, incoming):
-        if incoming is _NEUTRAL:
-            return current
-        return operator(current, incoming)
-
-    phases = _cayley_tree_phases(machine, root)
-    for (_depth, _generator), pairs in reversed(phases):
-        machine.route_moves(
-            result,
-            "_incoming_cay",
-            [(child, parent) for parent, child in pairs],
-            label="reduce-tree",
-        )
-        # Fold only at the parents that just received; stale staging values
-        # at other PEs are never read (every later phase routes first).
-        receivers = {parent for parent, _child in pairs}
-        machine.apply(
-            result, fold, result, "_incoming_cay",
-            where=lambda node, _r=receivers: node in _r,
-        )
-    return machine.read_value(result, root)

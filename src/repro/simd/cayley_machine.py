@@ -24,7 +24,7 @@ from typing import Optional
 from repro.exceptions import InvalidParameterError
 from repro.permutations.ranking import within_table_degree
 from repro.simd.machine import SIMDMachine
-from repro.simd.masks import Mask, MaskSource
+from repro.simd.masks import MaskSource
 from repro.topology.cayley import CayleyGraph
 from repro.utils.validation import check_in_range
 
@@ -97,11 +97,10 @@ class CayleyMachine(SIMDMachine):
         check_in_range(generator, "generator", 0, self.graph.num_generators - 1)
         label = label or f"generator-{self.graph.generator_names[generator]}"
         if not within_table_degree(self.n):
-            mask = Mask.coerce(self.topology, where)
+            nodes = self._nodes
             moves = [
-                (node, self.graph.apply_generator(node, generator))
-                for node in self._nodes
-                if mask.is_active(node)
+                (nodes[index], self.graph.apply_generator(nodes[index], generator))
+                for index in self._active_indices(where)
             ]
             self.route_moves(source_register, destination_register, moves, label=label)
             return

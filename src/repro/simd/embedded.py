@@ -165,31 +165,26 @@ class EmbeddedMeshMachine:
             )
         return self._star_index_of_mesh_index
 
-    def _translate_mask(self, where: MaskSource) -> MaskSource:
+    def _star_mask(self, where: MaskSource) -> Optional[Mask]:
+        """The star-machine mask hosting the mesh PEs *where* selects (None: all).
+
+        The mesh mask (:meth:`Mask.coerce`) is conjugated onto the star PEs
+        through :meth:`mesh_to_star_indices`; named masks are cached per spec.
+        """
         if where is None:
             return None
-        if isinstance(where, Mask):
-            if where.topology == self.mesh:
-                # Conjugate the mesh-level mask onto the star PEs hosting the
-                # active mesh PEs (cached per spec key for named masks).
-                key = where.key
-                if key is not None:
-                    cached = self._mask_translations.get(key)
-                    if cached is not None:
-                        return cached
-                mesh_flags = where.dense_flags()
-                star_flags = [False] * len(mesh_flags)
-                for mesh_index, star_index in enumerate(self.mesh_to_star_indices()):
-                    star_flags[star_index] = mesh_flags[mesh_index]
-                star_mask = Mask.from_flags(self._star_machine.topology, star_flags)
-                if key is not None:
-                    self._mask_translations[key] = star_mask
-                return star_mask
-            return where
-        if callable(where):
-            return lambda star_node: where(self._to_mesh[star_node])
-        # iterable of mesh nodes
-        return [self._to_star[self.mesh.validate_node(node)] for node in where]
+        mask = Mask.coerce(self.mesh, where)
+        key = mask.key
+        star_mask = self._mask_translations.get(key) if key is not None else None
+        if star_mask is None:
+            mesh_flags = mask.dense_flags()
+            star_flags = [False] * len(mesh_flags)
+            for mesh_index, star_index in enumerate(self.mesh_to_star_indices()):
+                star_flags[star_index] = mesh_flags[mesh_index]
+            star_mask = Mask.from_flags(self._star_machine.topology, star_flags)
+            if key is not None:
+                self._mask_translations[key] = star_mask
+        return star_mask
 
     def apply(
         self,
@@ -201,7 +196,7 @@ class EmbeddedMeshMachine:
         """Masked element-wise local operation on every active mesh PE."""
         before = self._star_machine.stats.local_operations
         self._star_machine.apply(
-            destination, function, *sources, where=self._translate_mask(where)
+            destination, function, *sources, where=self._star_mask(where)
         )
         executed = self._star_machine.stats.local_operations - before
         self._mesh_stats.record_local(operations=executed)
@@ -217,7 +212,7 @@ class EmbeddedMeshMachine:
         """Masked elementwise operation through a named kernel (see :meth:`SIMDMachine.apply_kernel`)."""
         before = self._star_machine.stats.local_operations
         self._star_machine.apply_kernel(
-            destination, kernel, *sources, where=self._translate_mask(where)
+            destination, kernel, *sources, where=self._star_mask(where)
         )
         executed = self._star_machine.stats.local_operations - before
         self._mesh_stats.record_local(operations=executed)
@@ -267,24 +262,19 @@ class EmbeddedMeshMachine:
         plan = self._plan_for(paper_dim, delta)
 
         if where is not None:
-            if isinstance(where, Mask) and where.key is not None and where.topology == self.mesh:
+            mask = Mask.coerce(self.mesh, where)
+            if mask.key is not None:
                 # Spec-keyed masks replay a module-cached subset plan shared
                 # by every machine of this degree.
-                plan = unit_route_plan_subset(self._embedding, paper_dim, delta, where.key)
+                plan = unit_route_plan_subset(self._embedding, paper_dim, delta, mask.key)
             else:
-                if isinstance(where, Mask):
-                    if where.topology == self.mesh:
-                        flags = where.dense_flags()
-                        node_index = self.mesh.node_index
-                        active = lambda node: flags[node_index(node)]  # noqa: E731
-                    else:
-                        active = Mask.coerce(self.mesh, where).is_active
-                elif callable(where):
-                    active = where
-                else:
-                    selected = {self.mesh.validate_node(node) for node in where}
-                    active = lambda node: node in selected  # noqa: E731
-                plan = plan.subset(source for source in plan.sources if active(source))
+                # Each path starts at the star PE hosting its mesh source.
+                star_flags = self._star_mask(mask).dense_flags()
+                plan = plan.subset(
+                    source
+                    for source, path in zip(plan.sources, plan.index_paths)
+                    if star_flags[path[0]]
+                )
 
         used = self._star_machine.execute_plan(
             source_register,

@@ -158,45 +158,17 @@ class SIMDMachine:
             self.define_register(destination)
         dest = self._register(destination)
         source_registers = [self._register(s) for s in sources]
-        count = 0
-        if where is None:
-            for index in range(len(self._nodes)):
-                dest[index] = function(*(reg[index] for reg in source_registers))
-            count = len(self._nodes)
-        else:
-            indices = self._active_indices(where)
-            for index in indices:
-                dest[index] = function(*(reg[index] for reg in source_registers))
-            count = len(indices)
-        self._stats.record_local(operations=count)
+        indices = self._active_indices(where)
+        for index in indices:
+            dest[index] = function(*(reg[index] for reg in source_registers))
+        self._stats.record_local(operations=len(indices))
         self._stats.record_broadcast()
 
     def _active_indices(self, where: MaskSource) -> Sequence[int]:
-        """Dense indices of the PEs selected by *where* (all PEs for None).
-
-        The fast-path twin of ``Mask.coerce(...).is_active`` sweeps: masks
-        with a matching topology yield their cached index list, predicates are
-        evaluated directly without materialising a tuple-keyed dict.
-        """
+        """Dense indices of the PEs selected by *where* (see :meth:`Mask.coerce`)."""
         if where is None:
             return range(len(self._nodes))
-        if isinstance(where, Mask):
-            if where.topology == self._topology:
-                return where.active_indices()
-            # Different topology: preserve the facade's error behaviour
-            # (is_active raises MaskError for uncovered nodes).
-            mask = Mask.coerce(self._topology, where)
-            is_active = mask.is_active
-            return [
-                index for index, node in enumerate(self._nodes) if is_active(node)
-            ]
-        if callable(where):
-            return [
-                index for index, node in enumerate(self._nodes) if where(node)
-            ]
-        mask = Mask.coerce(self._topology, where)
-        flags = mask.dense_flags()
-        return [index for index in range(len(self._nodes)) if flags[index]]
+        return Mask.coerce(self._topology, where).active_indices()
 
     def apply_kernel(
         self,
@@ -372,7 +344,9 @@ class SIMDMachine:
         *source* follows (first element must be *source*).  Hop ``t`` of every
         path executes during unit route ``t``; messages that have already
         arrived simply rest.  Returns the number of unit routes used
-        (the length of the longest path).
+        (the length of the longest path).  As in :meth:`route_indexed`, the
+        source register must exist and a missing destination register is
+        defined, even when no message moves.
 
         Conflict checking applies to every intermediate unit route, which is
         how Lemma 5 is enforced at run time.
@@ -383,6 +357,9 @@ class SIMDMachine:
         for source, path in paths.items():
             if not path or path[0] != source:
                 raise SimulationError(f"path for {source!r} must start at the source")
+        source = self._register(source_register)
+        if destination_register not in self._registers:
+            self.define_register(destination_register)
         num_steps = max((len(path) for path in paths.values()), default=1) - 1
         if num_steps == 0:
             return 0
@@ -392,9 +369,7 @@ class SIMDMachine:
 
         # Transit values ride in a scratch register so multi-hop forwarding does
         # not clobber the PEs' own source values.
-        self._registers[scratch_register] = list(self._register(source_register))
-        if destination_register not in self._registers:
-            self.define_register(destination_register)
+        self._registers[scratch_register] = list(source)
 
         node_paths = list(paths.values())
         for step in range(num_steps):
@@ -443,12 +418,12 @@ class SIMDMachine:
         gathers.  Semantics and ledger entries are identical to
         :meth:`route_paths` on the same paths.
         """
-        steps = plan.steps
-        if not steps:
-            return 0
         source = self._register(source_register)
         if destination_register not in self._registers:
             self.define_register(destination_register)
+        steps = plan.steps
+        if not steps:
+            return 0
         destination = self._register(destination_register)
         transit = list(source)
         total_messages = 0

@@ -2,18 +2,18 @@
 
 The paper's instruction format ``A(i) := A(i) + 1, (f(i) = y)`` attaches a
 boolean *mask* selecting which PEs execute a broadcast instruction.  A
-:class:`Mask` wraps such a selection; it can be built from a predicate on node
-identifiers, from an explicit node collection, or from another register
-(treating its values as truthy/falsy), and supports the boolean algebra
-(``&``, ``|``, ``~``) masks are usually combined with.
+:class:`Mask` holds such a selection as one boolean flag per node, in the
+topology's canonical node order (:meth:`Mask.dense_flags`), plus the sorted
+active node indices derived on first use (:meth:`Mask.active_indices`).  It
+can be built from a predicate on node identifiers or from an explicit node
+collection, and supports the boolean algebra (``&``, ``|``, ``~``) masks are
+usually combined with.
 
-Fast representation
--------------------
-Masks additionally carry an index-based fast representation: a dense boolean
-list over the canonical node order (:meth:`Mask.dense_flags`) and the sorted
-active node indices (:meth:`Mask.active_indices`), both computed lazily and
-cached.  The hot paths of the SIMD machines iterate these instead of calling a
-per-node predicate.
+One resolver
+------------
+Every ``where=`` argument of the SIMD machines -- None, a :class:`Mask`, a
+predicate or a node iterable -- goes through :meth:`Mask.coerce`; the machines
+then read flags or indices only.
 
 Masks built by :meth:`Mask.from_spec` also carry a hashable structural *key*
 (a mask **spec**, see below), are cached per ``(topology, key)``, and keep
@@ -204,37 +204,23 @@ def mask_indices(topology: Topology, spec: MaskSpec) -> Tuple[int, ...]:
 
 
 class Mask:
-    """A boolean activity flag per node of a topology."""
+    """A boolean activity flag per node of a topology, in canonical node order."""
 
     def __init__(
         self,
         topology: Topology,
-        active: Optional[Dict[Node, bool]] = None,
+        flags: Sequence[bool],
         *,
         key: Optional[MaskSpec] = None,
-        flags: Optional[Sequence[bool]] = None,
     ):
         self._topology = topology
-        if active is None and flags is None:
-            raise MaskError("a mask needs an active mapping or dense flags")
-        self._active: Optional[Dict[Node, bool]] = dict(active) if active is not None else None
-        if self._active is not None and len(self._active) != topology.num_nodes:
-            raise MaskError(
-                f"mask covers {len(self._active)} nodes but topology has {topology.num_nodes}"
-            )
-        self._key = key
-        self._flags: Optional[List[bool]] = list(flags) if flags is not None else None
-        if self._flags is not None and len(self._flags) != topology.num_nodes:
+        self._flags: List[bool] = list(flags)
+        if len(self._flags) != topology.num_nodes:
             raise MaskError(
                 f"mask covers {len(self._flags)} nodes but topology has {topology.num_nodes}"
             )
+        self._key = key
         self._indices: Optional[Tuple[int, ...]] = None
-
-    def _active_map(self) -> Dict[Node, bool]:
-        """The tuple-keyed facade mapping, materialised lazily for flag-built masks."""
-        if self._active is None:
-            self._active = dict(zip(self._topology.nodes(), self._flags))
-        return self._active
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -245,7 +231,9 @@ class Mask:
     @classmethod
     def from_predicate(cls, topology: Topology, predicate: Callable[[Node], bool]) -> "Mask":
         """Mask selecting the PEs whose node satisfies *predicate* (the paper's ``f(i) = y``)."""
-        return cls(topology, {node: bool(predicate(node)) for node in topology.nodes()})
+        # The topology's cached node order: regenerating the node tuples
+        # costs an order of magnitude more than the predicate sweep.
+        return cls(topology, [bool(predicate(node)) for node in topology._order_table()])
 
     @classmethod
     def from_nodes(cls, topology: Topology, nodes: Iterable[Node]) -> "Mask":
@@ -254,7 +242,7 @@ class Mask:
         for node in selected:
             if not topology.is_node(node):
                 raise MaskError(f"{node!r} is not a node of {topology!r}")
-        return cls(topology, {node: node in selected for node in topology.nodes()})
+        return cls(topology, [node in selected for node in topology._order_table()])
 
     @classmethod
     def from_spec(cls, topology: Topology, spec: MaskSpec) -> "Mask":
@@ -271,31 +259,33 @@ class Mask:
             cached = None
         if cached is not None:
             return cached
-        mask = cls(topology, key=spec, flags=mask_flags(topology, spec))
+        mask = cls(topology, mask_flags(topology, spec), key=spec)
         if cache_key is not None:
             _MASK_CACHE[cache_key] = mask
         return mask
 
     @classmethod
-    def from_flags(
-        cls,
-        topology: Topology,
-        flags: Sequence[bool],
-        *,
-        key: Optional[MaskSpec] = None,
-    ) -> "Mask":
+    def from_flags(cls, topology: Topology, flags: Sequence[bool]) -> "Mask":
         """Mask from dense boolean flags in canonical topology order."""
-        return cls(topology, key=key, flags=flags)
+        return cls(topology, flags)
 
     @classmethod
     def coerce(cls, topology: Topology, source: MaskSource) -> "Mask":
-        """Build a mask from any accepted source (None means all-active)."""
+        """The mask over *topology* that *source* selects: the one ``where`` resolver.
+
+        *source* is None (every PE), a :class:`Mask`, a predicate on nodes or
+        an iterable of nodes.  A mask over an equal topology is returned as
+        is; a mask over another topology of the same size selects by node, so
+        a node it does not cover raises :class:`MaskError`.
+        """
         if source is None:
             return cls.all_active(topology)
         if isinstance(source, Mask):
+            if source._topology == topology:
+                return source
             if source._topology.num_nodes != topology.num_nodes:
                 raise MaskError("mask belongs to a different topology")
-            return source
+            return cls.from_predicate(topology, source.is_active)
         if callable(source):
             return cls.from_predicate(topology, source)
         return cls.from_nodes(topology, source)
@@ -317,19 +307,16 @@ class Mask:
 
     def is_active(self, node: Node) -> bool:
         """True if *node* executes masked instructions."""
-        try:
-            return self._active_map()[tuple(node)]
-        except KeyError as exc:
-            raise MaskError(f"{node!r} is not covered by this mask") from exc
+        node = tuple(node)
+        if not self._topology.is_node(node):
+            raise MaskError(f"{node!r} is not covered by this mask")
+        return self._flags[self._topology.node_index(node)]
 
     def dense_flags(self) -> List[bool]:
-        """Boolean flags in canonical topology (node-index) order, cached.
+        """Boolean flags in canonical topology (node-index) order.
 
         Callers must treat the result as read-only; it is shared.
         """
-        if self._flags is None:
-            active = self._active_map()
-            self._flags = [active[node] for node in self._topology.nodes()]
         return self._flags
 
     def active_indices(self) -> Tuple[int, ...]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.exceptions import InvalidParameterError
 from repro.simd.machine import SIMDMachine
 from repro.simd.masks import Mask, MaskSource
 from repro.topology.mesh import Mesh
@@ -27,25 +26,10 @@ class MeshMachine(SIMDMachine):
 
     def __init__(self, sides: Sequence[int], *, check_conflicts: bool = True):
         super().__init__(Mesh(sides), check_conflicts=check_conflicts)
-        # Dense (sender index, receiver index) moves per (dim, delta), built
-        # lazily; a dimension shift is injective so it can never conflict.
-        self._dimension_moves: dict = {}
-
-    def _moves_along(self, dim: int, delta: int) -> list:
-        key = (dim, delta)
-        table = self._dimension_moves.get(key)
-        if table is None:
-            side = self.sides[dim]
-            index_of = self._index_of
-            table = []
-            for index, node in enumerate(self._nodes):
-                value = node[dim] + delta
-                if 0 <= value < side:
-                    destination = list(node)
-                    destination[dim] = value
-                    table.append((index, index_of[tuple(destination)]))
-            self._dimension_moves[key] = table
-        return table
+        # Mesh.unit_route_moves as the (sender, receiver) pairs route_indexed
+        # takes, converted once per (dim, delta): the conversion costs as
+        # much as the route itself.
+        self._route_pairs: dict = {}
 
     @property
     def mesh(self) -> Mesh:
@@ -74,29 +58,17 @@ class MeshMachine(SIMDMachine):
         boundary in that direction simply do not transmit (there is no
         wraparound).  Receivers store the value in *destination_register*.
         """
-        if delta not in (-1, +1):
-            raise InvalidParameterError(f"delta must be +1 or -1, got {delta}")
-        if not (0 <= dim < self.mesh.ndim):
-            raise InvalidParameterError(
-                f"dim must be in [0, {self.mesh.ndim - 1}], got {dim}"
-            )
-        table = self._moves_along(dim, delta)
-        if where is None:
-            moves = table
-        elif isinstance(where, Mask) and where.topology == self.topology:
-            flags = where.dense_flags()
-            moves = [(src, dst) for src, dst in table if flags[src]]
-        elif callable(where):
-            nodes = self._nodes
-            moves = [(src, dst) for src, dst in table if where(nodes[src])]
-        else:
-            mask = Mask.coerce(self.topology, where)
-            is_active = mask.is_active
-            nodes = self._nodes
-            moves = [(src, dst) for src, dst in table if is_active(nodes[src])]
-        # Moves come from the precomputed dimension table (links by
-        # construction, injective hence conflict-free), so the generic
-        # validation of route_moves is unnecessary.
+        moves = self._route_pairs.get((dim, delta))
+        if moves is None:
+            senders, receivers = self.mesh.unit_route_moves(dim, delta)
+            moves = list(zip(senders.tolist(), receivers.tolist()))
+            self._route_pairs[dim, delta] = moves
+        if where is not None:
+            flags = Mask.coerce(self.topology, where).dense_flags()
+            moves = [(src, dst) for src, dst in moves if flags[src]]
+        # Moves come from the mesh's unit-route table (links by construction,
+        # injective hence conflict-free), so the generic validation of
+        # route_moves is unnecessary.
         self.route_indexed(
             source_register,
             destination_register,

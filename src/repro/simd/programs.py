@@ -228,40 +228,16 @@ def _artifacts(mesh) -> Dict:
     return store
 
 
-def _dimension_table(mesh, dim: int, delta: int) -> List[Tuple[int, int]]:
-    """Dense ``(sender, receiver)`` index moves of a full unit route."""
-    store = _artifacts(mesh)
-    key = ("table", dim, delta)
-    table = store.get(key)
-    if table is None:
-        side = mesh.sides[dim]
-        table = []
-        index_of = {}
-        nodes = list(mesh.nodes())
-        for index, node in enumerate(nodes):
-            index_of[node] = index
-        for index, node in enumerate(nodes):
-            value = node[dim] + delta
-            if 0 <= value < side:
-                destination = list(node)
-                destination[dim] = value
-                table.append((index, index_of[tuple(destination)]))
-        store[key] = table
-    return table
-
-
-def _masked_moves(mesh, dim: int, delta: int, spec: Tuple) -> List[Tuple[int, int]]:
-    """The unit-route moves restricted to senders selected by *spec* (cached)."""
+def _masked_moves(mesh, dim: int, delta: int, spec: Tuple):
+    """``(senders, receivers)`` of a unit route whose senders *spec* selects (cached)."""
     store = _artifacts(mesh)
     key = ("moves", dim, delta, spec)
     moves = store.get(key)
     if moves is None:
-        table = _dimension_table(mesh, dim, delta)
-        if spec == MASK_ALL:
-            moves = table
-        else:
-            flags = mask_flags(mesh, spec)
-            moves = [(src, dst) for src, dst in table if flags[src]]
+        moves = mesh.unit_route_moves(dim, delta)
+        if spec != MASK_ALL:
+            keep = _np.asarray(mask_flags(mesh, spec), dtype=bool)[moves[0]]
+            moves = (moves[0][keep], moves[1][keep])
         store[key] = moves
     return moves
 
@@ -277,15 +253,13 @@ def _chain_gather(mesh, chain: Chain) -> List[Tuple[int, int]]:
     key = ("chain", chain.dim, chain.delta, chain.coords)
     pairs = store.get(key)
     if pairs is None:
-        state = list(range(mesh.num_nodes))
+        identity = _np.arange(mesh.num_nodes)
+        state = identity.copy()
         for coord in chain.coords:
-            moves = _masked_moves(mesh, chain.dim, chain.delta, ("eq", chain.dim, coord))
-            updates = [(dst, state[src]) for src, dst in moves]
-            for dst, origin in updates:
-                state[dst] = origin
-        pairs = [
-            (index, origin) for index, origin in enumerate(state) if origin != index
-        ]
+            src, dst = _masked_moves(mesh, chain.dim, chain.delta, ("eq", chain.dim, coord))
+            state[dst] = state[src]
+        changed = _np.flatnonzero(state != identity)
+        pairs = list(zip(changed.tolist(), state[changed].tolist()))
         store[key] = pairs
     return pairs
 
@@ -441,10 +415,7 @@ class _NumericCompiler:
                 cached = _np.empty(0, dtype=_np.intp)
             elif token[0] == "vrecv":
                 _, dim, delta, spec = token
-                moves = _masked_moves(self.mesh, dim, delta, spec)
-                cached = _np.sort(
-                    _np.fromiter((dst for _src, dst in moves), dtype=_np.intp, count=len(moves))
-                )
+                cached = _np.sort(_masked_moves(self.mesh, dim, delta, spec)[1])
             elif token[0] == "vor":
                 left = self._token_indices(token[1])
                 right = self._token_indices(token[2])
@@ -471,18 +442,6 @@ class _NumericCompiler:
                 cached = _np.intersect1d(mask_idx, valid_idx, assume_unique=True)
             store[key] = cached
         return self.relabel(cached)
-
-    def _moves_arrays(self, dim, delta, spec):
-        store = _artifacts(self.mesh)
-        key = ("vmoves", dim, delta, spec)
-        cached = store.get(key)
-        if cached is None:
-            moves = _masked_moves(self.mesh, dim, delta, spec)
-            src = _np.fromiter((s for s, _d in moves), dtype=_np.intp, count=len(moves))
-            dst = _np.fromiter((d for _s, d in moves), dtype=_np.intp, count=len(moves))
-            cached = (src, dst)
-            store[key] = cached
-        return self.relabel(cached[0]), self.relabel(cached[1])
 
     # -- dataflow -------------------------------------------------------------
     def bail(self) -> None:
@@ -564,7 +523,7 @@ class _NumericCompiler:
         self._need(step.source)
         if self._validity(step.source) != _V_ALL:
             return self.bail()
-        src, dst = self._moves_arrays(step.dim, step.delta, step.where)
+        src, dst = map(self.relabel, _masked_moves(self.mesh, step.dim, step.delta, step.where))
         receivers = ("vrecv", step.dim, step.delta, step.where)
         self._note_write(step.destination, full=False)
         self.valid[step.destination] = _v_or(self._validity(step.destination), receivers)
@@ -770,15 +729,14 @@ def _replay_objects(ops: List[Tuple], target, ledgers: Tuple) -> None:
             registers[register] = [value] * target.num_pes
             ledgers[0].record_broadcast()
         elif kind == "route":
-            _, source, destination, moves, touches, charges = op
-            if touches:
-                values = target._register(source)
-                if destination not in registers:
-                    target.define_register(destination)
-                dest = registers[destination]
-                payload = [(dst, values[src]) for src, dst in moves]
-                for dst, value in payload:
-                    dest[dst] = value
+            _, source, destination, senders, receivers, charges = op
+            values = target._register(source)
+            if destination not in registers:
+                target.define_register(destination)
+            dest = registers[destination]
+            payload = [values[src] for src in senders]
+            for dst, value in zip(receivers, payload):
+                dest[dst] = value
         elif kind == "chain":
             _, register, pairs, charges = op
             values = target._register(register)
@@ -932,7 +890,7 @@ def _compile(machine, geometry: Tuple, steps: Tuple[Step, ...]) -> RouteProgram:
         """``(slot, unit routes, messages, label)`` of one masked mesh unit route."""
         mesh_label = label or _route_label(dim, delta)
         if not embedded:
-            return [(0, 1, len(_masked_moves(mesh, dim, delta, spec)), mesh_label)]
+            return [(0, 1, len(_masked_moves(mesh, dim, delta, spec)[0]), mesh_label)]
         plan = unit_route_plan_subset(machine.embedding, machine.n - 1 - dim, delta, spec)
         star_messages = sum(step.num_messages for step in plan.steps)
         star_label = label or _star_route_label(dim, delta)
@@ -996,11 +954,9 @@ def _object_ops(machine, steps: Tuple[Step, ...], charges) -> List[Tuple]:
         if isinstance(step, Fill):
             op: Tuple = ("fill", step.register, step.value)
         elif isinstance(step, Route):
-            # A star plan with no paths returns before touching any register;
-            # a mesh route always counts one unit route, so it always touches.
-            touches = cost[0][1] > 0
-            moves = _masked_moves(mesh, step.dim, step.delta, step.where)
-            op = ("route", step.source, step.destination, relabel(moves), touches)
+            src, dst = _masked_moves(mesh, step.dim, step.delta, step.where)
+            senders, receivers = relabel(src).tolist(), relabel(dst).tolist()
+            op = ("route", step.source, step.destination, senders, receivers)
         elif isinstance(step, Chain):
             op = ("chain", step.register, relabel(_chain_gather(mesh, step)))
         elif isinstance(step, Local):

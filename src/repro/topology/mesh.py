@@ -22,7 +22,7 @@ dimension index into a tuple index.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,7 @@ class Mesh(Topology):
             check_positive_int(side, "side", minimum=1)
         self._sides: Tuple[int, ...] = tuple(sides)
         self._radix = MixedRadix(self._sides)
+        self._unit_moves: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------ properties
     @property
@@ -163,40 +164,57 @@ class Mesh(Topology):
         """Row-major linearisation weight of each dimension (most significant first)."""
         return self._radix.weights
 
+    def unit_route_moves(self, dim: int, delta: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(senders, receivers)``: where a unit route along *dim* lands.
+
+        Every node whose coordinate ``dim`` stays inside the box after adding
+        *delta* (``+1`` or ``-1``) sends to the node ``delta * weight``
+        further along in row-major order.  Both arrays are read-only NumPy
+        ``int64`` node indices in ascending sender order, cached per
+        dimension; the two directions share them (the ``-1`` route is the
+        ``+1`` route reversed).
+        """
+        if delta not in (-1, +1):
+            raise InvalidParameterError(f"delta must be +1 or -1, got {delta}")
+        if not (0 <= dim < self.ndim):
+            raise InvalidParameterError(f"dim must be in [0, {self.ndim - 1}], got {dim}")
+        moves = self._unit_moves.get(dim)
+        if moves is None:
+            weight = self.index_weights()[dim]
+            indices = np.arange(self.num_nodes, dtype=np.int64)
+            lower = indices[(indices // weight) % self._sides[dim] < self._sides[dim] - 1]
+            upper = lower + weight
+            lower.setflags(write=False)
+            upper.setflags(write=False)
+            moves = self._unit_moves[dim] = (lower, upper)
+        return moves if delta > 0 else (moves[1], moves[0])
+
     def dimension_edge_indices(self):
         """Yield ``(dim, u_indices, v_indices)`` for every mesh dimension.
 
         ``u_indices``/``v_indices`` are the row-major node indices of all
-        ``+1`` edges along *dim* (``v = u + weight``), as NumPy ``int64``
-        arrays -- the shared edge enumeration behind the batched embedding
-        kernel and the vectorised contraction measurement.
+        ``+1`` edges along *dim* (``v = u + weight``), as read-only NumPy
+        ``int64`` arrays (:meth:`unit_route_moves`) -- the shared edge
+        enumeration behind the batched embedding kernel and the vectorised
+        contraction measurement.
         """
-        weights = self.index_weights()
-        indices = np.arange(self.num_nodes, dtype=np.int64)
-        for dim, side in enumerate(self._sides):
-            weight = weights[dim]
-            coord = (indices // weight) % side
-            has_neighbor = coord < side - 1
-            u_indices = indices[has_neighbor]
-            yield dim, u_indices, u_indices + weight
+        for dim in range(self.ndim):
+            yield (dim,) + self.unit_route_moves(dim, +1)
 
     def _build_neighbor_index_table(self):
-        """Closed-form adjacency index from coordinate arithmetic.
+        """Closed-form adjacency index from the unit-route moves.
 
-        For each dimension the +-1 neighbour of node ``i`` is ``i -+ weight``
-        whenever the coordinate stays inside the box; rows keep the
-        ``neighbors()`` order (per dimension: ``-1`` then ``+1``) left-packed
-        with ``-1`` padding -- no coordinate tuples are materialised.
+        Rows keep the ``neighbors()`` order (per dimension: ``-1`` then
+        ``+1``) left-packed with ``-1`` padding -- no coordinate tuples are
+        materialised.
         """
-        weights = self.index_weights()
-        indices = np.arange(self.num_nodes, dtype=np.int64)
         columns = []
-        for dim, side in enumerate(self._sides):
-            weight = weights[dim]
-            coord = (indices // weight) % side
+        for dim in range(self.ndim):
             for delta in (-1, +1):
-                inside = (coord + delta >= 0) & (coord + delta < side)
-                columns.append(np.where(inside, indices + delta * weight, -1))
+                senders, receivers = self.unit_route_moves(dim, delta)
+                column = np.full(self.num_nodes, -1, dtype=np.int64)
+                column[senders] = receivers
+                columns.append(column)
         table = np.stack(columns, axis=1)
         # Left-pack the valid entries of each row, preserving their order.
         invalid = table < 0

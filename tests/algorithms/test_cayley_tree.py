@@ -1,4 +1,4 @@
-"""Parity and property tests for the Cayley tree broadcast/reduction programs.
+"""Parity and property tests for the Cayley tree broadcast program.
 
 The program-layer contract extended to the Cayley family: the compiled
 :class:`~repro.algorithms.cayley.GeneratorTreePlan` replays must be
@@ -7,15 +7,12 @@ bit-identical -- registers *and* ledgers -- to the per-call references in
 transposition trees, and the star graph itself through both machines).
 """
 
-import operator
-
 import pytest
 
 from repro.algorithms import reference as _reference
 from repro.algorithms.broadcast import cayley_broadcast_greedy, star_broadcast_greedy
 from repro.algorithms.cayley import (
     cayley_broadcast_tree,
-    cayley_reduce_tree,
     generator_tree_plan,
 )
 from repro.exceptions import InvalidParameterError
@@ -101,27 +98,6 @@ class TestTreeParity:
         expected = fast.read_value("A", source)
         assert all(value == expected for value in fast.register_values("A_bcast"))
 
-    def test_reduce_registers_and_ledgers_match_reference(self, graph):
-        fast, slow = machine_pair(graph)
-        root = graph.node_from_index(3)
-        fast_value = cayley_reduce_tree(fast, "A", operator.add, root_node=root)
-        slow_value = _reference.cayley_reduce_tree(
-            slow, "A", operator.add, root_node=root
-        )
-        assert fast_value == slow_value == sum(range(1, graph.num_nodes + 1))
-        assert fast.register_values("A_red") == slow.register_values("A_red")
-        assert fast.stats.snapshot() == slow.stats.snapshot()
-
-    def test_reduce_with_non_commutative_operator_matches(self, graph):
-        # Deterministic phase order: fast and reference must fold in the same
-        # order even when the operator does not commute.
-        fast, slow = machine_pair(graph)
-        concat = lambda a, b: f"{a},{b}"  # noqa: E731
-        fast_value = cayley_reduce_tree(fast, "A", concat)
-        slow_value = _reference.cayley_reduce_tree(slow, "A", concat)
-        assert fast_value == slow_value
-        assert fast.stats.snapshot() == slow.stats.snapshot()
-
 
 class TestStarMachineRunsTheSameProgram:
     """'Unchanged on every family' includes the paper's own machine."""
@@ -135,25 +111,12 @@ class TestStarMachineRunsTheSameProgram:
         assert routes == star.stats.unit_routes
         assert star.stats.by_label == {"broadcast-tree": routes}
 
-    def test_reduce_on_star_machine_matches_cayley_machine(self):
-        star = StarMachine(4)
-        cayley = CayleyMachine(TranspositionTreeGraph.star(4))
-        init = {node: index for index, node in enumerate(star.nodes)}
-        star.define_register("A", init)
-        cayley.define_register("A", init)
-        assert cayley_reduce_tree(star, "A", operator.add) == cayley_reduce_tree(
-            cayley, "A", operator.add
-        )
-        assert star.stats.snapshot() == cayley.stats.snapshot()
-
     def test_unsupported_machine_falls_back_to_reference(self):
         cube = SIMDMachine(Hypercube(3))
         cube.define_register("A", {node: sum(node) for node in cube.nodes})
         routes = cayley_broadcast_tree(cube, (0, 0, 0), "A")
         assert routes > 0
         assert all(value == 0 for value in cube.register_values("A_bcast"))
-        total = cayley_reduce_tree(cube, "A", operator.add)
-        assert total == sum(sum(node) for node in cube.nodes)
 
 
 # ------------------------------------------------------------ greedy SIMD-B

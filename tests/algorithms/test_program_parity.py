@@ -32,6 +32,7 @@ from repro.algorithms import (
 )
 from repro.algorithms import reference
 from repro.embedding.uniform import factorise_paper_mesh
+from repro.exceptions import ProgramError
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.masks import Mask
 from repro.simd.mesh_machine import MeshMachine
@@ -294,25 +295,38 @@ class TestLedgerEdgeCases:
 
     @pytest.mark.parametrize("kind,factory", MACHINES)
     def test_empty_masked_route_into_missing_register(self, kind, factory):
+        # One behaviour on both machines, facade and compiled alike: a unit
+        # route with no sender still reads its source and defines its
+        # destination, and the mesh ledger counts one route of 0 messages.
         fast, slow = machine_pair(factory, 4)
         assert fast.mesh.sides == (4, 3, 2)
         spec = ("eq", 0, 3)  # the last row has no +1 neighbour: no messages
         compile_program(fast, (Route("K", "B", 0, +1, spec),)).run(fast)
         slow.route_dimension("K", "B", 0, +1, where=Mask.from_spec(slow.mesh, spec))
-        if kind == "native":
-            # route_indexed defines the destination (one broadcast).
-            assert "B" in fast.register_names
-            expected = {"unit_routes": 1, "messages": 0, "broadcasts": 1}
-        else:
-            # execute_plan returns before touching a register: no star route,
-            # no define; the mesh ledger still counts the unit route.
-            assert "B" not in fast.register_names
-            assert fast.star_stats.unit_routes == fast.star_stats.broadcasts == 0
-            expected = {"unit_routes": 1, "messages": 0, "broadcasts": 0}
-        snapshot = fast.stats.snapshot()
-        assert {key: snapshot[key] for key in expected} == expected
-        assert_parity(fast, slow, fast.register_names)
-        assert fast.register_names == slow.register_names
+        for machine in (fast, slow):
+            assert machine.register_names == ["B", "K"]
+            assert set(machine.read_register("B").values()) == {None}
+            snapshot = machine.stats.snapshot()
+            assert (snapshot["unit_routes"], snapshot["messages"]) == (1, 0)
+            # The define's broadcast lands on the ledger of the machine that
+            # owns the register file; no star unit route runs.
+            owner = machine.stats if kind == "native" else machine.star_stats
+            assert owner.broadcasts == 1
+            if kind == "embedded":
+                assert machine.stats.broadcasts == 0
+                assert machine.star_stats.unit_routes == 0
+        assert_parity(fast, slow, ["K", "B"])
+
+    @pytest.mark.parametrize("kind,factory", MACHINES)
+    def test_empty_masked_route_from_missing_source(self, kind, factory):
+        fast, slow = machine_pair(factory, 4)
+        spec = ("eq", 0, 3)
+        with pytest.raises(ProgramError):
+            compile_program(fast, (Route("X", "B", 0, +1, spec),)).run(fast)
+        with pytest.raises(ProgramError):
+            slow.route_dimension("X", "B", 0, +1, where=Mask.from_spec(slow.mesh, spec))
+        for machine in (fast, slow):
+            assert machine.register_names == ["K"]
 
     @pytest.mark.parametrize("kind,factory", MACHINES)
     @pytest.mark.parametrize("result_exists", [False, True])

@@ -18,6 +18,8 @@ import pytest
 from repro.algorithms import mesh_broadcast, odd_even_transposition_sort
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.paths import unit_route_paths
+from repro.exceptions import MaskError
+from repro.permutations import ranking
 from repro.permutations.generators import apply_star_generator
 from repro.permutations.ranking import (
     all_permutations,
@@ -26,10 +28,15 @@ from repro.permutations.ranking import (
     permutation_rank,
     ranks_of,
 )
+from repro.simd import kernels
+from repro.simd.cayley_machine import CayleyMachine
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.masks import Mask
+from repro.simd.mesh_machine import MeshMachine
 from repro.simd.plans import build_unit_route_plan, unit_route_plan
 from repro.simd.star_machine import StarMachine
+from repro.topology.cayley import BubbleSortGraph, PancakeGraph
+from repro.topology.mesh import Mesh
 from repro.topology.routing import star_distance, star_distances_from
 from repro.topology.star import StarGraph
 
@@ -268,3 +275,111 @@ class TestUnitRoutePlans:
         assert sum(step.num_messages for step in subset.steps) == sum(
             len(path) - 1 for path in subset.index_paths
         )
+
+
+# ------------------------------------------------------------ the mask rule
+def _route_dimension(machine, where):
+    machine.route_dimension("A", "B", 0, +1, where=where)
+
+
+def _apply_kernel(machine, where):
+    machine.apply_kernel("B", kernels.COPY, "A", where=where)
+
+
+def _route_generator(machine, where):
+    machine.route_generator("A", "B", 1, where=where)
+
+
+# site -> (machine factory, operation, lowered table bound); every site
+# resolves ``where`` through Mask.coerce.
+WHERE_SITES = {
+    "mesh-route": (lambda: MeshMachine((4, 3, 2)), _route_dimension, False),
+    "embedded-route": (lambda: EmbeddedMeshMachine(4), _route_dimension, False),
+    "mesh-kernel": (lambda: MeshMachine((4, 3, 2)), _apply_kernel, False),
+    "embedded-kernel": (lambda: EmbeddedMeshMachine(4), _apply_kernel, False),
+    "cayley-route": (lambda: CayleyMachine(PancakeGraph(4)), _route_generator, False),
+    "cayley-route-past-bound": (
+        lambda: CayleyMachine(PancakeGraph(4)), _route_generator, True,
+    ),
+}
+
+SELECTION = ("parity", 0, 1)
+
+
+def _selected(node):
+    return node[0] % 2 == 1
+
+
+# form -> where value over a topology (the machine's own, or the guest mesh)
+WHERE_FORMS = {
+    "none": lambda topology: None,
+    "spec-mask": lambda topology: Mask.from_spec(topology, SELECTION),
+    "flag-mask": lambda topology: Mask.from_flags(
+        topology, [_selected(node) for node in topology.nodes()]
+    ),
+    "predicate": lambda topology: _selected,
+    "node-list": lambda topology: [
+        node for node in topology.nodes() if _selected(node)
+    ],
+}
+
+
+def _where_machine(site, monkeypatch):
+    factory, operation, lowered = WHERE_SITES[site]
+    if lowered:
+        monkeypatch.setattr(ranking, "MAX_TABLE_DEGREE", 3)
+    machine = factory()
+    topology = machine.mesh if hasattr(machine, "mesh") else machine.topology
+    machine.define_register(
+        "A", {node: 10 * index + 1 for index, node in enumerate(topology.nodes())}
+    )
+    machine.define_register("B", -1)
+    machine.reset_stats()
+    return machine, topology, operation
+
+
+class TestOneMaskRule:
+    """Every ``where`` form acts as its ``Mask.from_flags`` equivalent, at every site."""
+
+    @pytest.mark.parametrize("form", sorted(WHERE_FORMS))
+    @pytest.mark.parametrize("site", sorted(WHERE_SITES))
+    def test_form_matches_flag_mask(self, site, form, monkeypatch):
+        by_form, topology, operation = _where_machine(site, monkeypatch)
+        by_flags, _, _ = _where_machine(site, monkeypatch)
+        if form == "none":
+            flags = [True] * topology.num_nodes
+        else:
+            flags = [_selected(node) for node in topology.nodes()]
+        operation(by_form, WHERE_FORMS[form](topology))
+        operation(by_flags, Mask.from_flags(topology, flags))
+        assert_same_trace(by_form, by_flags, ["A", "B"])
+        assert by_form.stats.local_operations + by_form.stats.messages > 0
+
+    @pytest.mark.parametrize("site", sorted(WHERE_SITES))
+    def test_mask_over_another_topology_selects_by_node(self, site, monkeypatch):
+        by_node, topology, operation = _where_machine(site, monkeypatch)
+        by_flags, _, _ = _where_machine(site, monkeypatch)
+        # An equal mesh built apart, or another Cayley graph over the same
+        # permutations: either way the mask selects the same nodes.
+        other = Mesh(topology.sides) if isinstance(topology, Mesh) else BubbleSortGraph(4)
+        operation(by_node, Mask.from_spec(other, SELECTION))
+        operation(
+            by_flags,
+            Mask.from_flags(topology, [_selected(node) for node in topology.nodes()]),
+        )
+        assert_same_trace(by_node, by_flags, ["A", "B"])
+
+    @pytest.mark.parametrize("site", sorted(WHERE_SITES))
+    def test_foreign_node_raises_mask_error(self, site, monkeypatch):
+        machine, topology, operation = _where_machine(site, monkeypatch)
+        first = next(iter(topology.nodes()))
+        foreign_nodes = [first, (9,) * len(first)]
+        # Same size (24 nodes), but it does not cover the machine's nodes.
+        foreign_mesh = Mesh((2, 3, 4)) if isinstance(topology, Mesh) else Mesh((4, 3, 2))
+        for where in (
+            foreign_nodes,
+            Mask.from_flags(foreign_mesh, [True] * foreign_mesh.num_nodes),
+            Mask.from_flags(Mesh((5, 5)), [True] * 25),
+        ):
+            with pytest.raises(MaskError):
+                operation(machine, where)
